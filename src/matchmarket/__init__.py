@@ -14,9 +14,12 @@ from .market import (  # noqa: F401
     write_instance,
 )
 from .returns import (  # noqa: F401
+    MONOPOLY,
     AssumptionReport,
+    Evaluator,
     ReturnModel,
     ReturnModelError,
+    Stationary,
     argmax_pi_competition,
     check_assumptions,
     eval_q,
@@ -24,15 +27,13 @@ from .returns import (  # noqa: F401
     grid,
     parametric,
     pi_competition,
+    competition,
     pi_monopoly,
 )
 from .fair import AssignmentResult, FairSolution, brute_force_fair, solve_fair  # noqa: F401
 from .selfish import (  # noqa: F401
-    MONOPOLY,
     KKTReport,
     SelfishSolution,
-    Stationary,
-    competition,
     kkt_residual,
     kkt_residual_of,
     solve_selfish,

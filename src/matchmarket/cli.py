@@ -11,7 +11,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -70,13 +69,6 @@ class _Run:
         )
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("MATCHMARKET_THREADS", "")
-    return max(1, int(env)) if env.isdigit() else 1
-
-
 def _models(args, m: int) -> list:
     if not (0.0 <= args.alpha < 1.0):
         raise CliError(f"invalid alpha {args.alpha}: must lie in [0, 1)",
@@ -85,12 +77,21 @@ def _models(args, m: int) -> list:
 
 
 def _stationary(args) -> Stationary:
-    if getattr(args, "eps", None) is not None:
-        return Stationary("competition", args.eps)
-    return MONOPOLY
+    if args.eps is None:
+        return MONOPOLY
+    if not 0.0 < args.eps <= 1.0:
+        raise CliError(f"invalid --eps {args.eps}: must lie in (0, 1]")
+    return Stationary("competition", args.eps)
+
+
+def _check_count(args, name: str) -> None:
+    value = getattr(args, name)
+    if value < 1:
+        raise CliError(f"invalid --{name} {value}: must be at least 1")
 
 
 def cmd_bound(args) -> int:
+    _check_count(args, "users")
     models = _models(args, args.users)
     for mod in models:
         report = returns.check_assumptions(mod)
@@ -157,9 +158,10 @@ def _sampler(args) -> InstanceSampler:
 
 def cmd_poa(args) -> int:
     models = _models(args, args.m)
+    stat = _stationary(args)
+    _check_count(args, "trials")
     run = _Run("poa", args)
-    rep = poa.empirical_poa(models, _sampler(args), args.m, args.n, args.trials,
-                            _stationary(args), threads=_threads(args))
+    rep = poa.empirical_poa(models, _sampler(args), args.m, args.n, args.trials, stat)
     poa.write_trials_csv(rep, run.path("poa_trials.csv"))
     poa.write_summary_json(rep, run.path("poa_summary.json"))
     print(f"min_ratio = {rep.min_ratio:.9g}")
@@ -175,10 +177,11 @@ def cmd_sweep(args) -> int:
         raise CliError(f"invalid --eps list: {exc}") from exc
     if not eps_list or any(e <= 0.0 or e > 1.0 for e in eps_list):
         raise CliError("--eps values must lie in (0, 1]")
+    _check_count(args, "trials")
     models = _models(args, args.m)
     run = _Run("sweep", args)
     sweep = poa.competition_sweep(models, _sampler(args), args.m, args.n,
-                                  args.trials, eps_list, threads=_threads(args))
+                                  args.trials, eps_list)
     poa.write_sweep_csv(sweep, run.path("sweep.csv"))
     eps_sorted = sorted(sweep, reverse=True)
     svgplot.plot_lines(
@@ -194,10 +197,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_online(args) -> int:
     models = _models(args, args.m)
+    stat = _stationary(args)
+    _check_count(args, "trials")
     run = _Run("online", args)
     rep = online.online_poa_empirical(models, _sampler(args), args.m, args.n,
-                                      args.trials, _stationary(args),
-                                      threads=_threads(args))
+                                      args.trials, stat)
     online.write_online_csv(rep, run.path("online_trials.csv"))
     poa.write_summary_json(rep, run.path("online_summary.json"))
     print(f"min_ratio = {rep.min_ratio:.9g}")
@@ -300,8 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out-dir", default="out")
         p.add_argument("--threads", type=int, default=None,
-                       help="accepted for compatibility; trials run serially, so it has "
-                            "no effect (default: MATCHMARKET_THREADS or 1)")
+                       help="accepted for compatibility and ignored: trials run serially")
 
     def sampled(p: argparse.ArgumentParser) -> None:
         p.add_argument("--m", type=int, default=5)

@@ -32,11 +32,16 @@ class AssignmentResult:
     sigma: np.ndarray  # column duals, >= 0
 
     def x_matrix(self, shape) -> np.ndarray:
-        x = np.zeros(shape)
-        for i, j in enumerate(self.row_match):
-            if j >= 0:
-                x[i, j] = 1.0
-        return x
+        return vertex_matrix(self.row_match, shape)
+
+
+def vertex_matrix(row_match, shape) -> np.ndarray:
+    """0/1 matrix of a matching given as the column per row, -1 if unmatched."""
+    x = np.zeros(shape)
+    for i, j in enumerate(row_match):
+        if j >= 0:
+            x[i, j] = 1.0
+    return x
 
 
 @dataclass(frozen=True)

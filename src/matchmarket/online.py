@@ -9,10 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fair import solve_fair
-from .market import FractionalMatching, InstanceSampler, MarketInstance, sample_instance
-from .poa import EmpiricalPoAReport
-from .selfish import MONOPOLY, Stationary, _check_models, peak_utility, pi_value
+from .market import FractionalMatching, InstanceSampler, MarketInstance
+from .poa import EmpiricalPoAReport, _run_trials
+from .returns import MONOPOLY, Evaluator, Stationary
+from .selfish import _check_models, peak_utility
 
 _CAP_TOL = 1e-9  # residual column capacity below this counts as exhausted
 
@@ -75,9 +75,7 @@ def greedy_online(
             budget -= take
             achieved += take * w[i, j]
     matching = FractionalMatching.from_x(inst, x)
-    value = float(sum(
-        float(pi_value(models[i], stationary, matching.u[i])) for i in range(inst.m)
-    ))
+    value = float(Evaluator(models, stationary).objective(matching.u))
     return OnlineSolution(matching=matching, value=value)
 
 
@@ -91,39 +89,17 @@ def online_poa_empirical(
     threads: int = 1,
 ) -> EmpiricalPoAReport:
     """Ratio of greedy-online to fair total utility with a fresh random
-    arrival order per trial. Trials run one after another; ``threads`` is
-    accepted and has no effect, as in ``poa.empirical_poa``."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    arrival order per trial."""
 
-    def one(trial: int) -> tuple:
-        inst = sample_instance(sampler, m, n, trial)
-        fair = solve_fair(inst)
-        if fair.value <= 0.0:
-            return (trial, sampler.seed, fair.value, 0.0, float("nan"))
+    def greedy_value(inst: MarketInstance, trial: int) -> float:
         order_rng = np.random.default_rng(
             np.random.SeedSequence((sampler.seed, trial, 1))
         )
         seq = ArrivalSequence(order=order_rng.permutation(m), instance=inst)
-        online = greedy_online(seq, models, stationary)
-        value = float(online.matching.u.sum())
-        return (trial, sampler.seed, fair.value, value, value / fair.value)
+        return float(greedy_online(seq, models, stationary).matching.u.sum())
 
-    records = [one(t) for t in range(trials)]
-    ratios = [rec[4] for rec in records if rec[4] == rec[4]]
-    degenerate = trials - len(ratios)
-    if not ratios:
-        raise ValueError("all trials degenerate: every fair optimum was zero")
-    settings = {
-        "m": m,
-        "n": n,
-        "sampler": sampler.distribution,
-        "seed": sampler.seed,
-        "stationary": stationary.kind,
-        "policy": "greedy-online",
-    }
-    return EmpiricalPoAReport(trials=trials, ratios=ratios, degenerate=degenerate,
-                              settings=settings, records=records)
+    return _run_trials(sampler, m, n, trials, greedy_value,
+                       {"stationary": stationary.kind, "policy": "greedy-online"})
 
 
 def write_online_csv(report: EmpiricalPoAReport, path) -> None:

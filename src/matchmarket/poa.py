@@ -20,8 +20,8 @@ import numpy as np
 from . import returns
 from .fair import solve_fair
 from .market import InstanceSampler, sample_instance
-from .returns import ReturnModel
-from .selfish import MONOPOLY, Stationary, pi_prime, solve_selfish
+from .returns import MONOPOLY, Evaluator, ReturnModel, Stationary
+from .selfish import solve_selfish
 
 OUTER_TOL = 1e-8
 INNER_TOL = 1e-12
@@ -61,16 +61,25 @@ class EmpiricalPoAReport:
         return float(np.mean(self.ratios)) if self.ratios else float("nan")
 
 
-def _ubar(model: ReturnModel, c: float) -> float:
-    """Unique positive root of pi'(u) = c; pi' decreases from q'(0) to q'(1) < 0."""
-    lo, hi = 0.0, 1.0 - 1e-12
-    while hi - lo > INNER_TOL:
+def _ubars(ev: Evaluator, c: float) -> np.ndarray:
+    """Per-user unique positive root of pi_i'(u) = c; pi' decreases from q'(0)
+    to q'(1) < 0. Bisects all users at once, each until its own bracket is
+    at most ``INNER_TOL`` wide."""
+    lo = np.zeros(ev.m)
+    hi = np.full(ev.m, 1.0 - 1e-12)
+    live = hi - lo > INNER_TOL
+    while live.any():
         mid = 0.5 * (lo + hi)
-        if float(pi_prime(model, MONOPOLY, mid)) > c:
-            lo = mid
-        else:
-            hi = mid
+        rise = ev.pi_prime(mid) > c
+        lo = np.where(live & rise, mid, lo)
+        hi = np.where(live & ~rise, mid, hi)
+        live = hi - lo > INNER_TOL
     return 0.5 * (lo + hi)
+
+
+def _ubar(model: ReturnModel, c: float) -> float:
+    """``_ubars`` for a single user."""
+    return float(_ubars(Evaluator([model]), c)[0])
 
 
 def theorem1_bound(models) -> PoABoundReport:
@@ -79,14 +88,15 @@ def theorem1_bound(models) -> PoABoundReport:
     for mod in models:
         if not returns.check_assumptions(mod).a3_ok:
             raise BoundError("all return models must be strictly concave on [0, 1]")
-    slopes0 = [float(returns.eval_q_prime(mod, 0.0)) for mod in models]
-    H = max(slopes0)
-    h = min(slopes0)
+    ev = Evaluator(models)
+    slopes0 = ev.pi_prime(np.zeros(len(models)))  # pi'(0) = q'(0) as q(0) = 0
+    H = float(slopes0.max())
+    h = float(slopes0.min())
     if H <= 0.0:
         raise BoundError("needs a model with positive slope at zero utility")
 
     def L(c: float) -> float:
-        return min(_ubar(mod, c) for mod in models)
+        return float(_ubars(ev, c).min())
 
     lo, hi = 1e-12, h - 1e-12
     c = 0.5 * (lo + hi)
@@ -99,9 +109,40 @@ def theorem1_bound(models) -> PoABoundReport:
             lo = c
         else:
             hi = c
-    u_bars = np.array([_ubar(mod, c) for mod in models])
+    u_bars = _ubars(ev, c)
     Lc = float(u_bars.min())
     return PoABoundReport(H=H, h=h, c=c, L=Lc, bound=Lc / 2.0, u_bars=u_bars)
+
+
+def _run_trials(sampler: InstanceSampler, m: int, n: int, trials: int,
+                policy, settings: dict) -> EmpiricalPoAReport:
+    """Monte-Carlo trials of ``policy`` against the fair optimum.
+
+    Trial t samples instance t of ``sampler`` (its own RNG stream) and solves
+    the fair program; ``policy(inst, t)`` returns the policy's total
+    utility. Trials whose fair optimum is zero have an undefined ratio; they
+    keep a row with ratio nan and are counted as degenerate. ``settings``
+    extends the report's m, n, sampler and seed settings.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+
+    def one(trial: int) -> tuple:
+        inst = sample_instance(sampler, m, n, trial)
+        fair = solve_fair(inst)
+        if fair.value <= 0.0:
+            return (trial, sampler.seed, fair.value, 0.0, float("nan"))
+        value = policy(inst, trial)
+        return (trial, sampler.seed, fair.value, value, value / fair.value)
+
+    records = [one(t) for t in range(trials)]
+    ratios = [rec[4] for rec in records if rec[4] == rec[4]]
+    if not ratios:
+        raise ValueError("all trials degenerate: every fair optimum was zero")
+    settings = {"m": m, "n": n, "sampler": sampler.distribution, "seed": sampler.seed,
+                **settings}
+    return EmpiricalPoAReport(trials=trials, ratios=ratios, degenerate=trials - len(ratios),
+                              settings=settings, records=records)
 
 
 def empirical_poa(
@@ -115,41 +156,22 @@ def empirical_poa(
 ) -> EmpiricalPoAReport:
     """Ratio of selfish to fair total utility across random weight matrices.
 
-    Trials whose fair optimum is zero have an undefined ratio; they are
-    skipped and counted as degenerate. Trials are independent with per-trial
-    RNG streams and run one after another. ``threads`` is accepted for
-    compatibility and has no effect: a trial is thousands of tiny numpy
+    Trials whose fair optimum is zero are counted as degenerate. Trials run
+    one after another. ``threads`` is accepted for compatibility and has no
+    effect, here and in ``competition_sweep`` and
+    ``online.online_poa_empirical``: a trial is thousands of tiny numpy
     calls, and worker threads contending for the interpreter lock made the
     loop about twice as slow.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     models = list(models)
 
-    def one(trial: int) -> tuple:
-        inst = sample_instance(sampler, m, n, trial)
-        fair = solve_fair(inst)
-        if fair.value <= 0.0:
-            return (trial, sampler.seed, fair.value, 0.0, float("nan"))
-        selfish = solve_selfish(inst, models, stationary, seed=sampler.seed)
-        value = float(selfish.matching.u.sum())
-        return (trial, sampler.seed, fair.value, value, value / fair.value)
+    def selfish_value(inst, trial: int) -> float:
+        return float(solve_selfish(inst, models, stationary, seed=sampler.seed).matching.u.sum())
 
-    records = [one(t) for t in range(trials)]
-    ratios = [rec[4] for rec in records if rec[4] == rec[4]]
-    degenerate = trials - len(ratios)
-    if not ratios:
-        raise ValueError("all trials degenerate: every fair optimum was zero")
-    settings = {
-        "m": m,
-        "n": n,
-        "sampler": sampler.distribution,
-        "seed": sampler.seed,
+    return _run_trials(sampler, m, n, trials, selfish_value, {
         "stationary": stationary.kind,
         "eps": stationary.eps if stationary.kind == "competition" else None,
-    }
-    return EmpiricalPoAReport(trials=trials, ratios=ratios, degenerate=degenerate,
-                              settings=settings, records=records)
+    })
 
 
 def competition_sweep(
@@ -162,8 +184,7 @@ def competition_sweep(
     threads: int = 1,
 ) -> dict[float, EmpiricalPoAReport]:
     """Empirical PoA under the competition chain for each eps, mirroring
-    the convergence of selfish matching to fair matching as eps shrinks.
-    ``threads`` has no effect, as in ``empirical_poa``."""
+    the convergence of selfish matching to fair matching as eps shrinks."""
     out: dict[float, EmpiricalPoAReport] = {}
     for eps in eps_list:
         out[float(eps)] = empirical_poa(

@@ -3,6 +3,13 @@
 Two model families are supported: the parametric family q(u) = u(1-u)^(1-alpha)
 with alpha in [0, 1), and grid models (21 uniform nodes on [0, 1], linear
 interpolation, endpoints pinned to 0) used for learned return behavior.
+
+``Stationary`` names the Markov chain: the two-state (monopoly) chain with
+pi = q / (1 + q), or the three-state competition chain. This module is the
+only place a formula for q, q', q'', pi, pi' or pi'' is written. The kernels
+take trusted utilities; ``eval_q``, ``eval_q_prime``, ``pi_monopoly``,
+``pi_monopoly_second`` and ``pi_competition`` check the domain first, and
+``Evaluator`` applies the kernels to a batch of users, grouped by model.
 """
 
 from __future__ import annotations
@@ -73,6 +80,86 @@ def grid(values) -> ReturnModel:
     return ReturnModel(kind="grid", values=np.asarray(values, dtype=float))
 
 
+@dataclass(frozen=True)
+class Stationary:
+    """Which Markov chain drives the return objective."""
+
+    kind: str = "monopoly"  # "monopoly" | "competition"
+    eps: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in ("monopoly", "competition"):
+            raise ValueError(f"unknown stationary kind {self.kind!r}")
+        if self.kind == "competition" and not (0.0 < self.eps <= 1.0):
+            raise ValueError("eps must lie in (0, 1]")
+
+
+MONOPOLY = Stationary("monopoly")
+
+
+def competition(eps: float) -> Stationary:
+    return Stationary("competition", eps)
+
+
+# ---- kernels: each formula once, without the domain check -------------------
+
+_NODES = np.linspace(0.0, 1.0, GRID_NODES)
+
+
+def _central(f, u):
+    """Central difference of f with step ``GRID_DERIV_STEP``, one-sided at 0 and 1."""
+    h = GRID_DERIV_STEP
+    lo = np.clip(u - h, 0.0, 1.0)
+    hi = np.clip(u + h, 0.0, 1.0)
+    return (f(hi) - f(lo)) / (hi - lo)
+
+
+def _q(model: ReturnModel, u):
+    if model.kind == "parametric-alpha":
+        return u * (1.0 - u) ** (1.0 - model.alpha)
+    return np.interp(u, _NODES, model.values)
+
+
+def _q_prime(model: ReturnModel, u):
+    if model.kind == "parametric-alpha":
+        e = 1.0 - model.alpha
+        return (1.0 - u) ** (e - 1.0) * (1.0 - u - u * e)
+    return _central(lambda v: _q(model, v), u)
+
+
+def _pi(q, u, eps):
+    """pi from q = q(u): the two-state chain when eps is None, else the
+    three-state competition chain with return probability eps."""
+    if eps is None:
+        return q / (1.0 + q)
+    return q / (1.0 + q + (q / eps) * (1.0 - u))
+
+
+def _pi_prime(q, qp, u, eps):
+    """d/du of ``_pi`` given q = q(u) and qp = q'(u)."""
+    if eps is None:
+        return qp / (1.0 + q) ** 2
+    return (qp + q * q / eps) / (1.0 + q + (q / eps) * (1.0 - u)) ** 2
+
+
+def _pi_second(model: ReturnModel, u):
+    """d^2/du^2 of the two-state pi.
+
+    Analytic for the parametric family, q''/(1+q)^2 - 2 q'^2/(1+q)^3 with
+    q''(u) = e (1-u)^(e-2) (u(1+e) - 2) and e = 1 - alpha; central
+    differences of pi' for grid models, whose q is piecewise linear.
+    """
+    if model.kind == "parametric-alpha":
+        e = 1.0 - model.alpha
+        q = _q(model, u)
+        qp = _q_prime(model, u)
+        qpp = e * (1.0 - u) ** (e - 2.0) * (u * (1.0 + e) - 2.0)
+        return qpp / (1.0 + q) ** 2 - 2.0 * qp * qp / (1.0 + q) ** 3
+    return _central(lambda v: _pi_prime(_q(model, v), _q_prime(model, v), v, None), u)
+
+
+# ---- checked entry points for utilities from outside the program -----------
+
 def _check_domain(u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if np.any(u < -1e-12) or np.any(u > 1.0 + 1e-12):
@@ -82,11 +169,7 @@ def _check_domain(u) -> np.ndarray:
 
 def eval_q(model: ReturnModel, u):
     """q(u); grid models interpolate linearly between nodes."""
-    u = _check_domain(u)
-    if model.kind == "parametric-alpha":
-        return u * (1.0 - u) ** (1.0 - model.alpha)
-    nodes = np.linspace(0.0, 1.0, GRID_NODES)
-    return np.interp(u, nodes, model.values)
+    return _q(model, _check_domain(u))
 
 
 def eval_q_prime(model: ReturnModel, u):
@@ -94,50 +177,20 @@ def eval_q_prime(model: ReturnModel, u):
 
     Analytic for the parametric family; central differences with step
     ``GRID_DERIV_STEP`` for grid models. For alpha > 0 the derivative
-    diverges at u = 1, so u must lie in [0, 1).
+    diverges at u = 1.
     """
-    u = np.asarray(u, dtype=float)
-    if model.kind == "parametric-alpha":
-        e = 1.0 - model.alpha
-        # q'(u) = (1-u)^(e-1) * (1 - u - u*e)
-        return (1.0 - u) ** (e - 1.0) * (1.0 - u - u * e)
-    h = GRID_DERIV_STEP
-    lo = np.clip(u - h, 0.0, 1.0)
-    hi = np.clip(u + h, 0.0, 1.0)
-    return (eval_q(model, hi) - eval_q(model, lo)) / (hi - lo)
+    return _q_prime(model, _check_domain(u))
 
 
 def pi_monopoly(model: ReturnModel, u):
     """Stationary in-system probability q(u) / (1 + q(u)) of the two-state chain."""
-    q = eval_q(model, u)
-    return q / (1.0 + q)
-
-
-def pi_monopoly_prime(model: ReturnModel, u):
-    """d/du of the two-state stationary probability: q'(u) / (1 + q(u))^2."""
-    q = eval_q(model, u)
-    return eval_q_prime(model, u) / (1.0 + q) ** 2
+    u = _check_domain(u)
+    return _pi(_q(model, u), u, None)
 
 
 def pi_monopoly_second(model: ReturnModel, u):
-    """d^2/du^2 of the two-state stationary probability.
-
-    Analytic for the parametric family, q''/(1+q)^2 - 2 q'^2/(1+q)^3 with
-    q''(u) = e (1-u)^(e-2) (u(1+e) - 2) and e = 1 - alpha; central
-    differences of ``pi_monopoly_prime`` with step ``GRID_DERIV_STEP`` for
-    grid models. Like ``eval_q_prime``, u must lie in [0, 1) for alpha > 0.
-    """
-    u = np.asarray(u, dtype=float)
-    if model.kind == "parametric-alpha":
-        e = 1.0 - model.alpha
-        q = eval_q(model, u)
-        qp = eval_q_prime(model, u)
-        qpp = e * (1.0 - u) ** (e - 2.0) * (u * (1.0 + e) - 2.0)
-        return qpp / (1.0 + q) ** 2 - 2.0 * qp * qp / (1.0 + q) ** 3
-    h = GRID_DERIV_STEP
-    lo = np.clip(u - h, 0.0, 1.0)
-    hi = np.clip(u + h, 0.0, 1.0)
-    return (pi_monopoly_prime(model, hi) - pi_monopoly_prime(model, lo)) / (hi - lo)
+    """d^2/du^2 of the two-state stationary probability; diverges at u = 1 for alpha > 0."""
+    return _pi_second(model, _check_domain(u))
 
 
 def pi_competition(model: ReturnModel, u, eps: float):
@@ -149,8 +202,50 @@ def pi_competition(model: ReturnModel, u, eps: float):
     if eps <= 0.0:
         raise ReturnModelError("eps must be positive")
     u = _check_domain(u)
-    q = eval_q(model, u)
-    return q / (1.0 + q + (q / eps) * (1.0 - u))
+    return _pi(_q(model, u), u, eps)
+
+
+class Evaluator:
+    """Batch pi_i, pi_i' and two-state pi_i'' for users on the last axis.
+
+    Users with identical models are grouped, so a market whose users share one
+    model costs one numpy expression per quantity regardless of m. Utilities
+    are not checked: they come from matchings the program built.
+    """
+
+    def __init__(self, models, stat: Stationary = MONOPOLY):
+        models = list(models)
+        self.m = len(models)
+        self.eps = stat.eps if stat.kind == "competition" else None
+        grouped: dict[tuple, tuple[ReturnModel, list[int]]] = {}
+        for i, mod in enumerate(models):
+            grouped.setdefault(mod.cache_key(), (mod, []))[1].append(i)
+        self.groups = [(mod, np.array(ix)) for mod, ix in grouped.values()]
+
+    def _by_group(self, kernel, U: np.ndarray) -> np.ndarray:
+        out = np.empty(U.shape)
+        for mod, ix in self.groups:
+            out[..., ix] = kernel(mod, U[..., ix])
+        return out
+
+    def pi(self, U) -> np.ndarray:
+        """pi_i(U[..., i])."""
+        U = np.asarray(U, dtype=float)
+        return _pi(self._by_group(_q, U), U, self.eps)
+
+    def objective(self, U) -> np.ndarray:
+        """Sum_i pi_i(U[..., i]) for a batch of utility vectors."""
+        return self.pi(U).sum(axis=-1)
+
+    def pi_prime(self, u) -> np.ndarray:
+        """pi_i'(u_i), evaluated at min(u_i, 1 - 1e-9) since pi' diverges at 1 for alpha > 0."""
+        u = np.minimum(u, 1.0 - 1e-9)
+        return _pi_prime(self._by_group(_q, u), self._by_group(_q_prime, u), u, self.eps)
+
+    def pi_second(self, u) -> np.ndarray:
+        """Two-state pi_i''(u_i), evaluated at min(u_i, 1 - 1e-9)."""
+        u = np.minimum(u, 1.0 - 1e-9)
+        return self._by_group(_pi_second, u)
 
 
 @dataclass(frozen=True)

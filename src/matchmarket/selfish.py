@@ -14,6 +14,10 @@ lands past their peak.
 For competition stationaries or learned (non-concave) models the objective is
 not concave; the solver falls back to multistart local search from random
 polytope vertices plus the fair solution.
+
+Every value of pi, pi' and pi'' comes from ``returns.Evaluator``; this module
+holds the optimization only. ``Stationary``, ``MONOPOLY`` and ``competition``
+are defined in ``returns`` and re-exported here.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import returns
-from .fair import AssignmentResult, best_matching, max_weight_assignment, solve_fair
+from .fair import best_matching, max_weight_assignment, solve_fair, vertex_matrix
 from .market import FractionalMatching, MarketInstance
-from .returns import ReturnModel
+from .returns import MONOPOLY, Evaluator, ReturnModel, Stationary, competition  # noqa: F401
 
 MAX_ITERS = 10_000
 GAP_TOL_PER_USER = 1e-7
@@ -37,43 +41,6 @@ LINE_MAX_ITERS = 60
 
 _peak_cache: dict[tuple, float] = {}
 _concavity_cache: dict[tuple, bool] = {}
-
-
-@dataclass(frozen=True)
-class Stationary:
-    """Which Markov chain drives the return objective."""
-
-    kind: str = "monopoly"  # "monopoly" | "competition"
-    eps: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("monopoly", "competition"):
-            raise ValueError(f"unknown stationary kind {self.kind!r}")
-        if self.kind == "competition" and not (0.0 < self.eps <= 1.0):
-            raise ValueError("eps must lie in (0, 1]")
-
-
-MONOPOLY = Stationary("monopoly")
-
-
-def competition(eps: float) -> Stationary:
-    return Stationary("competition", eps)
-
-
-def pi_value(model: ReturnModel, stat: Stationary, u):
-    if stat.kind == "monopoly":
-        return returns.pi_monopoly(model, u)
-    return returns.pi_competition(model, u, stat.eps)
-
-
-def pi_prime(model: ReturnModel, stat: Stationary, u):
-    u = np.asarray(u, dtype=float)
-    q = returns.eval_q(model, np.clip(u, 0.0, 1.0))
-    qp = returns.eval_q_prime(model, u)
-    if stat.kind == "monopoly":
-        return qp / (1.0 + q) ** 2
-    denom = 1.0 + q + (q / stat.eps) * (1.0 - u)
-    return (qp + q * q / stat.eps) / denom**2
 
 
 def peak_utility(model: ReturnModel, stat: Stationary) -> float:
@@ -131,79 +98,6 @@ def _check_models(inst: MarketInstance, models) -> list[ReturnModel]:
     return models
 
 
-class _Compiled:
-    """Vectorized batch evaluation of the per-user objective and gradient.
-
-    Identical models are grouped so a market with one shared model costs a
-    single numpy expression per evaluation regardless of m.
-    """
-
-    def __init__(self, models, stat: Stationary):
-        self.stat = stat
-        self.m = len(models)
-        grouped: dict[tuple, tuple[ReturnModel, list[int]]] = {}
-        for i, mod in enumerate(models):
-            grouped.setdefault(mod.cache_key(), (mod, []))[1].append(i)
-        self.groups = [(mod, np.array(ix)) for mod, ix in grouped.values()]
-        self._nodes = np.linspace(0.0, 1.0, returns.GRID_NODES)
-
-    def _q(self, U: np.ndarray) -> np.ndarray:
-        q = np.empty(U.shape)
-        nodes = self._nodes
-        for mod, ix in self.groups:
-            sub = U[..., ix]
-            if mod.kind == "parametric-alpha":
-                q[..., ix] = sub * (1.0 - sub) ** (1.0 - mod.alpha)
-            else:
-                q[..., ix] = np.interp(sub.ravel(), nodes, mod.values).reshape(sub.shape)
-        return q
-
-    def _qp(self, U: np.ndarray) -> np.ndarray:
-        qp = np.empty(U.shape)
-        for mod, ix in self.groups:
-            qp[..., ix] = returns.eval_q_prime(mod, U[..., ix])
-        return qp
-
-    def objective(self, U: np.ndarray) -> np.ndarray:
-        """Sum_i pi_i(U[..., i]) for a batch of utility vectors."""
-        q = self._q(U)
-        if self.stat.kind == "monopoly":
-            pi = q / (1.0 + q)
-        else:
-            pi = q / (1.0 + q + (q / self.stat.eps) * (1.0 - U))
-        return pi.sum(axis=-1)
-
-    def grad_rows(self, u: np.ndarray) -> np.ndarray:
-        """Per-user pi'(u_i); evaluate strictly below 1 for alpha > 0 models."""
-        u = np.minimum(u, 1.0 - 1e-9)
-        q = self._q(u)
-        qp = self._qp(u)
-        if self.stat.kind == "monopoly":
-            return qp / (1.0 + q) ** 2
-        eps = self.stat.eps
-        return (qp + q * q / eps) / (1.0 + q + (q / eps) * (1.0 - u)) ** 2
-
-    def curv_rows(self, u: np.ndarray) -> np.ndarray:
-        """Per-user pi''(u_i) of the monopoly stationary; evaluate strictly below 1."""
-        u = np.minimum(u, 1.0 - 1e-9)
-        c = np.empty(u.shape)
-        for mod, ix in self.groups:
-            c[ix] = returns.pi_monopoly_second(mod, u[ix])
-        return c
-
-
-def _objective(models, stat, u) -> float:
-    return float(_Compiled(models, stat).objective(np.asarray(u, dtype=float)))
-
-
-def _vertex_matrix(row_match, shape) -> np.ndarray:
-    x = np.zeros(shape)
-    for i, j in enumerate(row_match):
-        if j >= 0:
-            x[i, j] = 1.0
-    return x
-
-
 def _line_search(f_batch, gamma_max: float, points: int = 129, max_stages: int = 24) -> float:
     """Exact-enough 1-D maximization via repeated vectorized grid refinement.
 
@@ -248,9 +142,9 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _clamped_grad(comp: _Compiled, peaks, u: np.ndarray) -> np.ndarray:
+def _clamped_grad(ev: Evaluator, peaks, u: np.ndarray) -> np.ndarray:
     """Per-user slope of the clamped objective: pi'(u_i) below the peak, 0 from it on."""
-    return np.where(u >= peaks, 0.0, comp.grad_rows(np.minimum(u, peaks)))
+    return np.where(u >= peaks, 0.0, ev.pi_prime(np.minimum(u, peaks)))
 
 
 def _newton_direction(UV: np.ndarray, g: np.ndarray, curv: np.ndarray,
@@ -274,7 +168,7 @@ def _newton_direction(UV: np.ndarray, g: np.ndarray, curv: np.ndarray,
     return d
 
 
-def _ascent_step(comp: _Compiled, peaks, UV, lam, grow, d):
+def _ascent_step(ev: Evaluator, peaks, UV, lam, grow, d):
     """Move the weights along d to near the maximum of the clamped objective.
 
     A ratio test caps the step at tmax <= 1, where the first weight reaches
@@ -303,7 +197,7 @@ def _ascent_step(comp: _Compiled, peaks, UV, lam, grow, d):
     lo, s_lo, hi, s_hi = 0.0, s0, tmax, 0.0
     t, found = tmax, False
     for _ in range(LINE_MAX_ITERS):
-        s = float(_clamped_grad(comp, peaks, u0 + t * du) @ du)
+        s = float(_clamped_grad(ev, peaks, u0 + t * du) @ du)
         if s >= 0.0:
             lo, s_lo, found = t, s, True
             if t == tmax or s <= 0.1 * s0:
@@ -318,10 +212,10 @@ def _ascent_step(comp: _Compiled, peaks, UV, lam, grow, d):
     new = np.maximum(lam + lo * d, 0.0)
     if lo == tmax and tmax < 1.0:
         new[np.flatnonzero(neg)[np.argmin(ratios)]] = 0.0
-    return new, _clamped_grad(comp, peaks, new @ UV)
+    return new, _clamped_grad(ev, peaks, new @ UV)
 
 
-def _correct_weights(comp: _Compiled, peaks, UV: np.ndarray, lam: np.ndarray,
+def _correct_weights(ev: Evaluator, peaks, UV: np.ndarray, lam: np.ndarray,
                      tol: float) -> tuple[np.ndarray, bool]:
     """Maximize the clamped objective over convex weights of the active set.
 
@@ -339,14 +233,14 @@ def _correct_weights(comp: _Compiled, peaks, UV: np.ndarray, lam: np.ndarray,
     ascent step is found, or when ``WEIGHT_MAX_ITERS`` steps leave the gap
     above ``tol``.
     """
-    grow = _clamped_grad(comp, peaks, lam @ UV)
+    grow = _clamped_grad(ev, peaks, lam @ UV)
     for _ in range(WEIGHT_MAX_ITERS):
         g = UV @ grow
         j = int(np.argmax(g))
         if g[j] - lam @ g <= tol:
             return lam, True
         u = lam @ UV
-        curv = np.where(u >= peaks, 0.0, comp.curv_rows(np.minimum(u, peaks)))
+        curv = np.where(u >= peaks, 0.0, ev.pi_second(np.minimum(u, peaks)))
         face = lam > 0.0
         face[j] = True
         while True:
@@ -355,10 +249,10 @@ def _correct_weights(comp: _Compiled, peaks, UV: np.ndarray, lam: np.ndarray,
             if not pushed.any():
                 break
             face &= ~pushed
-        step = _ascent_step(comp, peaks, UV, lam, grow, d)
+        step = _ascent_step(ev, peaks, UV, lam, grow, d)
         if step is None:
             scale = max(float(-((UV * UV) @ curv).min()), tol)
-            step = _ascent_step(comp, peaks, UV, lam, grow,
+            step = _ascent_step(ev, peaks, UV, lam, grow,
                                 _project_simplex(lam + g / scale) - lam)
             if step is None:
                 return lam, False
@@ -367,7 +261,7 @@ def _correct_weights(comp: _Compiled, peaks, UV: np.ndarray, lam: np.ndarray,
     return lam, bool(g.max() - lam @ g <= tol)
 
 
-def _afw(inst: MarketInstance, models, stat, peaks, gap_tol: float):
+def _afw(inst: MarketInstance, ev: Evaluator, peaks, gap_tol: float):
     """Fully-corrective Frank-Wolfe on the clamped objective.
 
     Each iteration adds the LP-oracle vertex to the active set and then
@@ -380,7 +274,6 @@ def _afw(inst: MarketInstance, models, stat, peaks, gap_tol: float):
     """
     w = inst.w
     m, n = w.shape
-    comp = _Compiled(models, stat)
     empty = tuple([-1] * m)
     active: dict[tuple, float] = {empty: 1.0}
     vertices: dict[tuple, np.ndarray] = {empty: np.zeros((m, n))}
@@ -390,18 +283,18 @@ def _afw(inst: MarketInstance, models, stat, peaks, gap_tol: float):
     it = 0
     for it in range(1, MAX_ITERS + 1):
         u = (w * x).sum(axis=1)
-        grad = _clamped_grad(comp, peaks, u)[:, None] * w
+        grad = _clamped_grad(ev, peaks, u)[:, None] * w
         row_match, s_value = best_matching(grad)
         gap = float(s_value - (grad * x).sum())
         if gap <= gap_tol:
             break
         s_key = tuple(row_match)
-        vertices.setdefault(s_key, _vertex_matrix(row_match, (m, n)))
+        vertices.setdefault(s_key, vertex_matrix(row_match, (m, n)))
         active.setdefault(s_key, 0.0)
         keys = sorted(active)
         lam = np.array([active[k] for k in keys])
         UV = np.stack([(w * vertices[k]).sum(axis=1) for k in keys])
-        lam, converged = _correct_weights(comp, peaks, UV, lam,
+        lam, converged = _correct_weights(ev, peaks, UV, lam,
                                           WEIGHT_GAP_FRACTION * gap_tol)
         short += not converged
         active = {k: float(a) for k, a in zip(keys, lam) if a > 0.0}
@@ -426,17 +319,17 @@ def _random_vertex(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
 def _local_fw(inst: MarketInstance, models, stat, x0: np.ndarray, iters: int = 2000):
     """Vanilla Frank-Wolfe ascent with dense line search (non-concave objectives)."""
     w = inst.w
-    comp = _Compiled(models, stat)
+    ev = Evaluator(models, stat)
     x = x0.copy()
     gap = np.inf
     it = 0
     prev = -np.inf
     for it in range(1, iters + 1):
         u = (w * x).sum(axis=1)
-        grow = comp.grad_rows(u)
+        grow = ev.pi_prime(u)
         g = grow[:, None] * w
         row_match, s_value = best_matching(g)
-        s = _vertex_matrix(row_match, w.shape)
+        s = vertex_matrix(row_match, w.shape)
         gap = float(s_value - (g * x).sum())
         if abs(gap) <= 1e-9 * max(1, inst.m):
             break
@@ -444,7 +337,7 @@ def _local_fw(inst: MarketInstance, models, stat, x0: np.ndarray, iters: int = 2
 
         def slice_obj(gammas):
             U = np.clip(u[None, :] + np.outer(gammas, du), 0.0, 1.0)
-            return comp.objective(U)
+            return ev.objective(U)
 
         gamma = _line_search(slice_obj, 1.0)
         val = float(slice_obj(np.array([gamma]))[0])
@@ -462,12 +355,13 @@ def solve_selfish(
     seed: int = 0,
 ) -> SelfishSolution:
     models = _check_models(inst, models)
+    ev = Evaluator(models, stationary)
     concave = stationary.kind == "monopoly" and all(_is_concave(mod) for mod in models)
     gap_tol = GAP_TOL_PER_USER * inst.m
 
     if concave:
         peaks = np.array([peak_utility(mod, stationary) for mod in models])
-        x, gap, iters, weight_short = _afw(inst, models, stationary, peaks, gap_tol)
+        x, gap, iters, weight_short = _afw(inst, ev, peaks, gap_tol)
         x = _shrink_to_peaks(inst, x, peaks)
         mode = "concave-exact"
     else:
@@ -480,8 +374,8 @@ def solve_selfish(
             if best is None:
                 best = cand
                 continue
-            val_c = _objective(models, stationary, (inst.w * cand[0]).sum(axis=1))
-            val_b = _objective(models, stationary, (inst.w * best[0]).sum(axis=1))
+            val_c = float(ev.objective((inst.w * cand[0]).sum(axis=1)))
+            val_b = float(ev.objective((inst.w * best[0]).sum(axis=1)))
             if val_c > val_b + 1e-12 or (
                 abs(val_c - val_b) <= 1e-12
                 and tuple(cand[0].ravel()) < tuple(best[0].ravel())
@@ -493,9 +387,8 @@ def solve_selfish(
 
     x = np.clip(x, 0.0, None)
     matching = FractionalMatching.from_x(inst, x)
-    value = _objective(models, stationary, matching.u)
-    grow = np.array([float(pi_prime(mod, stationary, min(ui, 1.0 - 1e-9)))
-                     for mod, ui in zip(models, matching.u)])
+    value = float(ev.objective(matching.u))
+    grow = ev.pi_prime(matching.u)
     if concave:
         grow = np.where(matching.u >= peaks - 1e-15, 0.0, grow)
     final = max_weight_assignment(grow[:, None] * inst.w)
@@ -535,9 +428,7 @@ def kkt_residual(
     if beta.shape != (inst.m,) or sigma.shape != (inst.n,):
         raise ValueError("multiplier shapes do not match the instance")
     u = (inst.w * x).sum(axis=1)
-    grow = np.array([float(pi_prime(mod, stationary, min(ui, 1.0 - 1e-9)))
-                     for mod, ui in zip(models, u)])
-    g = grow[:, None] * inst.w
+    g = Evaluator(models, stationary).pi_prime(u)[:, None] * inst.w
     lag = beta[:, None] + sigma[None, :] - g
     if mu is None:
         mu = lag
@@ -564,15 +455,12 @@ def solve_selfish_integral(
     stationary: Stationary = MONOPOLY,
 ) -> SelfishSolution:
     """Best integral matching: per-edge objective pi_i(w_ij) reduces to assignment."""
-    models = _check_models(inst, models)
-    v = np.zeros(inst.w.shape)
-    for i, mod in enumerate(models):
-        v[i] = pi_value(mod, stationary, inst.w[i])
-    res = max_weight_assignment(v)
+    ev = Evaluator(_check_models(inst, models), stationary)
+    # users on the last axis: column j of w.T holds user j's edge utilities
+    res = max_weight_assignment(ev.pi(inst.w.T).T)
     x = res.x_matrix(inst.w.shape)
     matching = FractionalMatching.from_x(inst, x)
-    grow = np.array([float(pi_prime(mod, stationary, min(ui, 1.0 - 1e-9)))
-                     for mod, ui in zip(models, matching.u)])
+    grow = ev.pi_prime(matching.u)
     mu = res.beta[:, None] + res.sigma[None, :] - grow[:, None] * inst.w
     return SelfishSolution(
         matching=matching,

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from matchmarket.selfish import MONOPOLY, pi_value
+from matchmarket.returns import MONOPOLY, Evaluator
 
 
 def max_single_row_utility(w) -> float:
@@ -24,7 +24,7 @@ def oracle_single_row(w, model, stationary=MONOPOLY, step=1e-3) -> float:
     u_max = max_single_row_utility(w)
     us = np.arange(0.0, u_max + step, step)
     us = np.clip(us, 0.0, u_max)
-    return float(np.max(pi_value(model, stationary, us)))
+    return float(np.max(Evaluator([model], stationary).pi(us[:, None])))
 
 
 def _convex_hull(pts):
@@ -90,7 +90,7 @@ def oracle_2x2(w, models, stationary=MONOPOLY, step=1e-3) -> float:
     u2 = np.arange(0.0, verts[:, 1].max() + step, step)
     g1, g2 = np.meshgrid(u1, u2, indexing="ij")
     mask = _hull_mask(verts, g1, g2)
-    vals = np.asarray(pi_value(models[0], stationary, np.clip(g1, 0, 1))) \
-        + np.asarray(pi_value(models[1], stationary, np.clip(g2, 0, 1)))
+    vals = Evaluator(models, stationary).objective(
+        np.stack([np.clip(g1, 0, 1), np.clip(g2, 0, 1)], axis=-1))
     vals = np.where(mask, vals, -np.inf)
     return float(vals.max())

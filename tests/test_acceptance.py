@@ -24,13 +24,14 @@ from matchmarket.poa import (
     write_trials_csv,
 )
 from matchmarket.returns import (
+    Evaluator,
     argmax_pi_competition,
     eval_q,
     eval_q_prime,
     parametric,
     pi_monopoly,
 )
-from matchmarket.selfish import MONOPOLY, kkt_residual_of, pi_prime, solve_selfish
+from matchmarket.selfish import MONOPOLY, kkt_residual_of, solve_selfish
 
 ALPHAS = [0.0, 0.25, 0.5, 0.75]
 
@@ -153,7 +154,7 @@ class TestDerivativesAndConcavity:
         h = 1e-6
         for alpha in ALPHAS:
             m = parametric(alpha)
-            grad = np.array([float(pi_prime(m, MONOPOLY, u)) for u in us])
+            grad = np.array([float(Evaluator([m], MONOPOLY).pi_prime([u])[0]) for u in us])
             numeric = np.array([
                 (float(pi_monopoly(m, u + h)) - float(pi_monopoly(m, u - h)))
                 / (2 * h) for u in us

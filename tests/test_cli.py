@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import matchmarket
 from matchmarket.cli import main
 from matchmarket.market import make_instance, write_instance
 
@@ -87,6 +92,28 @@ class TestPoaAndSweep:
                      "--out-dir", str(out)]) == 0
         header = (out / "online_trials.csv").read_text().splitlines()[0]
         assert header == "trial,order_seed,online_value,fair_value,ratio"
+
+
+@pytest.mark.parametrize("argv", [
+    ["poa", "--trials", "0"],
+    ["online", "--trials", "0"],
+    ["sweep", "--trials", "0"],
+    ["poa", "--eps", "2"],
+    ["online", "--eps", "2"],
+    ["match", "--eps", "0", "--mode", "selfish"],
+    ["bound", "--alpha", "0", "--users", "0"],
+], ids=" ".join)
+def test_invalid_input_exit_1_without_traceback(tmp_path, instance_csv, argv):
+    if argv[0] == "match":
+        argv = argv + ["--instance", str(instance_csv)]
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(matchmarket.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "matchmarket.cli", *argv, "--out-dir", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 class TestSim:

@@ -14,8 +14,7 @@ from matchmarket.poa import (
     write_sweep_csv,
     write_trials_csv,
 )
-from matchmarket.returns import GRID_NODES, grid, parametric
-from matchmarket.selfish import MONOPOLY, pi_prime
+from matchmarket.returns import GRID_NODES, MONOPOLY, Evaluator, grid, parametric
 
 
 class TestTheorem1Bound:
@@ -33,7 +32,7 @@ class TestTheorem1Bound:
         models = [parametric(a) for a in (0.0, 0.25, 0.75)]
         rep = theorem1_bound(models)
         for mod, ub in zip(models, rep.u_bars):
-            assert float(pi_prime(mod, MONOPOLY, ub)) == pytest.approx(
+            assert float(Evaluator([mod], MONOPOLY).pi_prime([ub])[0]) == pytest.approx(
                 rep.c, abs=1e-6)
 
     def test_bound_in_valid_range(self):

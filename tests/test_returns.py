@@ -3,17 +3,19 @@ import pytest
 
 from matchmarket.returns import (
     GRID_NODES,
+    MONOPOLY,
+    Evaluator,
     ReturnModel,
     ReturnModelError,
     argmax_pi_competition,
     check_assumptions,
+    competition,
     eval_q,
     eval_q_prime,
     grid,
     parametric,
     pi_competition,
     pi_monopoly,
-    pi_monopoly_prime,
     pi_monopoly_second,
     q_peak,
 )
@@ -101,14 +103,15 @@ class TestStationary:
         us = np.linspace(0.01, 0.9, 50)
         h = 1e-6
         numeric = (pi_monopoly(m, us + h) - pi_monopoly(m, us - h)) / (2 * h)
-        np.testing.assert_allclose(pi_monopoly_prime(m, us), numeric, atol=1e-5)
+        np.testing.assert_allclose(Evaluator([m]).pi_prime(us[:, None])[:, 0], numeric, atol=1e-5)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_pi_monopoly_second_matches_differences(self, alpha):
         m = parametric(alpha)
         us = np.linspace(0.005, 0.95, 99)
         h = 1e-6
-        numeric = (pi_monopoly_prime(m, us + h) - pi_monopoly_prime(m, us - h)) / (2 * h)
+        pi_prime = Evaluator([m]).pi_prime
+        numeric = (pi_prime((us + h)[:, None]) - pi_prime((us - h)[:, None]))[:, 0] / (2 * h)
         np.testing.assert_allclose(pi_monopoly_second(m, us), numeric, atol=1e-5)
         assert pi_monopoly_second(m, us).max() < 0.0
 
@@ -130,6 +133,44 @@ class TestStationary:
     def test_pi_competition_eps_validation(self):
         with pytest.raises(ReturnModelError):
             pi_competition(parametric(0.0), 0.5, 0.0)
+
+
+class TestEvaluator:
+    """The batch evaluator agrees with the checked per-model functions on a
+    market whose users have different models."""
+
+    @staticmethod
+    def _mixed():
+        nodes = np.linspace(0, 1, GRID_NODES)
+        models = [parametric(0.0), grid(nodes * (1 - nodes) ** 0.5), parametric(0.5),
+                  parametric(0.0), grid(np.sin(np.pi * nodes) * 0.3)]
+        # cell midpoints of the grid give room for central differences
+        rng = np.random.default_rng(4)
+        U = 0.05 * rng.integers(0, 19, (30, len(models))) + 0.025
+        U += rng.uniform(-0.01, 0.01, U.shape)
+        return models, U
+
+    @pytest.mark.parametrize("eps", [None, 0.1])
+    def test_pi_and_pi_prime_match_checked_functions(self, eps):
+        models, U = self._mixed()
+        stat = MONOPOLY if eps is None else competition(eps)
+        ev = Evaluator(models, stat)
+
+        def pi(model, u):
+            return pi_monopoly(model, u) if eps is None else pi_competition(model, u, eps)
+
+        h = 1e-6
+        for i, model in enumerate(models):
+            np.testing.assert_allclose(ev.pi(U)[:, i], pi(model, U[:, i]), rtol=1e-12)
+            numeric = (pi(model, U[:, i] + h) - pi(model, U[:, i] - h)) / (2 * h)
+            np.testing.assert_allclose(ev.pi_prime(U)[:, i], numeric, atol=1e-5)
+
+    def test_pi_second_matches_checked_function(self):
+        models, U = self._mixed()
+        ev = Evaluator(models)
+        for i, model in enumerate(models):
+            np.testing.assert_allclose(ev.pi_second(U)[:, i],
+                                       pi_monopoly_second(model, U[:, i]), rtol=1e-12)
 
 
 class TestAssumptions:

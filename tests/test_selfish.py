@@ -112,6 +112,19 @@ class TestCertificates:
         np.testing.assert_array_equal(a.matching.x, b.matching.x)
 
 
+class TestMixedModels:
+    def test_four_model_groups_certified(self):
+        # every user has its own model, so the evaluator runs four groups
+        rng = np.random.default_rng(7)
+        models = [parametric(a) for a in (0.0, 0.25, 0.5, 0.75)]
+        for trial in range(3):
+            inst = make_instance(rng.beta(2, 2, (4, 4)))
+            sol = solve_selfish(inst, models, seed=trial)
+            assert sol.mode == "concave-exact"
+            assert sol.fw_gap <= 1e-7 * inst.m
+            assert kkt_residual_of(inst, models, sol).max_residual <= 1e-6
+
+
 class TestWeightSolve:
     """The Newton weight step reaches its own gap tolerance, and a weight
     solve that stops short of it is counted in the solution."""
