@@ -158,10 +158,9 @@ def empirical_poa(
 
     Trials whose fair optimum is zero are counted as degenerate. Trials run
     one after another. ``threads`` is accepted for compatibility and has no
-    effect, here and in ``competition_sweep`` and
-    ``online.online_poa_empirical``: a trial is thousands of tiny numpy
-    calls, and worker threads contending for the interpreter lock made the
-    loop about twice as slow.
+    effect, here and in ``online.online_poa_empirical``: a trial is
+    thousands of tiny numpy calls, and worker threads contending for the
+    interpreter lock made the loop about twice as slow.
     """
     models = list(models)
 
@@ -181,16 +180,13 @@ def competition_sweep(
     n: int,
     trials: int,
     eps_list,
-    threads: int = 1,
 ) -> dict[float, EmpiricalPoAReport]:
     """Empirical PoA under the competition chain for each eps, mirroring
     the convergence of selfish matching to fair matching as eps shrinks."""
     out: dict[float, EmpiricalPoAReport] = {}
     for eps in eps_list:
-        out[float(eps)] = empirical_poa(
-            models, sampler, m, n, trials,
-            Stationary("competition", float(eps)), threads=threads,
-        )
+        out[float(eps)] = empirical_poa(models, sampler, m, n, trials,
+                                        Stationary("competition", float(eps)))
     return out
 
 

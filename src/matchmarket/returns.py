@@ -21,6 +21,7 @@ import numpy as np
 
 GRID_NODES = 21
 GRID_DERIV_STEP = 1e-5  # central-difference step for grid-model derivatives
+PEAK_SAMPLES = 2001  # uniform samples of pi that bracket its global maximizer
 
 
 class ReturnModelError(ValueError):
@@ -206,7 +207,7 @@ def pi_competition(model: ReturnModel, u, eps: float):
 
 
 class Evaluator:
-    """Batch pi_i, pi_i' and two-state pi_i'' for users on the last axis.
+    """Batch pi_i, pi_i' and pi_i'' for users on the last axis.
 
     Users with identical models are grouped, so a market whose users share one
     model costs one numpy expression per quantity regardless of m. Utilities
@@ -243,9 +244,12 @@ class Evaluator:
         return _pi_prime(self._by_group(_q, u), self._by_group(_q_prime, u), u, self.eps)
 
     def pi_second(self, u) -> np.ndarray:
-        """Two-state pi_i''(u_i), evaluated at min(u_i, 1 - 1e-9)."""
+        """pi_i''(u_i), evaluated at min(u_i, 1 - 1e-9); the competition chain
+        takes central differences of ``pi_prime``."""
         u = np.minimum(u, 1.0 - 1e-9)
-        return self._by_group(_pi_second, u)
+        if self.eps is None:
+            return self._by_group(_pi_second, u)
+        return _central(self.pi_prime, u)
 
 
 @dataclass(frozen=True)
@@ -280,6 +284,16 @@ def check_assumptions(model: ReturnModel, grid_size: int = 201) -> AssumptionRep
         pi_d2 = pis[2:] - 2.0 * pis[1:-1] + pis[:-2]
         a3 = bool(np.all(pi_d2 < 0.0))
     return AssumptionReport(a1_ok=a1, a2_ok=a2, a3_ok=a3, max_second_diff=max_d2)
+
+
+def single_peaked(model: ReturnModel) -> bool:
+    """Whether q never rises again once it has fallen; grid models are
+    checked on their node values, between which q is linear."""
+    if model.kind == "parametric-alpha":
+        return True
+    d = np.diff(model.values)
+    falls = np.flatnonzero(d < 0.0)
+    return not (falls.size and (d[falls[0]:] > 0.0).any())
 
 
 def q_peak(model: ReturnModel) -> float:
@@ -324,3 +338,23 @@ def argmax_pi_competition(model: ReturnModel, eps: float, tol: float = 1e-10) ->
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def argmax_pi(model: ReturnModel, stat: Stationary) -> float:
+    """Global maximizer of pi for any model, concave or not.
+
+    The best of ``PEAK_SAMPLES`` uniform samples of pi brackets the maximizer
+    with its two neighbours; bisection on the sign of pi' then refines it,
+    so pi' from ``Evaluator`` changes sign at the returned utility.
+    """
+    ev = Evaluator([model], stat)
+    us = np.linspace(0.0, 1.0, PEAK_SAMPLES)
+    k = int(np.argmax(ev.pi(us[:, None])[:, 0]))
+    lo, hi = us[max(k - 1, 0)], us[min(k + 1, PEAK_SAMPLES - 1)]
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if ev.pi_prime(np.array([mid]))[0] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return float(0.5 * (lo + hi))

@@ -1,19 +1,25 @@
 """Selfish matching: maximize expected returning users over the matching polytope.
 
-The objective sum_i pi_i(u_i) is concave for monopoly stationaries with
-strictly concave q, and the solver then runs fully-corrective Frank-Wolfe:
-each iteration adds the vertex of an assignment problem on the per-edge
-gradient weights to an active set of matchings, then reoptimizes the convex
-weights of that set by Newton ascent on the simplex, which stops on the
-weight problem's own Frank-Wolfe gap. Each pi_i is single-peaked, so the
-objective is clamped at the per-user peak utility; this leaves the optimum
-unchanged (rows can always be scaled down) while making the clamped
-objective monotone, and the returned matching is row-shrunk so no user
-lands past their peak.
+One engine solves every market: fully-corrective Frank-Wolfe. Each iteration
+adds the vertex of an assignment problem on the per-edge gradient weights to
+an active set of matchings, then reoptimizes the convex weights of that set
+by Newton ascent on the simplex, stopping on the weight problem's own
+Frank-Wolfe gap. Where a non-concave pi_i is locally convex, its curvature
+enters the Newton model as 0, so the model stays concave.
 
-For competition stationaries or learned (non-concave) models the objective is
-not concave; the solver falls back to multistart local search from random
-polytope vertices plus the fair solution.
+The objective is clamped at each user's peak utility, the global maximizer
+of pi_i; this leaves the optimum unchanged (rows can always be scaled down)
+while making the clamped objective flat past the peak, and the returned
+matching is row-shrunk so no user lands past their peak. Return models whose
+q rises again after falling are rejected: the clamp flattens pi only past
+the highest peak and leaves their lower peaks in place.
+
+The objective sum_i pi_i(u_i) is concave for monopoly stationaries with
+strictly concave q: one run from the empty matching solves it (mode
+``concave-exact``). Otherwise (competition stationaries, grid models) the
+engine runs from random polytope vertices plus the fair matching and keeps
+the best stationary point (mode ``multistart-local``); starts that stop at
+the iteration cap are counted in the solution.
 
 Every value of pi, pi' and pi'' comes from ``returns.Evaluator``; this module
 holds the optimization only. ``Stationary``, ``MONOPOLY`` and ``competition``
@@ -44,11 +50,18 @@ _concavity_cache: dict[tuple, bool] = {}
 
 
 def peak_utility(model: ReturnModel, stat: Stationary) -> float:
-    """Utility maximizing pi for this user; pi is increasing below, decreasing above."""
+    """Utility maximizing pi for this user.
+
+    Models that ``check_assumptions`` certifies use the peak conditions of a
+    concave q (``q_peak``, ``argmax_pi_competition``); any other model gets
+    the global maximizer ``argmax_pi``.
+    """
     key = (model.cache_key(), stat.kind, stat.eps)
     cached = _peak_cache.get(key)
     if cached is None:
-        if stat.kind == "monopoly":
+        if not _is_concave(model):
+            cached = returns.argmax_pi(model, stat)
+        elif stat.kind == "monopoly":
             cached = returns.q_peak(model)
         else:
             cached = returns.argmax_pi_competition(model, stat.eps)
@@ -86,9 +99,11 @@ class SelfishSolution:
     sigma: np.ndarray
     mu: np.ndarray
     mode: str  # "concave-exact" | "multistart-local"
-    # weight solves of the concave path that stopped at their iteration cap
-    # or without an ascent step, short of their gap tolerance
+    # weight solves, over all starts, that stopped at their iteration cap or
+    # without an ascent step, short of their gap tolerance
     weight_solves_short: int = 0
+    # starts whose Frank-Wolfe run stopped at MAX_ITERS above the gap tolerance
+    starts_capped: int = 0
 
 
 def _check_models(inst: MarketInstance, models) -> list[ReturnModel]:
@@ -96,31 +111,6 @@ def _check_models(inst: MarketInstance, models) -> list[ReturnModel]:
     if len(models) != inst.m:
         raise ValueError(f"need one return model per row: got {len(models)} for m={inst.m}")
     return models
-
-
-def _line_search(f_batch, gamma_max: float, points: int = 129, max_stages: int = 24) -> float:
-    """Exact-enough 1-D maximization via repeated vectorized grid refinement.
-
-    Each stage evaluates the slice on a uniform grid and zooms into the cells
-    adjacent to the best point, shrinking the bracket by ~points/2 per stage;
-    refinement continues until the bracket is negligible relative to the best
-    step found. On a concave slice this is exact bracketing; on a non-concave
-    one the first dense grid makes missing the global cell unlikely.
-    """
-    lo, hi = 0.0, gamma_max
-    best_g, best_v = 0.0, -np.inf
-    for _ in range(max_stages):
-        gs = np.linspace(lo, hi, points)
-        vals = f_batch(gs)
-        k = int(np.argmax(vals))
-        if vals[k] > best_v:
-            best_v = float(vals[k])
-            best_g = float(gs[k])
-        lo = gs[max(k - 1, 0)]
-        hi = gs[min(k + 1, points - 1)]
-        if hi - lo <= 1e-10 * (1.0 + best_g):
-            break
-    return best_g
 
 
 def _shrink_to_peaks(inst: MarketInstance, x: np.ndarray, peaks) -> np.ndarray:
@@ -172,7 +162,7 @@ def _ascent_step(ev: Evaluator, peaks, UV, lam, grow, d):
     """Move the weights along d to near the maximum of the clamped objective.
 
     A ratio test caps the step at tmax <= 1, where the first weight reaches
-    zero. The objective is concave along the line, so a step at which its
+    zero. Where the objective is concave along the line, a step at which its
     slope is still non-negative lies short of the line's maximizer and
     cannot lower the objective. The step is tmax if the slope there is
     non-negative; otherwise a safeguarded secant search on the slope brackets
@@ -221,12 +211,14 @@ def _correct_weights(ev: Evaluator, peaks, UV: np.ndarray, lam: np.ndarray,
 
     ``UV[k]`` is the per-user utility vector of active vertex k, so the
     weight problem is F(lam) = sum_i pi_i(min((lam @ UV)_i, peak_i)) over the
-    simplex, which is concave. Each iteration takes a Newton step on the face
-    of positive weights, widened by the vertex of largest gradient; a vertex
-    at zero weight that the step would push negative leaves the face. The
-    Hessian uses pi'' below each user's peak and 0 from the peak on, where
-    the clamped objective is flat. A projected-gradient step stands in when
-    the Newton direction does not ascend.
+    simplex, which is concave when every pi_i is. Each iteration takes a
+    Newton step on the face of positive weights, widened by the vertex of
+    largest gradient; a vertex at zero weight that the step would push
+    negative leaves the face. The Hessian uses min(pi'', 0) below each
+    user's peak and 0 from the peak on, where the clamped objective is flat,
+    so it stays negative semidefinite and the step ascends even where a
+    non-concave pi_i is convex. A projected-gradient step stands in when the
+    Newton direction does not ascend.
 
     Stops when the weight problem's own Frank-Wolfe gap max(g) - lam.g is at
     most ``tol`` and returns (lam, True); returns (lam, False) when no
@@ -240,7 +232,7 @@ def _correct_weights(ev: Evaluator, peaks, UV: np.ndarray, lam: np.ndarray,
         if g[j] - lam @ g <= tol:
             return lam, True
         u = lam @ UV
-        curv = np.where(u >= peaks, 0.0, ev.pi_second(np.minimum(u, peaks)))
+        curv = np.where(u >= peaks, 0.0, np.minimum(ev.pi_second(np.minimum(u, peaks)), 0.0))
         face = lam > 0.0
         face[j] = True
         while True:
@@ -261,23 +253,26 @@ def _correct_weights(ev: Evaluator, peaks, UV: np.ndarray, lam: np.ndarray,
     return lam, bool(g.max() - lam @ g <= tol)
 
 
-def _afw(inst: MarketInstance, ev: Evaluator, peaks, gap_tol: float):
-    """Fully-corrective Frank-Wolfe on the clamped objective.
+def _afw(inst: MarketInstance, ev: Evaluator, peaks, gap_tol: float, start):
+    """Fully-corrective Frank-Wolfe on the clamped objective from ``start``.
 
-    Each iteration adds the LP-oracle vertex to the active set and then
-    reoptimizes the convex weights over the whole active set with the Newton
-    weight solve ``_correct_weights``, which avoids the zig-zagging of plain
-    pairwise steps on the clamped (flat-beyond-peak) objective. The empty
-    matching stays in the active set so total mass may stay below 1. Stops
-    when the FW gap is at most ``gap_tol``; returns (x, gap, iterations,
-    number of weight solves that stopped short of their tolerance).
+    ``start`` is a matching given as the column per row, -1 if unmatched; the
+    active set begins with it at weight 1. Each iteration adds the LP-oracle
+    vertex to the active set and then reoptimizes the convex weights over the
+    whole active set with ``_correct_weights``, which avoids the zig-zagging
+    of plain Frank-Wolfe steps on the clamped (flat-beyond-peak) objective.
+    The empty matching stays in the active set so total mass may stay below
+    1. Stops when the FW gap is at most ``gap_tol`` or after ``MAX_ITERS``
+    iterations; returns (x, gap, iterations, number of weight solves that
+    stopped short of their tolerance).
     """
     w = inst.w
     m, n = w.shape
     empty = tuple([-1] * m)
-    active: dict[tuple, float] = {empty: 1.0}
-    vertices: dict[tuple, np.ndarray] = {empty: np.zeros((m, n))}
-    x = np.zeros((m, n))
+    first = tuple(int(j) for j in start)
+    active = {empty: 0.0} | {first: 1.0}
+    vertices = {k: vertex_matrix(k, (m, n)) for k in active}
+    x = vertices[first]
     gap = np.inf
     short = 0
     it = 0
@@ -306,46 +301,15 @@ def _afw(inst: MarketInstance, ev: Evaluator, peaks, gap_tol: float):
     return x, gap, it, short
 
 
-def _random_vertex(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+def _random_start(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """A random matching as the column per row: a random permutation of the
+    columns, each of the first min(m, n) rows kept with probability 0.7."""
     perm = rng.permutation(n)
     keep = rng.random(m) < 0.7
-    x = np.zeros((m, n))
-    for i in range(min(m, n)):
-        if keep[i]:
-            x[i, perm[i]] = 1.0
-    return x
-
-
-def _local_fw(inst: MarketInstance, models, stat, x0: np.ndarray, iters: int = 2000):
-    """Vanilla Frank-Wolfe ascent with dense line search (non-concave objectives)."""
-    w = inst.w
-    ev = Evaluator(models, stat)
-    x = x0.copy()
-    gap = np.inf
-    it = 0
-    prev = -np.inf
-    for it in range(1, iters + 1):
-        u = (w * x).sum(axis=1)
-        grow = ev.pi_prime(u)
-        g = grow[:, None] * w
-        row_match, s_value = best_matching(g)
-        s = vertex_matrix(row_match, w.shape)
-        gap = float(s_value - (g * x).sum())
-        if abs(gap) <= 1e-9 * max(1, inst.m):
-            break
-        du = (w * (s - x)).sum(axis=1)
-
-        def slice_obj(gammas):
-            U = np.clip(u[None, :] + np.outer(gammas, du), 0.0, 1.0)
-            return ev.objective(U)
-
-        gamma = _line_search(slice_obj, 1.0)
-        val = float(slice_obj(np.array([gamma]))[0])
-        if gamma <= 1e-15 or val <= prev + 1e-14:
-            break
-        prev = val
-        x = x + gamma * (s - x)
-    return x, gap, it
+    start = np.full(m, -1)
+    k = min(m, n)
+    start[:k] = np.where(keep[:k], perm[:k], -1)
+    return start
 
 
 def solve_selfish(
@@ -354,43 +318,44 @@ def solve_selfish(
     stationary: Stationary = MONOPOLY,
     seed: int = 0,
 ) -> SelfishSolution:
+    """Maximize sum_i pi_i(u_i) over fractional matchings, with certificates.
+
+    Raises ``ReturnModelError`` for a return model whose q is not
+    single-peaked (``returns.single_peaked``).
+    """
     models = _check_models(inst, models)
+    if not all(returns.single_peaked(mod) for mod in models):
+        raise returns.ReturnModelError("solve_selfish needs single-peaked return models")
     ev = Evaluator(models, stationary)
     concave = stationary.kind == "monopoly" and all(_is_concave(mod) for mod in models)
     gap_tol = GAP_TOL_PER_USER * inst.m
+    peaks = np.array([peak_utility(mod, stationary) for mod in models])
 
     if concave:
-        peaks = np.array([peak_utility(mod, stationary) for mod in models])
-        x, gap, iters, weight_short = _afw(inst, ev, peaks, gap_tol)
-        x = _shrink_to_peaks(inst, x, peaks)
-        mode = "concave-exact"
+        starts = [np.full(inst.m, -1)]
     else:
         rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-        starts = [_random_vertex(inst.m, inst.n, rng) for _ in range(MULTISTART_RESTARTS)]
-        starts.append(solve_fair(inst).matching.x.copy())
-        best = None
-        for x0 in starts:
-            cand = _local_fw(inst, models, stationary, x0)
-            if best is None:
-                best = cand
-                continue
-            val_c = float(ev.objective((inst.w * cand[0]).sum(axis=1)))
-            val_b = float(ev.objective((inst.w * best[0]).sum(axis=1)))
-            if val_c > val_b + 1e-12 or (
-                abs(val_c - val_b) <= 1e-12
-                and tuple(cand[0].ravel()) < tuple(best[0].ravel())
-            ):
-                best = cand
-        x, gap, iters = best
-        mode = "multistart-local"
-        weight_short = 0
+        starts = [_random_start(inst.m, inst.n, rng) for _ in range(MULTISTART_RESTARTS)]
+        starts.append(solve_fair(inst).assignment.row_match)
+    best = None
+    weight_short = capped = 0
+    for start in starts:
+        x, gap, iters, short = _afw(inst, ev, peaks, gap_tol, start)
+        weight_short += short
+        capped += gap > gap_tol
+        x = _shrink_to_peaks(inst, x, peaks)
+        val = float(ev.objective((inst.w * x).sum(axis=1)))
+        if best is None or val > best[0] + 1e-12 or (
+            abs(val - best[0]) <= 1e-12 and tuple(x.ravel()) < tuple(best[1].ravel())
+        ):
+            best = (val, x, gap, iters)
+    _, x, gap, iters = best
 
     x = np.clip(x, 0.0, None)
     matching = FractionalMatching.from_x(inst, x)
     value = float(ev.objective(matching.u))
     grow = ev.pi_prime(matching.u)
-    if concave:
-        grow = np.where(matching.u >= peaks - 1e-15, 0.0, grow)
+    grow = np.where(matching.u >= peaks - 1e-15, 0.0, grow)
     final = max_weight_assignment(grow[:, None] * inst.w)
     beta, sigma = final.beta, final.sigma
     mu = beta[:, None] + sigma[None, :] - grow[:, None] * inst.w
@@ -402,8 +367,9 @@ def solve_selfish(
         beta=beta,
         sigma=sigma,
         mu=mu,
-        mode=mode,
+        mode="concave-exact" if concave else "multistart-local",
         weight_solves_short=weight_short,
+        starts_capped=capped,
     )
 
 

@@ -7,6 +7,7 @@ from matchmarket.returns import (
     Evaluator,
     ReturnModel,
     ReturnModelError,
+    argmax_pi,
     argmax_pi_competition,
     check_assumptions,
     competition,
@@ -171,6 +172,14 @@ class TestEvaluator:
         for i, model in enumerate(models):
             np.testing.assert_allclose(ev.pi_second(U)[:, i],
                                        pi_monopoly_second(model, U[:, i]), rtol=1e-12)
+        # the competition chain has no checked pi'', so second differences
+        # of the checked pi stand in for it
+        eps, h = 0.1, 1e-4
+        ev = Evaluator(models, competition(eps))
+        for i, model in enumerate(models):
+            pis = [pi_competition(model, U[:, i] + k * h, eps) for k in (-1, 0, 1)]
+            numeric = (pis[0] - 2 * pis[1] + pis[2]) / h**2
+            np.testing.assert_allclose(ev.pi_second(U)[:, i], numeric, atol=1e-5)
 
 
 class TestAssumptions:
@@ -214,6 +223,16 @@ class TestPeaks:
             us = np.linspace(0.0, 1.0, 2001)
             best = us[int(np.argmax(pi_competition(m, us, eps)))]
             assert abs(star - best) < 1e-3
+
+    @pytest.mark.parametrize("eps", [None, 0.5, 0.01])
+    def test_argmax_pi_matches_certified_peaks(self, eps):
+        for alpha in ALPHAS:
+            m = parametric(alpha)
+            if eps is None:
+                star, stat = q_peak(m), MONOPOLY
+            else:
+                star, stat = argmax_pi_competition(m, eps), competition(eps)
+            assert argmax_pi(m, stat) == pytest.approx(star, abs=1e-8)
 
     def test_argmax_requires_concavity(self):
         vals = np.zeros(GRID_NODES)

@@ -4,7 +4,7 @@ from helpers_oracles import oracle_2x2, oracle_single_row
 
 from matchmarket import selfish
 from matchmarket.market import InstanceSampler, make_instance, sample_instance
-from matchmarket.returns import parametric, pi_monopoly
+from matchmarket.returns import GRID_NODES, ReturnModelError, grid, parametric, pi_monopoly
 from matchmarket.selfish import (
     Stationary,
     competition,
@@ -123,6 +123,69 @@ class TestMixedModels:
             assert sol.mode == "concave-exact"
             assert sol.fw_gap <= 1e-7 * inst.m
             assert kkt_residual_of(inst, models, sol).max_residual <= 1e-6
+
+    def test_grid_model_user_certified(self):
+        # a grid model is never certified concave, so the market is solved
+        # from multiple starts; every start runs the same engine
+        nodes = np.linspace(0, 1, GRID_NODES)
+        rng = np.random.default_rng(7)
+        models = [parametric(a) for a in (0.0, 0.25, 0.5)] + [grid(nodes * np.sqrt(1 - nodes))]
+        for trial in range(3):
+            inst = make_instance(rng.beta(2, 2, (4, 4)))
+            sol = solve_selfish(inst, models, seed=trial)
+            assert sol.mode == "multistart-local"
+            assert sol.fw_gap <= 1e-7 * inst.m
+            assert kkt_residual_of(inst, models, sol).max_residual <= 1e-6
+
+    def test_multi_peaked_model_rejected(self):
+        vals = np.zeros(GRID_NODES)
+        vals[5] = 0.5
+        vals[15] = 0.5
+        inst = make_instance(np.full((2, 2), 0.5))
+        with pytest.raises(ReturnModelError):
+            solve_selfish(inst, [parametric(0.0), grid(vals)])
+
+
+class TestCompetition:
+    """Competition markets run every start through the Frank-Wolfe engine."""
+
+    @staticmethod
+    def _sweep_instances():
+        sampler = InstanceSampler("beta", 2.0, 2.0, seed=5)
+        return [sample_instance(sampler, 2, 2, trial) for trial in range(5)]
+
+    @pytest.mark.parametrize("eps", [0.5, 0.1, 0.01, 0.001])
+    def test_sweep_instances_certified_without_cap(self, eps):
+        models = [parametric(0.0)] * 2
+        stat = competition(eps)
+        for inst in self._sweep_instances():
+            sol = solve_selfish(inst, models, stat, seed=5)
+            assert sol.mode == "multistart-local"
+            assert sol.starts_capped == 0
+            assert sol.fw_gap <= 1e-7 * inst.m
+            assert kkt_residual_of(inst, models, sol, stat).max_residual <= 1e-6
+
+    def test_mixed_alphas_converge_from_every_start(self, monkeypatch):
+        # pi is convex on part of [0, 1] at eps = 0.1; such users enter the
+        # Newton weight step with zero curvature, and every start converges
+        # far inside the cap
+        monkeypatch.setattr(selfish, "MAX_ITERS", 50)
+        models = [parametric(a) for a in (0.5, 0.0, 0.75, 0.25)]
+        stat = competition(0.1)
+        sampler = InstanceSampler("beta", 2.0, 2.0, seed=0)
+        for trial in range(2):
+            inst = sample_instance(sampler, 4, 3, trial)
+            sol = solve_selfish(inst, models, stat, seed=trial)
+            assert sol.starts_capped == 0
+            assert sol.weight_solves_short == 0
+            assert sol.fw_gap <= 1e-7 * inst.m
+            assert kkt_residual_of(inst, models, sol, stat).max_residual <= 1e-6
+
+    def test_capped_starts_are_reported(self, monkeypatch):
+        monkeypatch.setattr(selfish, "MAX_ITERS", 1)
+        inst = self._sweep_instances()[0]
+        sol = solve_selfish(inst, [parametric(0.0)] * 2, competition(0.1), seed=5)
+        assert sol.starts_capped > 0
 
 
 class TestWeightSolve:
