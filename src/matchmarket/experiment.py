@@ -7,12 +7,25 @@ return model learned online from observed switching (Selfish). Agents react
 to realized payoffs by continuing, requesting a re-match, or exiting to a
 risk-free outside payment. A random-assignment arm on the same market serves
 as the universal baseline for payoff histograms.
+
+Each round of an arm (``_run_arm``) has four phases: drop (each active
+player exits with a probability that rises when their running mean payoff is
+below the outside option), assignment (one ``assign_round`` call, or one
+random matching, for the players without a slot over the open slots, with
+slots a player left by re-matching zeroed), payoff and action (noisy payoff,
+then Continue or Rematch), and, in the Selfish arm, learning (``q_update``
+from this round's switch rates). Per-player state lives in Python lists of
+bools, ints and floats, and means come from running float sums, so the loop
+makes numpy calls only to draw random numbers, to build the assignment
+sub-matrix, and to update and snapshot the learned return model. The player
+and arm seed sequences are hashed once per game and shared by the three arms.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +60,23 @@ class StudyConfig:
     def __post_init__(self):
         if self.study not in STUDY_BETA:
             raise ExperimentError(f"unknown study {self.study!r}")
+        for name in ("players_per_condition", "slots", "rounds", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ExperimentError(f"{name} must be an integer, got {value!r}")
+        for name in ("outside_per_round", "payoff_scale", "noise_sd", "alpha_learn"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not math.isfinite(value):
+                raise ExperimentError(f"{name} must be a finite number, got {value!r}")
+        if self.seed < 0:
+            raise ExperimentError("seed must be non-negative")
+        if self.payoff_scale <= 0.0:
+            raise ExperimentError("payoff_scale must be positive")
+        if self.noise_sd < 0.0:
+            raise ExperimentError("noise_sd must be non-negative")
+        if self.outside_per_round < 0.0:
+            raise ExperimentError("outside_per_round must be non-negative")
         if self.players_per_condition < 1:
             raise ExperimentError("need at least one player per condition")
         if self.slots < self.players_per_condition:
@@ -206,11 +236,8 @@ def assign_round(condition: str, weights: np.ndarray, learned_q: ReturnModel,
         if selfish_objective == "raw-q":
             return max_weight_assignment(
                 returns.eval_q(learned_q, weights)).row_match.copy()
-        sol = solve_selfish_integral(inst, [learned_q] * inst.m, MONOPOLY)
-        return np.array([
-            int(np.argmax(row)) if row.max() > 0.0 else -1
-            for row in sol.matching.x
-        ])
+        x = solve_selfish_integral(inst, [learned_q] * inst.m, MONOPOLY).matching.x
+        return np.where(x.max(axis=1) > 0.0, x.argmax(axis=1), -1)
     raise ExperimentError(f"unknown condition {condition!r}")
 
 
@@ -225,26 +252,26 @@ def agent_step(matched: bool, payoff_cents: float, round_index: int,
 
 
 def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
-             mean_payoffs: np.ndarray, game_index: int,
+             mean_payoffs: np.ndarray, player_seeds: list[np.random.SeedSequence],
+             arm_seed: np.random.SeedSequence,
              q0: ReturnModel | None = None) -> ArmLog:
     n, m, R = config.players_per_condition, config.slots, config.rounds
+    outside = config.outside_per_round
     # agent/noise streams are keyed identically for every arm so that the
     # conditions face the same randomness where consumption aligns
-    player_rng = [
-        np.random.default_rng(np.random.SeedSequence((config.seed, game_index, 2, i)))
-        for i in range(n)
-    ]
-    arm_rng = np.random.default_rng(
-        np.random.SeedSequence((config.seed, game_index, 3))
-    )
+    player_rng = [np.random.default_rng(seed) for seed in player_seeds]
+    arm_rng = np.random.default_rng(arm_seed)
     norm = np.clip(mean_payoffs / config.payoff_scale, 0.0, 1.0)
+    means = mean_payoffs.tolist()
     q = q0 if q0 is not None else prior_q()
     log = ArmLog(condition=condition)
-    active = np.ones(n, dtype=bool)
-    slot_of = np.full(n, -1, dtype=int)
+    active = [True] * n
+    slot_of = [-1] * n
     forbidden = [set() for _ in range(n)]
-    totals = np.zeros(n)
-    payoff_history: list[list[float]] = [[] for _ in range(n)]
+    # totals[i] is player i's payoff sum, added in play order, until the exit
+    # adds the outside payments; plays[i] counts the payoffs in it
+    totals = [0.0] * n
+    plays = [0] * n
 
     for r in range(1, R + 1):
         # drop phase: decide before playing the round
@@ -252,23 +279,21 @@ def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
         for i in range(n):
             if not active[i]:
                 continue
-            hist = payoff_history[i]
-            mean = float(np.mean(hist)) if hist else None
-            if player_rng[i].random() < behavior.drop_prob(
-                    mean, config.outside_per_round):
+            mean = totals[i] / plays[i] if plays[i] else None
+            if player_rng[i].random() < behavior.drop_prob(mean, outside):
                 active[i] = False
                 slot_of[i] = -1
-                totals[i] += config.outside_per_round * (R - r + 1)
+                totals[i] += outside * (R - r + 1)
                 drops += 1
                 log.records.append(RoundRecord(condition, r, i, -1, 0.0, "Exit"))
         log.drop_count_per_round.append(drops)
 
         # assignment phase
-        held = {int(j) for j in slot_of[slot_of >= 0]}
+        held = set(slot_of)
         open_slots = [j for j in range(m) if j not in held]
         requesters = [i for i in range(n) if active[i] and slot_of[i] < 0]
         if requesters and open_slots:
-            sub = norm[np.ix_(requesters, open_slots)].copy()
+            sub = norm.take(requesters, axis=0).take(open_slots, axis=1)
             for a, i in enumerate(requesters):
                 for b, j in enumerate(open_slots):
                     if j in forbidden[i]:
@@ -277,13 +302,13 @@ def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
                 match = _random_assign(sub, arm_rng)
             else:
                 match = assign_round(condition, sub, q, config.selfish_objective)
-            for a, i in enumerate(requesters):
-                if match[a] >= 0:
-                    slot_of[i] = open_slots[match[a]]
+            for i, b in zip(requesters, match.tolist()):
+                if b >= 0:
+                    slot_of[i] = open_slots[b]
 
         # payoff + action phase
         switch_obs: list[tuple[float, bool]] = []
-        round_payoffs = []
+        round_total = 0.0
         rematches = matched = 0
         for i in range(n):
             if not active[i]:
@@ -292,12 +317,11 @@ def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
             if j < 0:
                 log.records.append(RoundRecord(condition, r, i, -1, 0.0, "Wait"))
                 continue
-            p = max(0.0, float(player_rng[i].normal(mean_payoffs[i, j],
-                                                    config.noise_sd)))
+            p = max(0.0, player_rng[i].normal(means[i][j], config.noise_sd))
             totals[i] += p
-            payoff_history[i].append(p)
+            plays[i] += 1
             log.matched_payoffs.append(p)
-            round_payoffs.append(p)
+            round_total += p
             matched += 1
             action = agent_step(True, p, r, behavior, player_rng[i])
             if action == "Rematch":
@@ -307,25 +331,22 @@ def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
             switch_obs.append((p, action == "Rematch"))
             log.records.append(RoundRecord(condition, r, i, j, p, action))
         log.engagement_per_round.append(rematches / matched if matched else 0.0)
-        log.mean_payoff_per_round.append(
-            float(np.mean(round_payoffs)) if round_payoffs else 0.0)
+        log.mean_payoff_per_round.append(round_total / matched if matched else 0.0)
 
         # learning phase (Selfish condition only)
         if condition == "Selfish" and switch_obs:
-            bins = np.full(PAYOFF_BINS, np.nan)
-            counts = np.zeros(PAYOFF_BINS)
-            hits = np.zeros(PAYOFF_BINS)
+            counts = [0] * PAYOFF_BINS
+            hits = [0] * PAYOFF_BINS
             width = config.payoff_scale / PAYOFF_BINS
             for p, switched in switch_obs:
                 b = min(int(min(p, config.payoff_scale) / width), PAYOFF_BINS - 1)
                 counts[b] += 1
                 hits[b] += switched
-            with np.errstate(invalid="ignore"):
-                bins = np.where(counts > 0, hits / np.maximum(counts, 1), np.nan)
+            bins = np.array([h / c if c else np.nan for h, c in zip(hits, counts)])
             q = q_update(q, bins_to_grid(bins), config.alpha_learn)
         log.q_snapshots.append(np.asarray(q.values).copy())
 
-    log.totals = totals
+    log.totals = np.array(totals)
     return log
 
 
@@ -353,12 +374,17 @@ def run_study(config: StudyConfig, behavior: BehaviorModel | None = None,
     """
     behavior = behavior or BehaviorModel()
     w_slots, eps_players, mean_payoffs = generate_market(config, game_index)
+    n = config.players_per_condition
+    # default_rng of one SeedSequence repeats its stream, so every arm gets
+    # the same streams from seeds hashed once per game
+    player_seeds = [np.random.SeedSequence((config.seed, game_index, 2, i))
+                    for i in range(n)]
+    arm_seed = np.random.SeedSequence((config.seed, game_index, 3))
     arms = {
-        name: _run_arm(name, config, behavior, mean_payoffs, game_index,
+        name: _run_arm(name, config, behavior, mean_payoffs, player_seeds, arm_seed,
                        q0=selfish_q0 if name == "Selfish" else None)
         for name in ("Fair", "Selfish", "Random")
     }
-    n = config.players_per_condition
     fair, selfish = arms["Fair"], arms["Selfish"]
     metrics = {
         "fair_mean_total": fair.welfare / n,

@@ -210,8 +210,9 @@ class Evaluator:
     """Batch pi_i, pi_i' and pi_i'' for users on the last axis.
 
     Users with identical models are grouped, so a market whose users share one
-    model costs one numpy expression per quantity regardless of m. Utilities
-    are not checked: they come from matchings the program built.
+    model costs one numpy expression per quantity regardless of m; that single
+    group is indexed by ``slice(None)``, a view, not a gathered copy.
+    Utilities are not checked: they come from matchings the program built.
     """
 
     def __init__(self, models, stat: Stationary = MONOPOLY):
@@ -221,7 +222,8 @@ class Evaluator:
         grouped: dict[tuple, tuple[ReturnModel, list[int]]] = {}
         for i, mod in enumerate(models):
             grouped.setdefault(mod.cache_key(), (mod, []))[1].append(i)
-        self.groups = [(mod, np.array(ix)) for mod, ix in grouped.values()]
+        self.groups = [(mod, np.array(ix) if len(grouped) > 1 else slice(None))
+                       for mod, ix in grouped.values()]
 
     def _by_group(self, kernel, U: np.ndarray) -> np.ndarray:
         out = np.empty(U.shape)

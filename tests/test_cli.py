@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -102,10 +103,24 @@ class TestPoaAndSweep:
     ["online", "--eps", "2"],
     ["match", "--eps", "0", "--mode", "selfish"],
     ["bound", "--alpha", "0", "--users", "0"],
+    *(["sim", "--pairs", "1", "--config", config] for config in (
+        '{"noise_sd": -1}',
+        '{"noise_sd": Infinity}',
+        '{"outside_per_round": "x"}',
+        '{"outside_per_round": -6}',
+        '{"players_per_condition": 2.5}',
+        '{"rounds": true}',
+        '{"payoff_scale": 0}',
+        '{"seed": -1}',
+    )),
 ], ids=" ".join)
 def test_invalid_input_exit_1_without_traceback(tmp_path, instance_csv, argv):
     if argv[0] == "match":
         argv = argv + ["--instance", str(instance_csv)]
+    if argv[0] == "sim":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(argv[-1])
+        argv = argv[:-1] + [str(cfg)]
     env = dict(os.environ,
                PYTHONPATH=str(Path(matchmarket.__file__).resolve().parent.parent))
     proc = subprocess.run(
@@ -113,6 +128,7 @@ def test_invalid_input_exit_1_without_traceback(tmp_path, instance_csv, argv):
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
 
 
@@ -150,6 +166,25 @@ class TestSim:
         rounds = {int(line.split(",")[1]) for line in
                   (out / "round_log_game0.csv").read_text().splitlines()[1:]}
         assert max(rounds) == 3
+
+    def test_artifact_digests_pinned(self, tmp_path):
+        """Byte-level golden check of the simulation artifacts.
+
+        The digests pin the round loop's arithmetic and random-number
+        consumption. A change meant to alter simulation semantics must update
+        both digests in the same change and say why.
+        """
+        out = tmp_path / "sim"
+        assert main(["sim", "--study", "B", "--pairs", "20", "--seed", "11",
+                     "--out-dir", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("metrics.csv", "round_log_game0.csv")}
+        assert digests == {
+            "metrics.csv":
+                "33a734ff86ebaf152f38877bfd8dc1fb5b57cc99252ab57d99d9b734d714aed7",
+            "round_log_game0.csv":
+                "b339d0b3872cbd6ecc58a0ffac4c2e3595498340534bf273ed9df022637ec19a",
+        }
 
     def test_rerun_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -37,6 +37,14 @@ class TestConfigs:
             StudyConfig(alpha_learn=1.5)
         with pytest.raises(ExperimentError):
             StudyConfig(selfish_objective="greedy")
+        for bad in ({"rounds": True}, {"slots": 13.0}, {"noise_sd": float("nan")},
+                    {"payoff_scale": -20.0}, {"outside_per_round": float("inf")}):
+            with pytest.raises(ExperimentError):
+                StudyConfig(**bad)
+
+    def test_numpy_scalars_accepted(self):
+        cfg = StudyConfig(players_per_condition=np.int64(3), noise_sd=np.float64(0.0))
+        assert cfg.players_per_condition == 3
 
     def test_invalid_behavior(self):
         with pytest.raises(ExperimentError):
