@@ -30,7 +30,7 @@ from .returns import (  # noqa: F401
     competition,
     pi_monopoly,
 )
-from .fair import AssignmentResult, FairSolution, brute_force_fair, solve_fair  # noqa: F401
+from .fair import AssignmentResult, FairSolution, solve_fair  # noqa: F401
 from .selfish import (  # noqa: F401
     KKTReport,
     SelfishSolution,

@@ -365,6 +365,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise CliError(f"invalid --seed {args.seed}: must be at least 0")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

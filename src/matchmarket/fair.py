@@ -1,25 +1,26 @@
-"""Exact maximum-weight bipartite matching (the fair program) with dual recovery.
+"""Exact maximum-weight bipartite matching (the fair program) with its duals.
 
 The solver is a shortest-augmenting-path assignment algorithm over the
 rectangular weight matrix padded with zero-weight slack columns, so leaving a
 user unmatched costs nothing. Edges with nonpositive weight are never used.
-Optimal dual multipliers (row and column potentials of the inequality-form LP)
-are reconstructed from the optimal matching by difference-constraint
-relaxation; they certify optimality and feed the KKT checks of the selfish
-solver.
+The optimal duals of the inequality-form LP (row duals beta, column duals
+sigma) are the negated row and column potentials of the augmenting-path
+searches. The searches keep every reduced cost nonnegative (dual
+feasibility) and zero on matched edges (complementary slackness). A search
+lowers only columns it reaches, which stay matched, and never lowers the
+column matched last, which bounds every row potential by zero: so beta,
+sigma >= 0, and users or items left unmatched carry a zero dual (see
+``best_matching``). The duals certify the fair optimum and feed the KKT
+checks of the selfish solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
-from math import perm as n_perm
 
 import numpy as np
 
 from .market import FractionalMatching, MarketInstance
-
-_DUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -51,12 +52,14 @@ class FairSolution:
     assignment: AssignmentResult
 
 
-def _jv_assign(cost: np.ndarray) -> np.ndarray:
+def _jv_assign(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Jonker-Volgenant shortest augmenting paths, minimization, m <= K.
 
-    Returns the assigned column per row. 1-based internal indexing follows
-    the classic formulation; ties in the Dijkstra step resolve to the lowest
-    column index, which makes the output reproducible.
+    Returns the assigned column per row and the row and column potentials
+    u, v, with cost - u - v >= 0 everywhere and = 0 on assigned edges. 1-based
+    internal indexing follows the classic formulation; ties in the Dijkstra
+    step resolve to the lowest column index, which makes the output
+    reproducible.
     """
     m, k = cost.shape
     INF = float("inf")
@@ -94,61 +97,37 @@ def _jv_assign(cost: np.ndarray) -> np.ndarray:
     for j in range(1, k + 1):
         if p[j] != 0:
             row_match[p[j] - 1] = j - 1
-    return row_match
+    return row_match, u[1:], v[1:]
 
 
-def _recover_duals(g: np.ndarray, row_match: np.ndarray):
-    """Least feasible duals of the inequality-form assignment LP.
+def best_matching(g) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """Optimal matching, value and duals (beta, sigma) for max <g, x>.
 
-    Builds the pointwise-minimal sigma satisfying sigma >= 0, sigma_k >= g_ik
-    for unmatched rows i, and sigma_k >= sigma_j + g_ik - g_ij for rows
-    matched to j; beta then follows from complementary slackness. At an
-    optimal matching this system is feasible and Bellman-Ford style
-    relaxation reaches the fixpoint in at most n passes.
+    Returns (row_match, value, beta, sigma); see ``AssignmentResult``.
     """
-    m, n = g.shape
-    matched = row_match >= 0
-    sigma = np.zeros(n)
-    if (~matched).any():
-        sigma = np.maximum(sigma, g[~matched].max(axis=0))
-        sigma = np.maximum(sigma, 0.0)
-    rows = np.nonzero(matched)[0]
-    cols = row_match[rows]
-    for _ in range(n + 2):
-        if len(rows) == 0:
-            break
-        offset = sigma[cols] - g[rows, cols]
-        cand = (g[rows] + offset[:, None]).max(axis=0)
-        new = np.maximum(sigma, cand)
-        if np.all(new <= sigma + 1e-15):
-            break
-        sigma = new
-    beta = np.zeros(m)
-    beta[rows] = g[rows, cols] - sigma[cols]
-    # sanity: dual feasibility and complementarity must hold at an optimum
-    if beta.min() < -_DUAL_TOL:
-        raise RuntimeError("dual recovery failed: negative row potential")
-    slack = beta[:, None] + sigma[None, :] - g
-    if slack.min() < -_DUAL_TOL:
-        raise RuntimeError("dual recovery failed: infeasible duals")
-    return np.maximum(beta, 0.0), np.maximum(sigma, 0.0)
-
-
-def best_matching(g) -> tuple[np.ndarray, float]:
-    """Optimal matching and value for max <g, x> without dual recovery."""
     g = np.asarray(g, dtype=float)
     m, n = g.shape
     k = max(m, n)
     clipped = np.zeros((m, k))
     clipped[:, :n] = np.maximum(g, 0.0)
-    row_match = _jv_assign(-clipped)
+    row_match, u, v = _jv_assign(-clipped)
+    # Invariant: every column with v < 0 was reached by some search, so it is
+    # matched. The column j* matched last was free before the last search, so
+    # it was never lowered: v[j*] = 0, and feasibility gives
+    # u_i <= -clipped[i, j*] <= 0 for every row. Hence beta = -u >= 0 and
+    # sigma = -v >= 0. A row whose edge is dropped below (slack column or
+    # clipped weight) has beta_i + sigma_j = clipped[i, j] = 0 with both terms
+    # >= 0, so both are 0; unmatched columns keep sigma = 0. The clip at 0
+    # only removes rounding.
+    beta = np.maximum(-u, 0.0)
+    sigma = np.maximum(-v[:n], 0.0)
     # drop slack columns and edges that only existed through clipping
     for i in range(m):
         j = row_match[i]
         if j >= n or g[i, j] <= 0.0:
             row_match[i] = -1
     value = float(sum(g[i, j] for i, j in enumerate(row_match) if j >= 0))
-    return row_match, value
+    return row_match, value, beta, sigma
 
 
 def max_weight_assignment(g) -> AssignmentResult:
@@ -156,9 +135,7 @@ def max_weight_assignment(g) -> AssignmentResult:
 
     Entries of g may be negative; such edges are simply never used.
     """
-    g = np.asarray(g, dtype=float)
-    row_match, value = best_matching(g)
-    beta, sigma = _recover_duals(g, row_match)
+    row_match, value, beta, sigma = best_matching(g)
     return AssignmentResult(row_match=row_match, value=value, beta=beta, sigma=sigma)
 
 
@@ -169,17 +146,3 @@ def solve_fair(inst: MarketInstance) -> FairSolution:
     matching = FractionalMatching.from_x(inst, x)
     return FairSolution(matching=matching, value=res.value, assignment=res)
 
-
-def brute_force_fair(inst: MarketInstance) -> float:
-    """Exact fair optimum by enumerating injections of the smaller side."""
-    w = inst.w if inst.m <= inst.n else inst.w.T
-    small, large = w.shape
-    if small > 8:
-        raise ValueError("brute force limited to min(m, n) <= 8")
-    if n_perm(large, small) > 5_000_000:
-        raise ValueError("instance too large for brute-force enumeration")
-    best = 0.0
-    rows = np.arange(small)
-    for cols in permutations(range(large), small):
-        best = max(best, float(w[rows, list(cols)].sum()))
-    return best

@@ -279,7 +279,7 @@ def _afw(inst: MarketInstance, ev: Evaluator, peaks, gap_tol: float, start):
     for it in range(1, MAX_ITERS + 1):
         u = (w * x).sum(axis=1)
         grad = _clamped_grad(ev, peaks, u)[:, None] * w
-        row_match, s_value = best_matching(grad)
+        row_match, s_value, _, _ = best_matching(grad)
         gap = float(s_value - (grad * x).sum())
         if gap <= gap_tol:
             break

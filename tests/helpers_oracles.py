@@ -1,8 +1,27 @@
 """Brute-force oracles shared by the unit and acceptance tests."""
 
+from itertools import permutations
+from math import perm as n_perm
+
 import numpy as np
 
+from matchmarket.market import MarketInstance
 from matchmarket.returns import MONOPOLY, Evaluator
+
+
+def brute_force_fair(inst: MarketInstance) -> float:
+    """Exact fair optimum by enumerating injections of the smaller side."""
+    w = inst.w if inst.m <= inst.n else inst.w.T
+    small, large = w.shape
+    if small > 8:
+        raise ValueError("brute force limited to min(m, n) <= 8")
+    if n_perm(large, small) > 5_000_000:
+        raise ValueError("instance too large for brute-force enumeration")
+    best = 0.0
+    rows = np.arange(small)
+    for cols in permutations(range(large), small):
+        best = max(best, float(w[rows, list(cols)].sum()))
+    return best
 
 
 def max_single_row_utility(w) -> float:

@@ -11,10 +11,10 @@ import time
 
 import numpy as np
 import pytest
-from helpers_oracles import oracle_2x2, oracle_single_row
+from helpers_oracles import brute_force_fair, oracle_2x2, oracle_single_row
 
 from matchmarket.experiment import STUDY_BETA, StudyConfig, run_batch
-from matchmarket.fair import brute_force_fair, solve_fair
+from matchmarket.fair import solve_fair
 from matchmarket.market import InstanceSampler, make_instance, sample_instance
 from matchmarket.online import online_poa_empirical, write_online_csv
 from matchmarket.poa import (

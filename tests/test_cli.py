@@ -102,6 +102,11 @@ class TestPoaAndSweep:
     ["poa", "--eps", "2"],
     ["online", "--eps", "2"],
     ["match", "--eps", "0", "--mode", "selfish"],
+    ["poa", "--seed", "-1"],
+    ["online", "--seed", "-1"],
+    ["sweep", "--seed", "-1"],
+    ["match", "--mode", "online", "--seed", "-1"],
+    ["match", "--mode", "selfish", "--eps", "0.5", "--seed", "-1"],
     ["bound", "--alpha", "0", "--users", "0"],
     *(["sim", "--pairs", "1", "--config", config] for config in (
         '{"noise_sd": -1}',

@@ -1,8 +1,32 @@
 import numpy as np
 import pytest
+from helpers_oracles import brute_force_fair
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
-from matchmarket.fair import brute_force_fair, max_weight_assignment, solve_fair
+from matchmarket.fair import max_weight_assignment, solve_fair
 from matchmarket.market import make_instance
+
+# a small value set, so optimal matchings tie; negative entries are never used
+VALUES = (-0.5, 0.0, 0.25, 0.5, 1.0)
+
+
+@st.composite
+def weight_matrices(draw):
+    """Matrices up to 60x60, about one in ten up to 200x200, with tied,
+    negative and zeroed rows and columns; entries come from a drawn seed."""
+    size = draw(st.sampled_from((60,) * 9 + (200,)))
+    m = draw(st.integers(1, size))
+    n = draw(st.integers(1, size))
+    palette = draw(st.lists(st.sampled_from(VALUES), min_size=1, max_size=5, unique=True))
+    p_zero_row = draw(st.sampled_from((0.0, 0.2, 0.5)))
+    p_zero_col = draw(st.sampled_from((0.0, 0.2, 0.5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.choice(palette, size=(m, n))
+    g[rng.random(m) < p_zero_row] = 0.0
+    g[:, rng.random(n) < p_zero_col] = 0.0
+    return g
 
 
 class TestSolveFair:
@@ -68,6 +92,28 @@ class TestDuals:
                 (res.sigma * (1 - used_cols)).sum()
             assert res.beta.sum() + res.sigma.sum() - comp == pytest.approx(
                 res.value, abs=1e-8)
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(weight_matrices())
+    def test_optimal_and_certified(self, g):
+        """Value against scipy, and duals that certify it within 1e-9:
+        feasible, complementary, with dual objective equal to the value."""
+        res = max_weight_assignment(g)
+        clipped = np.maximum(g, 0.0)
+        rows, cols = linear_sum_assignment(clipped, maximize=True)
+        assert res.value == pytest.approx(clipped[rows, cols].sum(), abs=1e-9)
+        matched = res.row_match[res.row_match >= 0]
+        assert len(set(matched.tolist())) == len(matched)
+        assert res.beta.min() >= 0.0
+        assert res.sigma.min() >= 0.0
+        slack = res.beta[:, None] + res.sigma[None, :] - g
+        assert slack.min() >= -1e-9
+        x = res.x_matrix(g.shape)
+        assert np.abs(slack * x).max() <= 1e-9
+        assert np.abs(res.beta * (1.0 - x.sum(axis=1))).max() <= 1e-9
+        assert np.abs(res.sigma * (1.0 - x.sum(axis=0))).max() <= 1e-9
+        assert res.beta.sum() + res.sigma.sum() == pytest.approx(res.value, abs=1e-9)
 
     def test_negative_edges_never_used(self):
         res = max_weight_assignment(np.array([[-0.5, -0.2]]))
