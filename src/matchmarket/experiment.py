@@ -14,11 +14,15 @@ below the outside option), assignment (one ``assign_round`` call, or one
 random matching, for the players without a slot over the open slots, with
 slots a player left by re-matching zeroed), payoff and action (noisy payoff,
 then Continue or Rematch), and, in the Selfish arm, learning (``q_update``
-from this round's switch rates). Per-player state lives in Python lists of
-bools, ints and floats, and means come from running float sums, so the loop
-makes numpy calls only to draw random numbers, to build the assignment
-sub-matrix, and to update and snapshot the learned return model. The player
-and arm seed sequences are hashed once per game and shared by the three arms.
+from this round's switch rates). ``assign_round`` is one
+``fair.best_matching`` call on the per-edge matrix of its objective (mean
+payoffs, pi of the learned model, or its raw q), with no market instance,
+matching object or certificate built around it. Per-player state lives in
+Python lists of bools, ints and floats, and means come from running float
+sums, so the loop makes numpy calls only to draw random numbers, to build
+the assignment sub-matrix, and to update and snapshot the learned return
+model. The player and arm seed sequences are hashed once per game and shared
+by the three arms.
 """
 
 from __future__ import annotations
@@ -31,10 +35,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import returns
-from .fair import max_weight_assignment, solve_fair
-from .market import make_instance
+from .fair import best_matching
+from .market import MarketError
 from .returns import GRID_NODES, ReturnModel
-from .selfish import MONOPOLY, solve_selfish_integral
 
 STUDY_BETA = {"A": (1.0, 2.0), "B": (2.0, 2.0), "C": (2.0, 1.0)}
 PAYOFF_BINS = 10  # 2-cent bins on [0, payoff_scale]
@@ -225,19 +228,22 @@ def assign_round(condition: str, weights: np.ndarray, learned_q: ReturnModel,
 
     ``weights`` are normalized mean payoffs in [0, 1]; disallowed pairs must
     already be zeroed (zero-value edges are never matched). Returns the
-    chosen column per row, -1 for unassigned.
+    chosen column per row, -1 for unassigned. Each objective is one
+    ``best_matching`` call on its per-edge matrix, the same matching that
+    ``solve_fair``, ``solve_selfish_integral`` and ``max_weight_assignment``
+    return, without their duals, instances or matching objects.
     """
+    weights = np.asarray(weights, dtype=float)
     if weights.size == 0:
         return np.full(weights.shape[0], -1, dtype=int)
-    inst = make_instance(weights)
+    if not (weights.min() >= 0.0 and weights.max() <= 1.0):  # also rejects NaN
+        raise MarketError("weights must be finite and lie in [0, 1]")
     if condition == "Fair":
-        return solve_fair(inst).assignment.row_match.copy()
+        return best_matching(weights)[0]
     if condition == "Selfish":
         if selfish_objective == "raw-q":
-            return max_weight_assignment(
-                returns.eval_q(learned_q, weights)).row_match.copy()
-        x = solve_selfish_integral(inst, [learned_q] * inst.m, MONOPOLY).matching.x
-        return np.where(x.max(axis=1) > 0.0, x.argmax(axis=1), -1)
+            return best_matching(returns.eval_q(learned_q, weights))[0]
+        return best_matching(returns.pi_monopoly(learned_q, weights))[0]
     raise ExperimentError(f"unknown condition {condition!r}")
 
 

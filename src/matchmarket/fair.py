@@ -1,8 +1,21 @@
 """Exact maximum-weight bipartite matching (the fair program) with its duals.
 
-The solver is a shortest-augmenting-path assignment algorithm over the
-rectangular weight matrix padded with zero-weight slack columns, so leaving a
-user unmatched costs nothing. Edges with nonpositive weight are never used.
+The solver is the shortest-augmenting-path assignment algorithm of Jonker and
+Volgenant (Computing 38, 1987) over the rectangular weight matrix padded with
+zero-weight slack columns, so leaving a user unmatched costs nothing. Edges
+with nonpositive weight are never used.
+
+It is one loop on Python lists. The program solves thousands of small
+problems (5x5 markets in the price-of-anarchy loop, at most 3x13 per round
+of the behavioral study), where a numpy step costs more in call overhead than
+in arithmetic. Against the same loop on numpy arrays (kept in the tests as
+the reference it must match bit for bit), a call took, on a 2-CPU Xeon with
+Python 3.11 and numpy 2.4: 0.013 against 0.12 ms at 5x5, 0.33 against 2.1 ms
+at 20x20, 11 against 18 ms at 100x100, and about the same at 200x200. Larger
+inputs cost more than they would on numpy: 194 against 140 ms at 300x300,
+1.8 against 1.2 s at 300x300 with tied values, and 8.3 against 3.8 s at
+500x500 with tied values.
+
 The optimal duals of the inequality-form LP (row duals beta, column duals
 sigma) are the negated row and column potentials of the augmenting-path
 searches. The searches keep every reduced cost nonnegative (dual
@@ -52,52 +65,66 @@ class FairSolution:
     assignment: AssignmentResult
 
 
-def _jv_assign(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _jv_assign(cost: np.ndarray) -> tuple[list[int], list[float], list[float]]:
     """Jonker-Volgenant shortest augmenting paths, minimization, m <= K.
 
     Returns the assigned column per row and the row and column potentials
-    u, v, with cost - u - v >= 0 everywhere and = 0 on assigned edges. 1-based
-    internal indexing follows the classic formulation; ties in the Dijkstra
-    step resolve to the lowest column index, which makes the output
-    reproducible.
+    u, v, with cost - u - v >= 0 everywhere and = 0 on assigned edges, as
+    Python lists. Each row's search is Dijkstra over the columns: a step
+    scans the still-free columns in ascending order, so ties resolve to the
+    lowest column index and the output is reproducible. Only the rows and
+    columns the search has reached take the step's potential change; the
+    free columns' distances take it lazily, at the next scan.
     """
     m, k = cost.shape
-    INF = float("inf")
-    u = np.zeros(m + 1)
-    v = np.zeros(k + 1)
-    p = np.zeros(k + 1, dtype=int)  # row matched to column j (1-based), 0 = free
-    way = np.zeros(k + 1, dtype=int)
-    for i in range(1, m + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(k + 1, INF)
-        used = np.zeros(k + 1, dtype=bool)
+    c = cost.tolist()
+    inf = float("inf")
+    u = [0.0] * m
+    v = [0.0] * k
+    col_row = [-1] * k  # row matched to each column, -1 = free
+    way = [-1] * k  # previous column on the search path, -1 = the root row
+    for i in range(m):
+        minv = [inf] * k
+        free = list(range(k))
+        rows = [i]  # rows reached: the root, then the rows of reached columns
+        cols: list[int] = []  # columns reached
+        i0, j0, delta = i, -1, 0.0
         while True:
-            used[j0] = True
-            i0 = p[j0]
-            free = ~used[1:]
-            cur = cost[i0 - 1] - u[i0] - v[1:]
-            upd = free & (cur < minv[1:])
-            minv[1:][upd] = cur[upd]
-            way[1:][upd] = j0
-            cand = np.where(free, minv[1:], INF)
-            j1 = int(np.argmin(cand)) + 1  # ties resolve to the lowest column
-            delta = cand[j1 - 1]
-            u[p[used]] += delta
-            v[used] -= delta
-            minv[1:][free] -= delta
-            j0 = j1
-            if p[j0] == 0:
+            row = c[i0]
+            ui = u[i0]
+            best = inf
+            j1 = free[0]
+            for j in free:
+                mj = minv[j] - delta
+                cur = row[j] - ui - v[j]
+                if cur < mj:
+                    mj = cur
+                    way[j] = j0
+                minv[j] = mj
+                if mj < best:
+                    best = mj
+                    j1 = j
+            delta = best
+            for r in rows:
+                u[r] += delta
+            for j in cols:
+                v[j] -= delta
+            free.remove(j1)
+            i0 = col_row[j1]
+            if i0 < 0:
                 break
-        while j0 != 0:
-            j1 = way[j0]
-            p[j0] = p[j1]
+            rows.append(i0)
+            cols.append(j1)
             j0 = j1
-    row_match = np.full(m, -1, dtype=int)
-    for j in range(1, k + 1):
-        if p[j] != 0:
-            row_match[p[j] - 1] = j - 1
-    return row_match, u[1:], v[1:]
+        while j1 >= 0:  # augment along the path back to the root row
+            j0 = way[j1]
+            col_row[j1] = col_row[j0] if j0 >= 0 else i
+            j1 = j0
+    row_match = [-1] * m
+    for j, r in enumerate(col_row):
+        if r >= 0:
+            row_match[r] = j
+    return row_match, u, v
 
 
 def best_matching(g) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
@@ -119,15 +146,18 @@ def best_matching(g) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     # clipped weight) has beta_i + sigma_j = clipped[i, j] = 0 with both terms
     # >= 0, so both are 0; unmatched columns keep sigma = 0. The clip at 0
     # only removes rounding.
-    beta = np.maximum(-u, 0.0)
-    sigma = np.maximum(-v[:n], 0.0)
-    # drop slack columns and edges that only existed through clipping
-    for i in range(m):
-        j = row_match[i]
-        if j >= n or g[i, j] <= 0.0:
+    beta = np.maximum(-np.array(u), 0.0)
+    sigma = np.maximum(-np.array(v[:n]), 0.0)
+    # drop slack columns and edges that only existed through clipping; the
+    # value adds up in row order with +=, since the builtin sum of floats is
+    # compensated from Python 3.12 on
+    value = 0.0
+    for i, (j, row) in enumerate(zip(row_match, g.tolist())):
+        if j >= n or row[j] <= 0.0:
             row_match[i] = -1
-    value = float(sum(g[i, j] for i, j in enumerate(row_match) if j >= 0))
-    return row_match, value, beta, sigma
+        else:
+            value += row[j]
+    return np.array(row_match, dtype=int), value, beta, sigma
 
 
 def max_weight_assignment(g) -> AssignmentResult:

@@ -24,6 +24,53 @@ def brute_force_fair(inst: MarketInstance) -> float:
     return best
 
 
+def jv_assign_numpy(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference Jonker-Volgenant loop on numpy arrays, minimization, m <= K.
+
+    Each Dijkstra step updates every column at once and takes the first
+    argmin, so ties resolve to the lowest column. Returns the assigned column
+    per row and the row and column potentials u, v; ``fair._jv_assign`` must
+    return the same three, bit for bit.
+    """
+    m, k = cost.shape
+    INF = float("inf")
+    u = np.zeros(m + 1)
+    v = np.zeros(k + 1)
+    p = np.zeros(k + 1, dtype=int)  # row matched to column j (1-based), 0 = free
+    way = np.zeros(k + 1, dtype=int)
+    for i in range(1, m + 1):
+        p[0] = i
+        j0 = 0
+        minv = np.full(k + 1, INF)
+        used = np.zeros(k + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            free = ~used[1:]
+            cur = cost[i0 - 1] - u[i0] - v[1:]
+            upd = free & (cur < minv[1:])
+            minv[1:][upd] = cur[upd]
+            way[1:][upd] = j0
+            cand = np.where(free, minv[1:], INF)
+            j1 = int(np.argmin(cand)) + 1  # ties resolve to the lowest column
+            delta = cand[j1 - 1]
+            u[p[used]] += delta
+            v[used] -= delta
+            minv[1:][free] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0 != 0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    row_match = np.full(m, -1, dtype=int)
+    for j in range(1, k + 1):
+        if p[j] != 0:
+            row_match[p[j] - 1] = j - 1
+    return row_match, u[1:], v[1:]
+
+
 def max_single_row_utility(w) -> float:
     """Fractional-knapsack maximum of u for one user with unit row mass."""
     w = np.sort(np.asarray(w, dtype=float))[::-1]

@@ -17,7 +17,10 @@ from matchmarket.experiment import (
     write_metrics_csv,
     write_round_log_csv,
 )
-from matchmarket.returns import GRID_NODES, eval_q, grid
+from matchmarket.fair import max_weight_assignment, solve_fair
+from matchmarket.market import MarketError, make_instance
+from matchmarket.returns import GRID_NODES, MONOPOLY, eval_q, grid
+from matchmarket.selfish import solve_selfish_integral
 
 
 class TestConfigs:
@@ -156,6 +159,37 @@ class TestAssignment:
     def test_unknown_condition(self):
         with pytest.raises(ExperimentError):
             assign_round("Greedy", np.array([[0.5]]), prior_q())
+
+    def test_invalid_weights_rejected(self):
+        for bad in (np.array([[0.5, np.nan]]), np.array([[0.5, 1.5]])):
+            with pytest.raises(MarketError):
+                assign_round("Fair", bad, prior_q())
+
+    def test_matches_library_path(self):
+        """Sim-shaped rounds: 1-3 requesters, 1-13 open slots, zeroed
+        forbidden slots, tied values, and learned return models."""
+        rng = np.random.default_rng(2024)
+        models = [prior_q()]
+        for _ in range(3):
+            models.append(q_update(models[-1], rng.random(GRID_NODES), 0.7))
+        for trial in range(400):
+            m, n = int(rng.integers(1, 4)), int(rng.integers(1, 14))
+            if trial % 2:
+                w = rng.choice([0.0, 0.25, 0.5, 1.0], size=(m, n))
+            else:
+                w = rng.random((m, n))
+            w[rng.random((m, n)) < 0.2] = 0.0
+            q = models[trial % len(models)]
+            inst = make_instance(w)
+            x = solve_selfish_integral(inst, [q] * m, MONOPOLY).matching.x
+            np.testing.assert_array_equal(
+                assign_round("Fair", w, q), solve_fair(inst).assignment.row_match)
+            np.testing.assert_array_equal(
+                assign_round("Selfish", w, q),
+                np.where(x.max(axis=1) > 0.0, x.argmax(axis=1), -1))
+            np.testing.assert_array_equal(
+                assign_round("Selfish", w, q, selfish_objective="raw-q"),
+                max_weight_assignment(eval_q(q, w)).row_match)
 
 
 class TestRunStudy:

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from helpers_oracles import brute_force_fair
+from helpers_oracles import brute_force_fair, jv_assign_numpy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from matchmarket.fair import max_weight_assignment, solve_fair
+from matchmarket.fair import _jv_assign, best_matching, max_weight_assignment, solve_fair
 from matchmarket.market import make_instance
 
 # a small value set, so optimal matchings tie; negative entries are never used
@@ -66,6 +66,10 @@ class TestSolveFair:
         b = solve_fair(make_instance(w.T)).value
         assert a == pytest.approx(b, abs=1e-12)
 
+    def test_ties_resolve_to_lowest_column(self):
+        assert best_matching(np.ones((3, 5)))[0].tolist() == [0, 1, 2]
+        assert best_matching(np.ones((5, 3)))[0].tolist() == [0, 1, 2, -1, -1]
+
     def test_deterministic(self):
         w = np.full((4, 4), 0.5)  # fully degenerate ties
         a = solve_fair(make_instance(w))
@@ -98,7 +102,9 @@ class TestDuals:
     @given(weight_matrices())
     def test_optimal_and_certified(self, g):
         """Value against scipy, and duals that certify it within 1e-9:
-        feasible, complementary, with dual objective equal to the value."""
+        feasible, complementary, with dual objective equal to the value; the
+        assignment loop returns the reference numpy loop's (row_match, u, v)
+        bit for bit, so ties go to the lowest column as there."""
         res = max_weight_assignment(g)
         clipped = np.maximum(g, 0.0)
         rows, cols = linear_sum_assignment(clipped, maximize=True)
@@ -114,6 +120,9 @@ class TestDuals:
         assert np.abs(res.beta * (1.0 - x.sum(axis=1))).max() <= 1e-9
         assert np.abs(res.sigma * (1.0 - x.sum(axis=0))).max() <= 1e-9
         assert res.beta.sum() + res.sigma.sum() == pytest.approx(res.value, abs=1e-9)
+        cost = -np.pad(clipped, ((0, 0), (0, max(g.shape) - g.shape[1])))
+        assert [np.asarray(a).tobytes() for a in _jv_assign(cost)] == \
+            [a.tobytes() for a in jv_assign_numpy(cost)]
 
     def test_negative_edges_never_used(self):
         res = max_weight_assignment(np.array([[-0.5, -0.2]]))
