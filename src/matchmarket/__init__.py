@@ -15,13 +15,11 @@ from .market import (  # noqa: F401
 )
 from .returns import (  # noqa: F401
     MONOPOLY,
-    AssumptionReport,
     Evaluator,
     ReturnModel,
     ReturnModelError,
     Stationary,
     argmax_pi_competition,
-    check_assumptions,
     eval_q,
     eval_q_prime,
     grid,
@@ -29,6 +27,7 @@ from .returns import (  # noqa: F401
     pi_competition,
     competition,
     pi_monopoly,
+    strictly_concave,
 )
 from .fair import AssignmentResult, FairSolution, solve_fair  # noqa: F401
 from .selfish import (  # noqa: F401

@@ -93,11 +93,6 @@ def _check_count(args, name: str) -> None:
 def cmd_bound(args) -> int:
     _check_count(args, "users")
     models = _models(args, args.users)
-    for mod in models:
-        report = returns.check_assumptions(mod)
-        if not report.all_ok:
-            print(f"assumption check failed: {report}", file=sys.stderr)
-            return EXIT_ASSUMPTIONS
     run = _Run("bound", args)
     rep = poa.theorem1_bound(models)
     print(f"H = {rep.H:.9g}")

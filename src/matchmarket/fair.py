@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import FractionalMatching, MarketInstance
+from .market import FractionalMatching, MarketError, MarketInstance
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,10 @@ def _jv_assign(cost: np.ndarray) -> tuple[list[int], list[float], list[float]]:
 def best_matching(g) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     """Optimal matching, value and duals (beta, sigma) for max <g, x>.
 
-    Returns (row_match, value, beta, sigma); see ``AssignmentResult``.
+    Returns (row_match, value, beta, sigma); see ``AssignmentResult``. The
+    unchecked kernel, for matrices the program builds: the Frank-Wolfe oracle
+    of ``selfish._afw`` and ``experiment.assign_round``, which checks its own
+    input. ``max_weight_assignment`` is the checked entry point.
     """
     g = np.asarray(g, dtype=float)
     m, n = g.shape
@@ -163,8 +166,12 @@ def best_matching(g) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
 def max_weight_assignment(g) -> AssignmentResult:
     """Maximize <g, x> over row/column sums <= 1, x >= 0 (integral optimum).
 
-    Entries of g may be negative; such edges are simply never used.
+    Entries of g may be negative; such edges are simply never used. Raises
+    ``MarketError`` for NaN or infinite entries.
     """
+    g = np.asarray(g, dtype=float)
+    if not np.isfinite(g).all():
+        raise MarketError("assignment weights must be finite")
     row_match, value, beta, sigma = best_matching(g)
     return AssignmentResult(row_match=row_match, value=value, beta=beta, sigma=sigma)
 

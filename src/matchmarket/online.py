@@ -86,7 +86,6 @@ def online_poa_empirical(
     n: int,
     trials: int,
     stationary: Stationary = MONOPOLY,
-    threads: int = 1,
 ) -> EmpiricalPoAReport:
     """Ratio of greedy-online to fair total utility with a fresh random
     arrival order per trial."""

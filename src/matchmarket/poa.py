@@ -86,7 +86,7 @@ def theorem1_bound(models) -> PoABoundReport:
     """Constant lower bound on the price of anarchy for concave return models."""
     models = list(models)
     for mod in models:
-        if not returns.check_assumptions(mod).a3_ok:
+        if not returns.strictly_concave(mod):
             raise BoundError("all return models must be strictly concave on [0, 1]")
     ev = Evaluator(models)
     slopes0 = ev.pi_prime(np.zeros(len(models)))  # pi'(0) = q'(0) as q(0) = 0
@@ -152,15 +152,11 @@ def empirical_poa(
     n: int,
     trials: int,
     stationary: Stationary = MONOPOLY,
-    threads: int = 1,
 ) -> EmpiricalPoAReport:
     """Ratio of selfish to fair total utility across random weight matrices.
 
     Trials whose fair optimum is zero are counted as degenerate. Trials run
-    one after another. ``threads`` is accepted for compatibility and has no
-    effect, here and in ``online.online_poa_empirical``: a trial is
-    thousands of tiny numpy calls, and worker threads contending for the
-    interpreter lock made the loop about twice as slow.
+    one after another.
     """
     models = list(models)
 

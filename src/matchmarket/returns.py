@@ -10,6 +10,11 @@ only place a formula for q, q', q'', pi, pi' or pi'' is written. The kernels
 take trusted utilities; ``eval_q``, ``eval_q_prime``, ``pi_monopoly``,
 ``pi_monopoly_second`` and ``pi_competition`` check the domain first, and
 ``Evaluator`` applies the kernels to a batch of users, grouped by model.
+
+``strictly_concave`` decides assumption A3 of Theorem 1 from the model
+family alone, with a proof instead of samples: it holds for every
+parametric model and for no grid model. The peak u' of a parametric q has
+the closed form 1 / (2 - alpha).
 """
 
 from __future__ import annotations
@@ -44,8 +49,8 @@ class ReturnModel:
             v = np.asarray(self.values, dtype=float)
             if v.shape != (GRID_NODES,):
                 raise ReturnModelError(f"grid models need {GRID_NODES} node values")
-            if v.min() < 0.0 or v.max() > 1.0:
-                raise ReturnModelError("grid values must lie in [0, 1]")
+            if not (v.min() >= 0.0 and v.max() <= 1.0):  # also rejects NaN
+                raise ReturnModelError("grid values must be finite and lie in [0, 1]")
             v = v.copy()
             v[0] = 0.0
             v[-1] = 0.0
@@ -55,7 +60,7 @@ class ReturnModel:
             raise ReturnModelError(f"unknown model kind {self.kind!r}")
 
     def cache_key(self) -> tuple:
-        """Hashable identity used to memoize peaks and assumption checks."""
+        """Hashable identity used to memoize peaks and to group users by model."""
         if self.kind == "parametric-alpha":
             return ("parametric-alpha", self.alpha)
         return ("grid", self.values.tobytes())
@@ -254,38 +259,18 @@ class Evaluator:
         return _central(self.pi_prime, u)
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
-    a1_ok: bool
-    a2_ok: bool
-    a3_ok: bool
-    max_second_diff: float
+def strictly_concave(model: ReturnModel) -> bool:
+    """Whether q and the two-state pi are strictly concave on [0, 1]
+    (assumption A3 of Theorem 1), decided exactly from the model family.
 
-    @property
-    def all_ok(self) -> bool:
-        return self.a1_ok and self.a2_ok and self.a3_ok
-
-
-def check_assumptions(model: ReturnModel, grid_size: int = 201) -> AssumptionReport:
-    """Numerically check boundary, smoothness, and strict concavity of q.
-
-    Also asserts the stationary probability of the two-state chain inherits
-    strict concavity (its sampled second differences stay negative).
+    Every parametric model qualifies: with e = 1 - alpha > 0,
+    q''(u) = e (1-u)^(e-2) (u(1+e) - 2) < 0 on [0, 1), and
+    pi = q / (1 + q) is an increasing concave function of q, so the
+    composition pi(q(u)) is strictly concave too (Boyd and Vandenberghe,
+    Convex Optimization, section 3.2.4). No grid model qualifies: q is
+    linear between nodes.
     """
-    if grid_size < 11:
-        raise ReturnModelError("grid_size must be at least 11")
-    us = np.linspace(0.0, 1.0, grid_size)
-    qs = eval_q(model, us)
-    a1 = abs(qs[0]) < 1e-12 and abs(qs[-1]) < 1e-12
-    d2 = qs[2:] - 2.0 * qs[1:-1] + qs[:-2]
-    a2 = bool(np.all(np.isfinite(d2)))
-    max_d2 = float(d2.max()) if a2 else float("nan")
-    a3 = a2 and max_d2 < 0.0
-    if a3:
-        pis = pi_monopoly(model, us)
-        pi_d2 = pis[2:] - 2.0 * pis[1:-1] + pis[:-2]
-        a3 = bool(np.all(pi_d2 < 0.0))
-    return AssumptionReport(a1_ok=a1, a2_ok=a2, a3_ok=a3, max_second_diff=max_d2)
+    return model.kind == "parametric-alpha"
 
 
 def single_peaked(model: ReturnModel) -> bool:
@@ -299,15 +284,11 @@ def single_peaked(model: ReturnModel) -> bool:
 
 
 def q_peak(model: ReturnModel) -> float:
-    """The utility u' in (0, 1) where q'(u') = 0 (unique for concave models)."""
-    lo, hi = 0.0, 1.0 - 1e-12
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if eval_q_prime(model, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """The utility u' = 1 / (2 - alpha) where q'(u') = 0, for a parametric model:
+    q'(u) = (1-u)^(e-1) (1 - u(1+e)) with e = 1 - alpha."""
+    if not strictly_concave(model):
+        raise ReturnModelError("q_peak needs a parametric model")
+    return 1.0 / (2.0 - model.alpha)
 
 
 def argmax_pi_competition(model: ReturnModel, eps: float, tol: float = 1e-10) -> float:
@@ -320,7 +301,7 @@ def argmax_pi_competition(model: ReturnModel, eps: float, tol: float = 1e-10) ->
     """
     if eps <= 0.0 or eps > 1.0:
         raise ReturnModelError("eps must lie in (0, 1]")
-    if not check_assumptions(model).a3_ok:
+    if not strictly_concave(model):
         raise ReturnModelError("argmax_pi_competition needs a strictly concave model")
 
     def ratio(u: float) -> float:

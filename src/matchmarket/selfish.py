@@ -46,35 +46,25 @@ WEIGHT_RIDGE = 1e-12  # relative ridge on the rank-deficient weight Hessian
 LINE_MAX_ITERS = 60
 
 _peak_cache: dict[tuple, float] = {}
-_concavity_cache: dict[tuple, bool] = {}
 
 
 def peak_utility(model: ReturnModel, stat: Stationary) -> float:
     """Utility maximizing pi for this user.
 
-    Models that ``check_assumptions`` certifies use the peak conditions of a
-    concave q (``q_peak``, ``argmax_pi_competition``); any other model gets
-    the global maximizer ``argmax_pi``.
+    Models that ``returns.strictly_concave`` certifies use the peak
+    conditions of a concave q (``q_peak``, ``argmax_pi_competition``); any
+    other model gets the global maximizer ``argmax_pi``.
     """
     key = (model.cache_key(), stat.kind, stat.eps)
     cached = _peak_cache.get(key)
     if cached is None:
-        if not _is_concave(model):
+        if not returns.strictly_concave(model):
             cached = returns.argmax_pi(model, stat)
         elif stat.kind == "monopoly":
             cached = returns.q_peak(model)
         else:
             cached = returns.argmax_pi_competition(model, stat.eps)
         _peak_cache[key] = cached
-    return cached
-
-
-def _is_concave(model: ReturnModel) -> bool:
-    key = model.cache_key()
-    cached = _concavity_cache.get(key)
-    if cached is None:
-        cached = returns.check_assumptions(model).a3_ok
-        _concavity_cache[key] = cached
     return cached
 
 
@@ -327,7 +317,8 @@ def solve_selfish(
     if not all(returns.single_peaked(mod) for mod in models):
         raise returns.ReturnModelError("solve_selfish needs single-peaked return models")
     ev = Evaluator(models, stationary)
-    concave = stationary.kind == "monopoly" and all(_is_concave(mod) for mod in models)
+    concave = stationary.kind == "monopoly" and all(
+        returns.strictly_concave(mod) for mod in models)
     gap_tol = GAP_TOL_PER_USER * inst.m
     peaks = np.array([peak_utility(mod, stationary) for mod in models])
 

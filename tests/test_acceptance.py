@@ -53,7 +53,7 @@ class TestEmpiricalDominance:
             models = [parametric(alpha)] * 5
             bound = theorem1_bound(models).bound
             sampler = InstanceSampler("beta", 2.0, 2.0, seed=42)
-            rep = empirical_poa(models, sampler, 5, 5, trials=500, threads=4)
+            rep = empirical_poa(models, sampler, 5, 5, trials=500)
             assert rep.degenerate == 0
             assert min(rep.ratios) >= bound - 1e-6
             assert max(rep.ratios) <= 1.0 + 1e-7
@@ -119,8 +119,7 @@ class TestOnlineDominance:
     def test_online_ratio_and_dominance(self):
         models = [parametric(0.0)] * 5
         sampler = InstanceSampler("beta", 2.0, 2.0, seed=42)
-        rep = online_poa_empirical(models, sampler, 5, 5, trials=500,
-                                   threads=4)
+        rep = online_poa_empirical(models, sampler, 5, 5, trials=500)
         assert rep.degenerate == 0
         assert min(rep.ratios) >= 0.1815 - 0.02
 
@@ -226,7 +225,7 @@ class TestDeterminism:
         paths = []
         for name in ("a.csv", "b.csv"):
             sampler = InstanceSampler("beta", 2.0, 2.0, seed=21)
-            rep = empirical_poa(models, sampler, 3, 3, trials=10, threads=2)
+            rep = empirical_poa(models, sampler, 3, 3, trials=10)
             path = tmp_path / name
             write_trials_csv(rep, path)
             paths.append(path)

@@ -31,6 +31,12 @@ class TestBound:
         manifest = json.loads((out / "manifest.json").read_text())
         assert str(out / "bound.json") in manifest["outputs"]
 
+    def test_alpha_near_one_certified(self, tmp_path):
+        # a sampled concavity check once read a second difference of
+        # +2.8e-17 here as non-concave and exited 2
+        assert main(["bound", "--alpha", "0.999999999999",
+                     "--out-dir", str(tmp_path / "o")]) == 0
+
     def test_invalid_alpha_exit_2(self, tmp_path, capsys):
         assert main(["bound", "--alpha", "1.5",
                      "--out-dir", str(tmp_path / "o")]) == 2
@@ -74,6 +80,29 @@ class TestPoaAndSweep:
         assert main(args + ["--out-dir", str(b)]) == 0
         assert (a / "poa_trials.csv").read_bytes() == \
             (b / "poa_trials.csv").read_bytes()
+
+    def test_threads_flag_ignored(self, tmp_path):
+        args = ["poa", "--alpha", "0.25", "--m", "3", "--n", "3",
+                "--trials", "6", "--seed", "5"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(args + ["--threads", "1", "--out-dir", str(a)]) == 0
+        assert main(args + ["--threads", "4", "--out-dir", str(b)]) == 0
+        assert (a / "poa_trials.csv").read_bytes() == \
+            (b / "poa_trials.csv").read_bytes()
+
+    def test_poa_digest_pinned(self, tmp_path):
+        """Byte-level golden check of the Monte-Carlo trials at alpha 0.5.
+
+        Pins the selfish solver's arithmetic end to end, the peak utility
+        1 / (2 - alpha) included. A change meant to alter the solver's
+        results must update the digest in the same change and say why.
+        """
+        out = tmp_path / "poa"
+        assert main(["poa", "--alpha", "0.5", "--trials", "20", "--seed", "42",
+                     "--out-dir", str(out)]) == 0
+        digest = hashlib.sha256((out / "poa_trials.csv").read_bytes()).hexdigest()
+        assert digest == \
+            "662bf70bda1a495972e82f884b5077c34b2a35419bab86389b0fd85145b092ad"
 
     def test_sweep_bad_eps_exit_1(self, tmp_path, capsys):
         assert main(["sweep", "--eps", "0.5,zero", "--m", "1", "--n", "1",

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from matchmarket.fair import _jv_assign, best_matching, max_weight_assignment, solve_fair
-from matchmarket.market import make_instance
+from matchmarket.market import MarketError, make_instance
 
 # a small value set, so optimal matchings tie; negative entries are never used
 VALUES = (-0.5, 0.0, 0.25, 0.5, 1.0)
@@ -69,6 +69,13 @@ class TestSolveFair:
     def test_ties_resolve_to_lowest_column(self):
         assert best_matching(np.ones((3, 5)))[0].tolist() == [0, 1, 2]
         assert best_matching(np.ones((5, 3)))[0].tolist() == [0, 1, 2, -1, -1]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(MarketError, match="finite"):
+            max_weight_assignment([[bad, bad], [0.2, 0.3]])
+        with pytest.raises(MarketError, match="finite"):
+            max_weight_assignment([[0.5, bad], [0.2, 0.3]])
 
     def test_deterministic(self):
         w = np.full((4, 4), 0.5)  # fully degenerate ties

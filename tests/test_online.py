@@ -94,13 +94,6 @@ class TestOnlineEmpirical:
         assert rep.min_ratio > 0.0
         assert max(rep.ratios) <= 1.0 + 1e-7
 
-    def test_threads_do_not_change_results(self):
-        models = [parametric(0.0)] * 2
-        sampler = InstanceSampler("uniform", seed=6)
-        a = online_poa_empirical(models, sampler, 2, 2, trials=10, threads=1)
-        b = online_poa_empirical(models, sampler, 2, 2, trials=10, threads=4)
-        assert a.ratios == b.ratios
-
     def test_csv_writer(self, tmp_path):
         models = [parametric(0.0)] * 2
         sampler = InstanceSampler("beta", 2.0, 2.0, seed=2)

@@ -90,13 +90,6 @@ class TestEmpiricalPoA:
         assert rep.min_ratio >= bound - 1e-6
         assert max(rep.ratios) <= 1.0 + 1e-7
 
-    def test_threads_do_not_change_results(self):
-        models = [parametric(0.25)] * 2
-        sampler = InstanceSampler("uniform", seed=3)
-        a = empirical_poa(models, sampler, 2, 2, trials=8, threads=1)
-        b = empirical_poa(models, sampler, 2, 2, trials=8, threads=4)
-        assert a.ratios == b.ratios
-
     def test_all_degenerate_raises(self):
         sampler = InstanceSampler("explicit", matrix=np.zeros((2, 2)))
         with pytest.raises(ValueError, match="degenerate"):

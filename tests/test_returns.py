@@ -9,7 +9,6 @@ from matchmarket.returns import (
     ReturnModelError,
     argmax_pi,
     argmax_pi_competition,
-    check_assumptions,
     competition,
     eval_q,
     eval_q_prime,
@@ -19,6 +18,7 @@ from matchmarket.returns import (
     pi_monopoly,
     pi_monopoly_second,
     q_peak,
+    strictly_concave,
 )
 
 ALPHAS = [0.0, 0.25, 0.5, 0.75]
@@ -39,6 +39,8 @@ class TestModels:
             grid(np.zeros(GRID_NODES - 1))
         with pytest.raises(ReturnModelError):
             grid(np.full(GRID_NODES, 1.5))
+        with pytest.raises(ReturnModelError):
+            grid(np.full(GRID_NODES, np.nan))
 
     def test_grid_endpoints_pinned(self):
         g = grid(np.full(GRID_NODES, 0.5))
@@ -183,27 +185,30 @@ class TestEvaluator:
 
 
 class TestAssumptions:
-    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("alpha", ALPHAS + [1.0 - 1e-12])
     def test_parametric_family_passes(self, alpha):
-        rep = check_assumptions(parametric(alpha))
-        assert rep.all_ok
-        assert rep.max_second_diff < 0.0
+        # a sampled second difference of q at alpha = 1 - 1e-12 rounds to
+        # +2.8e-17; the family's certificate does not sample
+        assert strictly_concave(parametric(alpha))
 
     def test_non_concave_grid_fails_a3(self):
         vals = np.zeros(GRID_NODES)
         vals[5] = 0.5
         vals[15] = 0.5
-        rep = check_assumptions(grid(vals))
-        assert not rep.a3_ok
-
-    def test_grid_size_validation(self):
-        with pytest.raises(ReturnModelError):
-            check_assumptions(parametric(0.0), grid_size=5)
+        assert not strictly_concave(grid(vals))
+        # linear between nodes, so even a concave-shaped grid is not strictly concave
+        us = np.linspace(0.0, 1.0, GRID_NODES)
+        assert not strictly_concave(grid(us * (1.0 - us)))
 
 
 class TestPeaks:
     def test_q_peak_alpha0(self):
         assert q_peak(parametric(0.0)) == pytest.approx(0.5, abs=1e-8)
+
+    def test_q_peak_rejects_grid(self):
+        us = np.linspace(0.0, 1.0, GRID_NODES)
+        with pytest.raises(ReturnModelError):
+            q_peak(grid(us * (1.0 - us)))
 
     def test_argmax_pi_competition_example(self):
         # eps = -q(0.8)^2 / q'(0.8) = 0.0256 / 0.6 for q = u(1-u)
