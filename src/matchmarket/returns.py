@@ -9,7 +9,8 @@ pi = q / (1 + q), or the three-state competition chain. This module is the
 only place a formula for q, q', q'', pi, pi' or pi'' is written. The kernels
 take trusted utilities; ``eval_q``, ``eval_q_prime``, ``pi_monopoly``,
 ``pi_monopoly_second`` and ``pi_competition`` check the domain first, and
-``Evaluator`` applies the kernels to a batch of users, grouped by model.
+``Evaluator`` applies the kernels to a batch of users: in one call when they
+share a model, else once per group of users with the same model.
 
 ``strictly_concave`` decides assumption A3 of Theorem 1 from the model
 family alone, with a proof instead of samples: it holds for every
@@ -120,17 +121,30 @@ def _central(f, u):
     return (f(hi) - f(lo)) / (hi - lo)
 
 
-def _q(model: ReturnModel, u):
-    if model.kind == "parametric-alpha":
-        return u * (1.0 - u) ** (1.0 - model.alpha)
-    return np.interp(u, _NODES, model.values)
+def _q_terms(model: ReturnModel, u, order: int) -> list:
+    """[q(u), q'(u), q''(u)][:order + 1].
 
-
-def _q_prime(model: ReturnModel, u):
+    The parametric family shares r = 1 - u: q = u r^e, q' = r^(e-1) (r - u e)
+    and q'' = e r^(e-2) (u(1+e) - 2), with e = 1 - alpha. Grid models
+    interpolate q linearly and take central differences for q' (order <= 1).
+    """
     if model.kind == "parametric-alpha":
         e = 1.0 - model.alpha
-        return (1.0 - u) ** (e - 1.0) * (1.0 - u - u * e)
-    return _central(lambda v: _q(model, v), u)
+        r = 1.0 - u
+        terms = [u * r ** e]
+        if order >= 1:
+            terms.append(r ** (e - 1.0) * (r - u * e))
+        if order >= 2:
+            terms.append(e * r ** (e - 2.0) * (u * (1.0 + e) - 2.0))
+        return terms
+
+    def q(v):
+        return np.interp(v, _NODES, model.values)
+
+    terms = [q(u)]
+    if order >= 1:
+        terms.append(_central(q, u))
+    return terms
 
 
 def _pi(q, u, eps):
@@ -151,31 +165,31 @@ def _pi_prime(q, qp, u, eps):
 def _pi_second(model: ReturnModel, u):
     """d^2/du^2 of the two-state pi.
 
-    Analytic for the parametric family, q''/(1+q)^2 - 2 q'^2/(1+q)^3 with
-    q''(u) = e (1-u)^(e-2) (u(1+e) - 2) and e = 1 - alpha; central
-    differences of pi' for grid models, whose q is piecewise linear.
+    Analytic for the parametric family, q''/(1+q)^2 - 2 q'^2/(1+q)^3;
+    central differences of pi' for grid models, whose q is piecewise linear.
     """
     if model.kind == "parametric-alpha":
-        e = 1.0 - model.alpha
-        q = _q(model, u)
-        qp = _q_prime(model, u)
-        qpp = e * (1.0 - u) ** (e - 2.0) * (u * (1.0 + e) - 2.0)
-        return qpp / (1.0 + q) ** 2 - 2.0 * qp * qp / (1.0 + q) ** 3
-    return _central(lambda v: _pi_prime(_q(model, v), _q_prime(model, v), v, None), u)
+        q, qp, qpp = _q_terms(model, u, 2)
+        t = 1.0 + q
+        return qpp / t ** 2 - 2.0 * qp * qp / t ** 3
+    return _central(lambda v: _pi_prime(*_q_terms(model, v, 1), v, None), u)
 
 
 # ---- checked entry points for utilities from outside the program -----------
 
 def _check_domain(u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    if np.any(u < -1e-12) or np.any(u > 1.0 + 1e-12):
-        raise ReturnModelError("utility outside [0, 1]")
-    return np.clip(u, 0.0, 1.0)
+    lo, hi = u.min(initial=0.0), u.max(initial=0.0)
+    if not (lo >= -1e-12 and hi <= 1.0 + 1e-12):  # also rejects NaN
+        raise ReturnModelError("utility is NaN or outside [0, 1]")
+    if lo < 0.0 or hi > 1.0:
+        u = np.clip(u, 0.0, 1.0)
+    return u[()]  # a 0-d input comes back as a scalar, as np.clip returns it
 
 
 def eval_q(model: ReturnModel, u):
     """q(u); grid models interpolate linearly between nodes."""
-    return _q(model, _check_domain(u))
+    return _q_terms(model, _check_domain(u), 0)[0]
 
 
 def eval_q_prime(model: ReturnModel, u):
@@ -185,13 +199,13 @@ def eval_q_prime(model: ReturnModel, u):
     ``GRID_DERIV_STEP`` for grid models. For alpha > 0 the derivative
     diverges at u = 1.
     """
-    return _q_prime(model, _check_domain(u))
+    return _q_terms(model, _check_domain(u), 1)[1]
 
 
 def pi_monopoly(model: ReturnModel, u):
     """Stationary in-system probability q(u) / (1 + q(u)) of the two-state chain."""
     u = _check_domain(u)
-    return _pi(_q(model, u), u, None)
+    return _pi(_q_terms(model, u, 0)[0], u, None)
 
 
 def pi_monopoly_second(model: ReturnModel, u):
@@ -208,16 +222,18 @@ def pi_competition(model: ReturnModel, u, eps: float):
     if eps <= 0.0:
         raise ReturnModelError("eps must be positive")
     u = _check_domain(u)
-    return _pi(_q(model, u), u, eps)
+    return _pi(_q_terms(model, u, 0)[0], u, eps)
 
 
 class Evaluator:
     """Batch pi_i, pi_i' and pi_i'' for users on the last axis.
 
-    Users with identical models are grouped, so a market whose users share one
-    model costs one numpy expression per quantity regardless of m; that single
-    group is indexed by ``slice(None)``, a view, not a gathered copy.
-    Utilities are not checked: they come from matchings the program built.
+    When every user shares one model (every market of the paper), each
+    quantity is one kernel call on the whole array. Otherwise users are
+    grouped by model, and each group's kernel results are scattered into
+    full-width arrays. ``pi_prime`` and ``pi_second`` take q and its
+    derivatives from one kernel pass. Utilities are not checked: they come
+    from matchings the program built.
     """
 
     def __init__(self, models, stat: Stationary = MONOPOLY):
@@ -227,19 +243,30 @@ class Evaluator:
         grouped: dict[tuple, tuple[ReturnModel, list[int]]] = {}
         for i, mod in enumerate(models):
             grouped.setdefault(mod.cache_key(), (mod, []))[1].append(i)
-        self.groups = [(mod, np.array(ix) if len(grouped) > 1 else slice(None))
-                       for mod, ix in grouped.values()]
+        self.groups = [(mod, np.array(ix)) for mod, ix in grouped.values()]
+        # the one shared model, or None for a mixed market; without users any
+        # model serves, as every kernel maps empty arrays to empty arrays
+        self.model = (None if len(self.groups) > 1 else
+                      self.groups[0][0] if self.groups else parametric(0.0))
 
-    def _by_group(self, kernel, U: np.ndarray) -> np.ndarray:
-        out = np.empty(U.shape)
+    def _by_group(self, kernel, U: np.ndarray, *args):
+        """kernel(model, U[..., users], *args) for every group of users; the
+        kernel returns a list of arrays shaped like its input."""
+        if self.model is not None:
+            return kernel(self.model, U, *args)
+        outs = None
         for mod, ix in self.groups:
-            out[..., ix] = kernel(mod, U[..., ix])
-        return out
+            parts = kernel(mod, U[..., ix], *args)
+            if outs is None:
+                outs = [np.empty(U.shape) for _ in parts]
+            for out, part in zip(outs, parts):
+                out[..., ix] = part
+        return outs
 
     def pi(self, U) -> np.ndarray:
         """pi_i(U[..., i])."""
         U = np.asarray(U, dtype=float)
-        return _pi(self._by_group(_q, U), U, self.eps)
+        return _pi(self._by_group(_q_terms, U, 0)[0], U, self.eps)
 
     def objective(self, U) -> np.ndarray:
         """Sum_i pi_i(U[..., i]) for a batch of utility vectors."""
@@ -248,14 +275,15 @@ class Evaluator:
     def pi_prime(self, u) -> np.ndarray:
         """pi_i'(u_i), evaluated at min(u_i, 1 - 1e-9) since pi' diverges at 1 for alpha > 0."""
         u = np.minimum(u, 1.0 - 1e-9)
-        return _pi_prime(self._by_group(_q, u), self._by_group(_q_prime, u), u, self.eps)
+        q, qp = self._by_group(_q_terms, u, 1)
+        return _pi_prime(q, qp, u, self.eps)
 
     def pi_second(self, u) -> np.ndarray:
         """pi_i''(u_i), evaluated at min(u_i, 1 - 1e-9); the competition chain
         takes central differences of ``pi_prime``."""
         u = np.minimum(u, 1.0 - 1e-9)
         if self.eps is None:
-            return self._by_group(_pi_second, u)
+            return self._by_group(lambda mod, v: [_pi_second(mod, v)], u)[0]
         return _central(self.pi_prime, u)
 
 

@@ -124,7 +124,9 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 
 def _clamped_grad(ev: Evaluator, peaks, u: np.ndarray) -> np.ndarray:
     """Per-user slope of the clamped objective: pi'(u_i) below the peak, 0 from it on."""
-    return np.where(u >= peaks, 0.0, ev.pi_prime(np.minimum(u, peaks)))
+    grad = ev.pi_prime(np.minimum(u, peaks))
+    grad[u >= peaks] = 0.0
+    return grad
 
 
 def _newton_direction(UV: np.ndarray, g: np.ndarray, curv: np.ndarray,
@@ -133,39 +135,46 @@ def _newton_direction(UV: np.ndarray, g: np.ndarray, curv: np.ndarray,
 
     Maximizes g.d + d.H.d / 2 over directions d supported on the face with
     sum(d) = 0, where H = UV diag(curv) UV^T. H has rank at most m, so the
-    (k+1)x(k+1) KKT system gets a tiny ridge; the gradient vanishes along
-    H's null space, so the ridge only picks the shortest of the equal steps.
+    (k+1)x(k+1) KKT system gets a tiny ridge on its diagonal; the gradient
+    vanishes along H's null space, so the ridge only picks the shortest of
+    the equal steps.
     """
     A = UV[face]
     p = len(A)
-    H = (A * curv) @ A.T
     K = np.zeros((p + 1, p + 1))
-    K[:p, :p] = H - WEIGHT_RIDGE * (1.0 + np.abs(np.diag(H)).max()) * np.eye(p)
+    K[:p, :p] = (A * curv) @ A.T
     K[:p, p] = 1.0
     K[p, :p] = 1.0
+    diag = K.ravel()[:p * (p + 2):p + 2]  # a view of H's diagonal
+    diag -= WEIGHT_RIDGE * (1.0 + np.abs(diag).max())
+    rhs = np.zeros(p + 1)
+    np.negative(g[face], out=rhs[:p])
     d = np.zeros(len(g))
-    d[face] = np.linalg.solve(K, np.append(-g[face], 0.0))[:p]
+    d[face] = np.linalg.solve(K, rhs)[:p]
     return d
 
 
-def _ascent_step(ev: Evaluator, peaks, UV, lam, grow, d):
+def _ascent_step(ev: Evaluator, peaks, UV, lam, u0, grow, d):
     """Move the weights along d to near the maximum of the clamped objective.
 
-    A ratio test caps the step at tmax <= 1, where the first weight reaches
-    zero. Where the objective is concave along the line, a step at which its
-    slope is still non-negative lies short of the line's maximizer and
-    cannot lower the objective. The step is tmax if the slope there is
-    non-negative; otherwise a safeguarded secant search on the slope brackets
-    its root and stops at a step whose slope is non-negative and at most a
-    tenth of the initial one. Returns (lam, grow) at the new weights, or None
-    when d does not ascend.
+    ``u0`` is lam @ UV and ``grow`` the clamped gradient there. A ratio test
+    caps the step at tmax <= 1, where the first weight reaches zero. Where
+    the objective is concave along the line, a step at which its slope is
+    still non-negative lies short of the line's maximizer and cannot lower
+    the objective. The step is tmax if the slope there is non-negative;
+    otherwise a safeguarded secant search on the slope brackets its root and
+    stops at a step whose slope is non-negative and at most a tenth of the
+    initial one. Returns (lam, u, grow) at the new weights, or None when d
+    does not ascend.
     """
     # near the optimum g is nearly constant, so sum(d) must vanish to the
     # rounding of d, not of lam, for the slopes below to keep their sign
-    moved = d != 0.0
-    if not moved.any():
+    still = d == 0.0
+    dm = d[~still]
+    if not dm.size:
         return None
-    d = np.where(moved, d - d[moved].mean(), 0.0)
+    d = d - dm.sum() / dm.size
+    d[still] = 0.0
     du = d @ UV
     s0 = float(grow @ du)
     neg = d < 0.0
@@ -173,7 +182,6 @@ def _ascent_step(ev: Evaluator, peaks, UV, lam, grow, d):
     tmax = min(1.0, float(ratios.min(initial=np.inf)))
     if not (s0 > 0.0 and tmax > 0.0):
         return None
-    u0 = lam @ UV
     lo, s_lo, hi, s_hi = 0.0, s0, tmax, 0.0
     t, found = tmax, False
     for _ in range(LINE_MAX_ITERS):
@@ -192,7 +200,8 @@ def _ascent_step(ev: Evaluator, peaks, UV, lam, grow, d):
     new = np.maximum(lam + lo * d, 0.0)
     if lo == tmax and tmax < 1.0:
         new[np.flatnonzero(neg)[np.argmin(ratios)]] = 0.0
-    return new, _clamped_grad(ev, peaks, new @ UV)
+    u = new @ UV
+    return new, u, _clamped_grad(ev, peaks, u)
 
 
 def _correct_weights(ev: Evaluator, peaks, UV: np.ndarray, lam: np.ndarray,
@@ -203,42 +212,43 @@ def _correct_weights(ev: Evaluator, peaks, UV: np.ndarray, lam: np.ndarray,
     weight problem is F(lam) = sum_i pi_i(min((lam @ UV)_i, peak_i)) over the
     simplex, which is concave when every pi_i is. Each iteration takes a
     Newton step on the face of positive weights, widened by the vertex of
-    largest gradient; a vertex at zero weight that the step would push
-    negative leaves the face. The Hessian uses min(pi'', 0) below each
-    user's peak and 0 from the peak on, where the clamped objective is flat,
-    so it stays negative semidefinite and the step ascends even where a
-    non-concave pi_i is convex. A projected-gradient step stands in when the
-    Newton direction does not ascend.
+    largest gradient; if the step would push that vertex's zero weight
+    negative, the vertex leaves the face and the step is taken again. The
+    Hessian uses min(pi'', 0) below each user's peak and 0 from the peak on,
+    where the clamped objective is flat, so it stays negative semidefinite
+    and the step ascends even where a non-concave pi_i is convex. A
+    projected-gradient step stands in when the Newton direction does not
+    ascend. The utilities u = lam @ UV and the clamped gradient there are
+    carried from each step into the next, not computed again.
 
     Stops when the weight problem's own Frank-Wolfe gap max(g) - lam.g is at
     most ``tol`` and returns (lam, True); returns (lam, False) when no
     ascent step is found, or when ``WEIGHT_MAX_ITERS`` steps leave the gap
     above ``tol``.
     """
-    grow = _clamped_grad(ev, peaks, lam @ UV)
+    u = lam @ UV
+    grow = _clamped_grad(ev, peaks, u)
     for _ in range(WEIGHT_MAX_ITERS):
         g = UV @ grow
-        j = int(np.argmax(g))
+        j = int(g.argmax())
         if g[j] - lam @ g <= tol:
             return lam, True
-        u = lam @ UV
-        curv = np.where(u >= peaks, 0.0, np.minimum(ev.pi_second(np.minimum(u, peaks)), 0.0))
+        curv = np.minimum(ev.pi_second(np.minimum(u, peaks)), 0.0)
+        curv[u >= peaks] = 0.0
         face = lam > 0.0
         face[j] = True
-        while True:
+        d = _newton_direction(UV, g, curv, face)
+        if lam[j] <= 0.0 and d[j] < 0.0:  # j is the face's one vertex at zero weight
+            face[j] = False
             d = _newton_direction(UV, g, curv, face)
-            pushed = face & (lam <= 0.0) & (d < 0.0)
-            if not pushed.any():
-                break
-            face &= ~pushed
-        step = _ascent_step(ev, peaks, UV, lam, grow, d)
+        step = _ascent_step(ev, peaks, UV, lam, u, grow, d)
         if step is None:
             scale = max(float(-((UV * UV) @ curv).min()), tol)
-            step = _ascent_step(ev, peaks, UV, lam, grow,
+            step = _ascent_step(ev, peaks, UV, lam, u, grow,
                                 _project_simplex(lam + g / scale) - lam)
             if step is None:
                 return lam, False
-        lam, grow = step
+        lam, u, grow = step
     g = UV @ grow
     return lam, bool(g.max() - lam @ g <= tol)
 
@@ -250,7 +260,11 @@ def _afw(inst: MarketInstance, ev: Evaluator, peaks, gap_tol: float, start):
     active set begins with it at weight 1. Each iteration adds the LP-oracle
     vertex to the active set and then reoptimizes the convex weights over the
     whole active set with ``_correct_weights``, which avoids the zig-zagging
-    of plain Frank-Wolfe steps on the clamped (flat-beyond-peak) objective.
+    of plain Frank-Wolfe steps on the clamped (flat-beyond-peak) objective
+    (the fully-corrective variant of Lacoste-Julien and Jaggi, NeurIPS 2015).
+    Each active vertex, keyed by its column per row, keeps its weight and
+    its per-user utility row, so the weight problem's matrix is stacked
+    from stored rows; x adds each weight into its vertex's cells in key order.
     The empty matching stays in the active set so total mass may stay below
     1. Stops when the FW gap is at most ``gap_tol`` or after ``MAX_ITERS``
     iterations; returns (x, gap, iterations, number of weight solves that
@@ -258,11 +272,16 @@ def _afw(inst: MarketInstance, ev: Evaluator, peaks, gap_tol: float, start):
     """
     w = inst.w
     m, n = w.shape
+    w_rows = w.tolist()
+
+    def utility_row(key):
+        return [w_rows[i][j] if j >= 0 else 0.0 for i, j in enumerate(key)]
+
     empty = tuple([-1] * m)
     first = tuple(int(j) for j in start)
     active = {empty: 0.0} | {first: 1.0}
-    vertices = {k: vertex_matrix(k, (m, n)) for k in active}
-    x = vertices[first]
+    util = {k: utility_row(k) for k in active}
+    x = vertex_matrix(first, (m, n))
     gap = np.inf
     short = 0
     it = 0
@@ -274,20 +293,23 @@ def _afw(inst: MarketInstance, ev: Evaluator, peaks, gap_tol: float, start):
         if gap <= gap_tol:
             break
         s_key = tuple(row_match)
-        vertices.setdefault(s_key, vertex_matrix(row_match, (m, n)))
+        if s_key not in util:
+            util[s_key] = utility_row(s_key)
         active.setdefault(s_key, 0.0)
         keys = sorted(active)
-        lam = np.array([active[k] for k in keys])
-        UV = np.stack([(w * vertices[k]).sum(axis=1) for k in keys])
-        lam, converged = _correct_weights(ev, peaks, UV, lam,
+        lam, converged = _correct_weights(ev, peaks, np.array([util[k] for k in keys]),
+                                          np.array([active[k] for k in keys]),
                                           WEIGHT_GAP_FRACTION * gap_tol)
         short += not converged
         active = {k: float(a) for k, a in zip(keys, lam) if a > 0.0}
         active.setdefault(empty, 0.0)
-        vertices = {k: vertices[k] for k in active}
-        x = np.zeros((m, n))
+        util = {k: util[k] for k in active}
+        cells = [[0.0] * n for _ in range(m)]
         for k, a in active.items():
-            x = x + a * vertices[k]
+            for i, j in enumerate(k):
+                if j >= 0:
+                    cells[i][j] += a
+        x = np.array(cells)
     return x, gap, it, short
 
 

@@ -1,4 +1,4 @@
-"""Brute-force oracles shared by the unit and acceptance tests."""
+"""Brute-force and reference oracles shared by the unit and acceptance tests."""
 
 from itertools import permutations
 from math import perm as n_perm
@@ -7,6 +7,7 @@ import numpy as np
 
 from matchmarket.market import MarketInstance
 from matchmarket.returns import MONOPOLY, Evaluator
+from matchmarket.selfish import LINE_MAX_ITERS, WEIGHT_MAX_ITERS, WEIGHT_RIDGE, _project_simplex
 
 
 def brute_force_fair(inst: MarketInstance) -> float:
@@ -69,6 +70,133 @@ def jv_assign_numpy(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
         if p[j] != 0:
             row_match[p[j] - 1] = j - 1
     return row_match, u[1:], v[1:]
+
+
+# ---- reference weight solve ------------------------------------------------
+# The selfish weight solve as it was before its numpy calls were trimmed: it
+# rebuilds u = lam @ UV in every step, builds the KKT system with np.eye,
+# np.diag and np.append, and clamps with np.where. ``selfish._correct_weights``
+# must return the same (lam, converged), bit for bit.
+
+def _clamped_grad(ev: Evaluator, peaks, u: np.ndarray) -> np.ndarray:
+    """Per-user slope of the clamped objective: pi'(u_i) below the peak, 0 from it on."""
+    return np.where(u >= peaks, 0.0, ev.pi_prime(np.minimum(u, peaks)))
+
+
+def _newton_direction(UV: np.ndarray, g: np.ndarray, curv: np.ndarray,
+                      face: np.ndarray) -> np.ndarray:
+    """Newton ascent direction of the weight problem on the face ``face``.
+
+    Maximizes g.d + d.H.d / 2 over directions d supported on the face with
+    sum(d) = 0, where H = UV diag(curv) UV^T. H has rank at most m, so the
+    (k+1)x(k+1) KKT system gets a tiny ridge; the gradient vanishes along
+    H's null space, so the ridge only picks the shortest of the equal steps.
+    """
+    A = UV[face]
+    p = len(A)
+    H = (A * curv) @ A.T
+    K = np.zeros((p + 1, p + 1))
+    K[:p, :p] = H - WEIGHT_RIDGE * (1.0 + np.abs(np.diag(H)).max()) * np.eye(p)
+    K[:p, p] = 1.0
+    K[p, :p] = 1.0
+    d = np.zeros(len(g))
+    d[face] = np.linalg.solve(K, np.append(-g[face], 0.0))[:p]
+    return d
+
+
+def _ascent_step(ev: Evaluator, peaks, UV, lam, grow, d):
+    """Move the weights along d to near the maximum of the clamped objective.
+
+    A ratio test caps the step at tmax <= 1, where the first weight reaches
+    zero. Where the objective is concave along the line, a step at which its
+    slope is still non-negative lies short of the line's maximizer and
+    cannot lower the objective. The step is tmax if the slope there is
+    non-negative; otherwise a safeguarded secant search on the slope brackets
+    its root and stops at a step whose slope is non-negative and at most a
+    tenth of the initial one. Returns (lam, grow) at the new weights, or None
+    when d does not ascend.
+    """
+    # near the optimum g is nearly constant, so sum(d) must vanish to the
+    # rounding of d, not of lam, for the slopes below to keep their sign
+    moved = d != 0.0
+    if not moved.any():
+        return None
+    d = np.where(moved, d - d[moved].mean(), 0.0)
+    du = d @ UV
+    s0 = float(grow @ du)
+    neg = d < 0.0
+    ratios = lam[neg] / -d[neg]
+    tmax = min(1.0, float(ratios.min(initial=np.inf)))
+    if not (s0 > 0.0 and tmax > 0.0):
+        return None
+    u0 = lam @ UV
+    lo, s_lo, hi, s_hi = 0.0, s0, tmax, 0.0
+    t, found = tmax, False
+    for _ in range(LINE_MAX_ITERS):
+        s = float(_clamped_grad(ev, peaks, u0 + t * du) @ du)
+        if s >= 0.0:
+            lo, s_lo, found = t, s, True
+            if t == tmax or s <= 0.1 * s0:
+                break
+        else:
+            hi, s_hi = t, s
+        width = hi - lo
+        secant = lo + width * s_lo / (s_lo - s_hi)
+        t = min(max(secant, lo + 0.1 * width), hi - 0.1 * width)
+    if not found:
+        return None
+    new = np.maximum(lam + lo * d, 0.0)
+    if lo == tmax and tmax < 1.0:
+        new[np.flatnonzero(neg)[np.argmin(ratios)]] = 0.0
+    return new, _clamped_grad(ev, peaks, new @ UV)
+
+
+def correct_weights_reference(ev: Evaluator, peaks, UV: np.ndarray, lam: np.ndarray,
+                              tol: float) -> tuple[np.ndarray, bool]:
+    """Maximize the clamped objective over convex weights of the active set.
+
+    ``UV[k]`` is the per-user utility vector of active vertex k, so the
+    weight problem is F(lam) = sum_i pi_i(min((lam @ UV)_i, peak_i)) over the
+    simplex, which is concave when every pi_i is. Each iteration takes a
+    Newton step on the face of positive weights, widened by the vertex of
+    largest gradient; a vertex at zero weight that the step would push
+    negative leaves the face. The Hessian uses min(pi'', 0) below each
+    user's peak and 0 from the peak on, where the clamped objective is flat,
+    so it stays negative semidefinite and the step ascends even where a
+    non-concave pi_i is convex. A projected-gradient step stands in when the
+    Newton direction does not ascend.
+
+    Stops when the weight problem's own Frank-Wolfe gap max(g) - lam.g is at
+    most ``tol`` and returns (lam, True); returns (lam, False) when no
+    ascent step is found, or when ``WEIGHT_MAX_ITERS`` steps leave the gap
+    above ``tol``.
+    """
+    grow = _clamped_grad(ev, peaks, lam @ UV)
+    for _ in range(WEIGHT_MAX_ITERS):
+        g = UV @ grow
+        j = int(np.argmax(g))
+        if g[j] - lam @ g <= tol:
+            return lam, True
+        u = lam @ UV
+        curv = np.where(u >= peaks, 0.0, np.minimum(ev.pi_second(np.minimum(u, peaks)), 0.0))
+        face = lam > 0.0
+        face[j] = True
+        while True:
+            d = _newton_direction(UV, g, curv, face)
+            pushed = face & (lam <= 0.0) & (d < 0.0)
+            if not pushed.any():
+                break
+            face &= ~pushed
+        step = _ascent_step(ev, peaks, UV, lam, grow, d)
+        if step is None:
+            scale = max(float(-((UV * UV) @ curv).min()), tol)
+            step = _ascent_step(ev, peaks, UV, lam, grow,
+                                _project_simplex(lam + g / scale) - lam)
+            if step is None:
+                return lam, False
+        lam, grow = step
+    g = UV @ grow
+    return lam, bool(g.max() - lam @ g <= tol)
 
 
 def max_single_row_utility(w) -> float:

@@ -68,6 +68,21 @@ class TestEvalQ:
         with pytest.raises(ReturnModelError):
             eval_q(parametric(0.0), 1.5)
 
+    @pytest.mark.parametrize("u", [np.nan, [0.5, np.nan]])
+    def test_nan_rejected(self, u):
+        m = parametric(0.5)
+        for f in (eval_q, eval_q_prime, pi_monopoly, pi_monopoly_second):
+            with pytest.raises(ReturnModelError):
+                f(m, u)
+        with pytest.raises(ReturnModelError):
+            pi_competition(m, u, 0.1)
+
+    def test_empty_and_edge_inputs(self):
+        m = parametric(0.5)
+        assert eval_q(m, []).shape == (0,)
+        # within 1e-12 of the domain, utilities are clipped onto it
+        np.testing.assert_array_equal(eval_q(m, [-1e-13, 1.0 + 1e-13]), [0.0, 0.0])
+
     def test_grid_interpolation(self):
         vals = np.zeros(GRID_NODES)
         vals[10] = 0.8  # node u = 0.5
@@ -182,6 +197,40 @@ class TestEvaluator:
             pis = [pi_competition(model, U[:, i] + k * h, eps) for k in (-1, 0, 1)]
             numeric = (pis[0] - 2 * pis[1] + pis[2]) / h**2
             np.testing.assert_allclose(ev.pi_second(U)[:, i], numeric, atol=1e-5)
+
+
+    @pytest.mark.parametrize("eps", [None, 0.1])
+    def test_one_group_matches_grouped(self, eps):
+        # a market of one model takes the whole-array path, and gives the
+        # same bits as that model's columns in the grouped evaluator
+        models, U = self._mixed()
+        stat = MONOPOLY if eps is None else competition(eps)
+        grouped = Evaluator(models, stat)
+        for model in models:
+            ix = [i for i, mod in enumerate(models) if mod.cache_key() == model.cache_key()]
+            one = Evaluator([model] * len(ix), stat)
+            for quantity in ("pi", "pi_prime", "pi_second"):
+                np.testing.assert_array_equal(getattr(one, quantity)(U[:, ix]),
+                                              getattr(grouped, quantity)(U)[:, ix])
+
+    def test_no_users(self):
+        ev = Evaluator([])
+        np.testing.assert_array_equal(ev.objective(np.zeros((3, 0))), np.zeros(3))
+        assert ev.pi_prime(np.zeros(0)).shape == ev.pi_second(np.zeros(0)).shape == (0,)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_shared_terms_round_as_separate_formulas(self, alpha):
+        # q, q' and q'' from one r = 1 - u give the bits of each formula
+        # written out on its own, as 1 - u - u e evaluates as (1 - u) - u e
+        u = np.linspace(0.0, 0.999, 1001)
+        e = 1.0 - alpha
+        q = u * (1.0 - u) ** (1.0 - alpha)
+        qp = (1.0 - u) ** (e - 1.0) * (1.0 - u - u * e)
+        qpp = e * (1.0 - u) ** (e - 2.0) * (u * (1.0 + e) - 2.0)
+        ev = Evaluator([parametric(alpha)])
+        np.testing.assert_array_equal(ev.pi_prime(u[:, None])[:, 0], qp / (1.0 + q) ** 2)
+        np.testing.assert_array_equal(ev.pi_second(u[:, None])[:, 0],
+                                      qpp / (1.0 + q) ** 2 - 2.0 * qp * qp / (1.0 + q) ** 3)
 
 
 class TestAssumptions:

@@ -1,6 +1,9 @@
+from functools import cache
+from unittest import mock
+
 import numpy as np
 import pytest
-from helpers_oracles import oracle_2x2, oracle_single_row
+from helpers_oracles import correct_weights_reference, oracle_2x2, oracle_single_row
 
 from matchmarket import selfish
 from matchmarket.market import InstanceSampler, make_instance, sample_instance
@@ -188,30 +191,64 @@ class TestCompetition:
         assert sol.starts_capped > 0
 
 
+def _seed42(alpha, trials):
+    models = [parametric(alpha)] * 5
+    sampler = InstanceSampler("beta", 2.0, 2.0, seed=42)
+    for trial in range(trials):
+        inst = sample_instance(sampler, 5, 5, trial)
+        yield inst, models, solve_selfish(inst, models, seed=42)
+
+
+@cache
+def _seed42_recorded(alpha):
+    """The 50 seed-42 5x5 solves at ``alpha``, run once, and every weight
+    solve they made as ((ev, peaks, UV, lam, tol), (lam, converged))."""
+    calls = []
+    solve = selfish._correct_weights
+
+    def recording(ev, peaks, UV, lam, tol):
+        args = (ev, peaks, UV.copy(), lam.copy(), tol)
+        out = solve(ev, peaks, UV, lam, tol)
+        calls.append((args, out))
+        return out
+
+    with mock.patch.object(selfish, "_correct_weights", recording):
+        solves = list(_seed42(alpha, 50))
+    return solves, calls
+
+
 class TestWeightSolve:
     """The Newton weight step reaches its own gap tolerance, and a weight
     solve that stops short of it is counted in the solution."""
 
-    @staticmethod
-    def _seed42(alpha, trials):
-        models = [parametric(alpha)] * 5
-        sampler = InstanceSampler("beta", 2.0, 2.0, seed=42)
-        for trial in range(trials):
-            inst = sample_instance(sampler, 5, 5, trial)
-            yield inst, models, solve_selfish(inst, models, seed=42)
+    # sum and max of the Frank-Wolfe iterations over trials 0-49 per alpha
+    FW_ITERATIONS = {0.0: (205, 10), 0.25: (292, 14), 0.5: (404, 17), 0.75: (266, 10)}
 
-    @pytest.mark.parametrize("alpha", [0.25, 0.5])
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75])
     def test_converges_without_cap_on_seed42(self, alpha):
-        for inst, models, sol in self._seed42(alpha, 50):
+        solves, _ = _seed42_recorded(alpha)
+        for inst, models, sol in solves:
             assert sol.mode == "concave-exact"
             assert sol.weight_solves_short == 0
+            assert sol.starts_capped == 0
             assert sol.fw_gap <= 1e-7 * inst.m
             assert kkt_residual_of(inst, models, sol).max_residual <= 1e-6
+        iterations = [sol.iterations for _, _, sol in solves]
+        assert (sum(iterations), max(iterations)) == self.FW_ITERATIONS[alpha]
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5])
+    def test_matches_reference_weight_solve(self, alpha):
+        _, calls = _seed42_recorded(alpha)
+        for args, (lam, converged) in calls:
+            ref_lam, ref_converged = correct_weights_reference(*args)
+            assert lam.tobytes() == ref_lam.tobytes()
+            assert converged == ref_converged
+        assert len(calls) == self.FW_ITERATIONS[alpha][0] - 50  # one per non-final FW iteration
 
     def test_capped_weight_solves_are_reported(self, monkeypatch):
         monkeypatch.setattr(selfish, "WEIGHT_MAX_ITERS", 1)
         short = 0
-        for inst, models, sol in self._seed42(0.25, 10):
+        for inst, models, sol in _seed42(0.25, 10):
             short += sol.weight_solves_short
             assert sol.fw_gap <= 1e-7 * inst.m
             assert kkt_residual_of(inst, models, sol).max_residual <= 1e-6
