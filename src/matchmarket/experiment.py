@@ -19,10 +19,17 @@ from this round's switch rates). ``assign_round`` is one
 payoffs, pi of the learned model, or its raw q), with no market instance,
 matching object or certificate built around it. Per-player state lives in
 Python lists of bools, ints and floats, and means come from running float
-sums, so the loop makes numpy calls only to draw random numbers, to build
-the assignment sub-matrix, and to update and snapshot the learned return
-model. The player and arm seed sequences are hashed once per game and shared
-by the three arms.
+sums. The assignment sub-matrix is one list comprehension over the payoff
+rows, and the Selfish arm's learning mixes the 21 grid values as Python
+floats, so the loop calls numpy only to draw random numbers, inside
+``assign_round``, and to build each learned model. A snapshot shares its
+model's read-only values.
+
+``run_study`` builds what the three arms of a game share once: the mean and
+normalized payoff rows as lists, and the player and Random-arm generators,
+whose bit-generator states it saves before any draw. Each arm restores those
+states, so the arms replay the same streams without seeding again.
+``prior_q`` returns one shared module-level model.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import csv
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,8 +135,7 @@ class BehaviorModel:
         return self.drop_base + (self.drop_low_bonus if low else 0.0)
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     condition: str
     round: int  # 1-based
     player: int
@@ -186,26 +193,38 @@ def generate_market(config: StudyConfig, game_index: int = 0):
     return w_slots, eps_players, mean_payoffs
 
 
+_NODES = np.linspace(0.0, 1.0, GRID_NODES)
+_PRIOR = returns.grid(_NODES * (1.0 - _NODES))
+# the payoff bin each grid node reads: nodes 2b and 2b + 1 read bin b
+_NODE_BIN = [min(k // 2, PAYOFF_BINS - 1) for k in range(GRID_NODES)]
+
+
 def prior_q() -> ReturnModel:
-    nodes = np.linspace(0.0, 1.0, GRID_NODES)
-    return returns.grid(nodes * (1.0 - nodes))
+    """The prior return model q(u) = u (1 - u) on the grid: one shared,
+    immutable model (its values are read-only)."""
+    return _PRIOR
 
 
-def bins_to_grid(bin_fractions: np.ndarray) -> np.ndarray:
-    """Spread 2-cent-bin switch fractions onto the 21 grid nodes (NaN kept)."""
-    if bin_fractions.shape != (PAYOFF_BINS,):
+def bins_to_grid(bin_fractions) -> list:
+    """Spread 2-cent-bin switch fractions onto the 21 grid nodes (NaN kept).
+
+    Takes a sequence of ``PAYOFF_BINS`` values and returns a list of
+    ``GRID_NODES``; node k reads bin min(k // 2, PAYOFF_BINS - 1).
+    """
+    if len(bin_fractions) != PAYOFF_BINS:
         raise ExperimentError(f"expected {PAYOFF_BINS} payoff bins")
-    nodes = np.arange(GRID_NODES)
-    return bin_fractions[np.minimum(nodes // 2, PAYOFF_BINS - 1)]
+    return [bin_fractions[b] for b in _NODE_BIN]
 
 
-def q_update(q_round: ReturnModel, f_round: np.ndarray,
-             alpha_learn: float) -> ReturnModel:
+def q_update(q_round: ReturnModel, f_round, alpha_learn: float) -> ReturnModel:
     """Convex mix of the prior grid with observed switch fractions.
 
-    ``f_round`` holds one value per grid node; NaN marks unobserved nodes,
-    which keep their prior value. Endpoints are re-pinned to 0 by the grid
-    constructor.
+    ``f_round`` holds one value per grid node; NaN (any non-finite value)
+    marks unobserved nodes, which keep their prior value. Endpoints are
+    re-pinned to 0 by the grid constructor. The mix runs on the 21 values as
+    Python floats: alpha * old + (1 - alpha) * clip(f, 0, 1), the same IEEE
+    operations in the same order as on numpy arrays, and ``min(max(f, 0.0),
+    1.0)`` is ``np.clip`` for finite f, signed zeros included.
     """
     if q_round.kind != "grid":
         raise ExperimentError("q_update needs a grid model")
@@ -214,24 +233,24 @@ def q_update(q_round: ReturnModel, f_round: np.ndarray,
         raise ExperimentError("misaligned grids")
     if not (0.0 <= alpha_learn <= 1.0):
         raise ExperimentError("alpha_learn must lie in [0, 1]")
-    old = np.asarray(q_round.values)
-    observed = np.isfinite(f_round)
-    new = old.copy()
-    new[observed] = alpha_learn * old[observed] \
-        + (1.0 - alpha_learn) * np.clip(f_round[observed], 0.0, 1.0)
-    return returns.grid(new)
+    keep = 1.0 - alpha_learn
+    return returns.grid([
+        alpha_learn * old + keep * min(max(f, 0.0), 1.0) if math.isfinite(f) else old
+        for old, f in zip(q_round.values.tolist(), f_round.tolist())
+    ])
 
 
-def assign_round(condition: str, weights: np.ndarray, learned_q: ReturnModel,
+def assign_round(condition: str, weights, learned_q: ReturnModel,
                  selfish_objective: str = "stationary") -> np.ndarray:
     """Integral assignment of requesting players (rows) to open slots (cols).
 
-    ``weights`` are normalized mean payoffs in [0, 1]; disallowed pairs must
-    already be zeroed (zero-value edges are never matched). Returns the
-    chosen column per row, -1 for unassigned. Each objective is one
-    ``best_matching`` call on its per-edge matrix, the same matching that
-    ``solve_fair``, ``solve_selfish_integral`` and ``max_weight_assignment``
-    return, without their duals, instances or matching objects.
+    ``weights`` (an array, or a list of rows) are normalized mean payoffs in
+    [0, 1]; disallowed pairs must already be zeroed (zero-value edges are
+    never matched). Returns the chosen column per row, -1 for unassigned.
+    Each objective is one ``best_matching`` call on its per-edge matrix, the
+    same matching that ``solve_fair``, ``solve_selfish_integral`` and
+    ``max_weight_assignment`` return, without their duals, instances or
+    matching objects.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.size == 0:
@@ -257,20 +276,28 @@ def agent_step(matched: bool, payoff_cents: float, round_index: int,
     return "Continue"
 
 
+class _Game(NamedTuple):
+    """What the three arms of one game share, built once by ``run_study``."""
+
+    means: list  # mean payoffs in cents, one list per player
+    norm: list  # means / payoff_scale clipped to [0, 1], one list per player
+    rngs: list  # one generator per player, then the Random arm's generator
+    states: list  # their bit-generator states before the first draw
+
+
 def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
-             mean_payoffs: np.ndarray, player_seeds: list[np.random.SeedSequence],
-             arm_seed: np.random.SeedSequence,
-             q0: ReturnModel | None = None) -> ArmLog:
+             game: _Game, q0: ReturnModel | None = None) -> ArmLog:
     n, m, R = config.players_per_condition, config.slots, config.rounds
     outside = config.outside_per_round
-    # agent/noise streams are keyed identically for every arm so that the
-    # conditions face the same randomness where consumption aligns
-    player_rng = [np.random.default_rng(seed) for seed in player_seeds]
-    arm_rng = np.random.default_rng(arm_seed)
-    norm = np.clip(mean_payoffs / config.payoff_scale, 0.0, 1.0)
-    means = mean_payoffs.tolist()
+    # agent/noise streams restart from the same states in every arm so that
+    # the conditions face the same randomness where consumption aligns
+    for rng, state in zip(game.rngs, game.states):
+        rng.bit_generator.state = state
+    *player_rng, arm_rng = game.rngs
+    means, norm = game.means, game.norm
     q = q0 if q0 is not None else prior_q()
     log = ArmLog(condition=condition)
+    records = log.records
     active = [True] * n
     slot_of = [-1] * n
     forbidden = [set() for _ in range(n)]
@@ -291,7 +318,7 @@ def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
                 slot_of[i] = -1
                 totals[i] += outside * (R - r + 1)
                 drops += 1
-                log.records.append(RoundRecord(condition, r, i, -1, 0.0, "Exit"))
+                records.append(RoundRecord(condition, r, i, -1, 0.0, "Exit"))
         log.drop_count_per_round.append(drops)
 
         # assignment phase
@@ -299,16 +326,13 @@ def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
         open_slots = [j for j in range(m) if j not in held]
         requesters = [i for i in range(n) if active[i] and slot_of[i] < 0]
         if requesters and open_slots:
-            sub = norm.take(requesters, axis=0).take(open_slots, axis=1)
-            for a, i in enumerate(requesters):
-                for b, j in enumerate(open_slots):
-                    if j in forbidden[i]:
-                        sub[a, b] = 0.0
+            sub = [[0.0 if j in forbidden[i] else norm[i][j] for j in open_slots]
+                   for i in requesters]
             if condition == "Random":
                 match = _random_assign(sub, arm_rng)
             else:
-                match = assign_round(condition, sub, q, config.selfish_objective)
-            for i, b in zip(requesters, match.tolist()):
+                match = assign_round(condition, sub, q, config.selfish_objective).tolist()
+            for i, b in zip(requesters, match):
                 if b >= 0:
                     slot_of[i] = open_slots[b]
 
@@ -321,7 +345,7 @@ def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
                 continue
             j = slot_of[i]
             if j < 0:
-                log.records.append(RoundRecord(condition, r, i, -1, 0.0, "Wait"))
+                records.append(RoundRecord(condition, r, i, -1, 0.0, "Wait"))
                 continue
             p = max(0.0, player_rng[i].normal(means[i][j], config.noise_sd))
             totals[i] += p
@@ -335,7 +359,7 @@ def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
                 forbidden[i].add(j)
                 slot_of[i] = -1
             switch_obs.append((p, action == "Rematch"))
-            log.records.append(RoundRecord(condition, r, i, j, p, action))
+            records.append(RoundRecord(condition, r, i, j, p, action))
         log.engagement_per_round.append(rematches / matched if matched else 0.0)
         log.mean_payoff_per_round.append(round_total / matched if matched else 0.0)
 
@@ -348,21 +372,27 @@ def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
                 b = min(int(min(p, config.payoff_scale) / width), PAYOFF_BINS - 1)
                 counts[b] += 1
                 hits[b] += switched
-            bins = np.array([h / c if c else np.nan for h, c in zip(hits, counts)])
+            bins = [h / c if c else math.nan for h, c in zip(hits, counts)]
             q = q_update(q, bins_to_grid(bins), config.alpha_learn)
-        log.q_snapshots.append(np.asarray(q.values).copy())
+        # a model's values are a read-only array of its own, so the snapshot
+        # shares them
+        log.q_snapshots.append(q.values)
 
     log.totals = np.array(totals)
     return log
 
 
-def _random_assign(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random matching among positive-weight open slots."""
-    k, l = weights.shape
-    match = np.full(k, -1, dtype=int)
-    free = list(range(l))
-    for a in rng.permutation(k):
-        allowed = [b for b in free if weights[a, b] > 0.0]
+def _random_assign(weights: list, rng: np.random.Generator) -> list[int]:
+    """Uniform random matching among positive-weight open slots.
+
+    ``weights`` holds one list of floats per row; returns the chosen column
+    per row, -1 for unassigned.
+    """
+    match = [-1] * len(weights)
+    free = list(range(len(weights[0])))
+    for a in rng.permutation(len(weights)).tolist():
+        row = weights[a]
+        allowed = [b for b in free if row[b] > 0.0]
         if allowed:
             b = allowed[int(rng.integers(len(allowed)))]
             match[a] = b
@@ -381,13 +411,19 @@ def run_study(config: StudyConfig, behavior: BehaviorModel | None = None,
     behavior = behavior or BehaviorModel()
     w_slots, eps_players, mean_payoffs = generate_market(config, game_index)
     n = config.players_per_condition
-    # default_rng of one SeedSequence repeats its stream, so every arm gets
-    # the same streams from seeds hashed once per game
-    player_seeds = [np.random.SeedSequence((config.seed, game_index, 2, i))
-                    for i in range(n)]
-    arm_seed = np.random.SeedSequence((config.seed, game_index, 3))
+    # the generators are seeded once per game; each arm restores their saved
+    # states, which replays the streams a fresh default_rng would give
+    seeds = [(config.seed, game_index, 2, i) for i in range(n)]
+    seeds.append((config.seed, game_index, 3))
+    rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
+    game = _Game(
+        means=mean_payoffs.tolist(),
+        norm=np.clip(mean_payoffs / config.payoff_scale, 0.0, 1.0).tolist(),
+        rngs=rngs,
+        states=[rng.bit_generator.state for rng in rngs],
+    )
     arms = {
-        name: _run_arm(name, config, behavior, mean_payoffs, player_seeds, arm_seed,
+        name: _run_arm(name, config, behavior, game,
                        q0=selfish_q0 if name == "Selfish" else None)
         for name in ("Fair", "Selfish", "Random")
     }

@@ -5,11 +5,13 @@ Volgenant (Computing 38, 1987) over the rectangular weight matrix padded with
 zero-weight slack columns, so leaving a user unmatched costs nothing. Edges
 with nonpositive weight are never used.
 
-It is one loop on Python lists. The program solves thousands of small
-problems (5x5 markets in the price-of-anarchy loop, at most 3x13 per round
-of the behavioral study), where a numpy step costs more in call overhead than
-in arithmetic. Against the same loop on numpy arrays (kept in the tests as
-the reference it must match bit for bit), a call took, on a 2-CPU Xeon with
+It is one loop on Python lists, and ``best_matching`` builds its cost (the
+clip at zero, the slack columns and the negation) and clips its duals on
+Python lists as well, rounding as numpy would. The program solves thousands
+of small problems (5x5 markets in the price-of-anarchy loop, at most 3x13
+per round of the behavioral study), where a numpy step costs more in call
+overhead than in arithmetic. Against the same loop on numpy arrays (kept in
+the tests as the reference it must match bit for bit), a call took, on a 2-CPU Xeon with
 Python 3.11 and numpy 2.4: 0.013 against 0.12 ms at 5x5, 0.33 against 2.1 ms
 at 20x20, 11 against 18 ms at 100x100, and about the same at 200x200. Larger
 inputs cost more than they would on numpy: 194 against 140 ms at 300x300,
@@ -65,19 +67,21 @@ class FairSolution:
     assignment: AssignmentResult
 
 
-def _jv_assign(cost: np.ndarray) -> tuple[list[int], list[float], list[float]]:
-    """Jonker-Volgenant shortest augmenting paths, minimization, m <= K.
+def _jv_assign(cost: list[list[float]],
+               k: int) -> tuple[list[int], list[float], list[float]]:
+    """Jonker-Volgenant shortest augmenting paths, minimization, m <= k.
 
-    Returns the assigned column per row and the row and column potentials
-    u, v, with cost - u - v >= 0 everywhere and = 0 on assigned edges, as
-    Python lists. Each row's search is Dijkstra over the columns: a step
-    scans the still-free columns in ascending order, so ties resolve to the
-    lowest column index and the output is reproducible. Only the rows and
-    columns the search has reached take the step's potential change; the
-    free columns' distances take it lazily, at the next scan.
+    ``cost`` holds m rows of k floats as Python lists. Returns the assigned
+    column per row and the row and column potentials u, v, with
+    cost - u - v >= 0 everywhere and = 0 on assigned edges, as Python lists.
+    Each row's search is Dijkstra over the columns: a step scans the
+    still-free columns in ascending order, so ties resolve to the lowest
+    column index and the output is reproducible. Only the rows and columns
+    the search has reached take the step's potential change; the free
+    columns' distances take it lazily, at the next scan.
     """
-    m, k = cost.shape
-    c = cost.tolist()
+    c = cost
+    m = len(c)
     inf = float("inf")
     u = [0.0] * m
     v = [0.0] * k
@@ -134,13 +138,19 @@ def best_matching(g) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     unchecked kernel, for matrices the program builds: the Frank-Wolfe oracle
     of ``selfish._afw`` and ``experiment.assign_round``, which checks its own
     input. ``max_weight_assignment`` is the checked entry point.
+
+    The clip at zero, the zero-weight slack columns and the negation into a
+    cost run on the rows of ``g`` as Python lists, with numpy's rounding and
+    signs of zeros: ``-0.0 if x <= 0.0 else -x`` is ``-np.maximum(x, 0.0)``
+    (which maps -0.0 to +0.0 and keeps NaN), and a slack entry is -0.0.
     """
     g = np.asarray(g, dtype=float)
     m, n = g.shape
     k = max(m, n)
-    clipped = np.zeros((m, k))
-    clipped[:, :n] = np.maximum(g, 0.0)
-    row_match, u, v = _jv_assign(-clipped)
+    rows = g.tolist()
+    slack = [-0.0] * (k - n)
+    row_match, u, v = _jv_assign(
+        [[-0.0 if x <= 0.0 else -x for x in row] + slack for row in rows], k)
     # Invariant: every column with v < 0 was reached by some search, so it is
     # matched. The column j* matched last was free before the last search, so
     # it was never lowered: v[j*] = 0, and feasibility gives
@@ -148,14 +158,15 @@ def best_matching(g) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     # sigma = -v >= 0. A row whose edge is dropped below (slack column or
     # clipped weight) has beta_i + sigma_j = clipped[i, j] = 0 with both terms
     # >= 0, so both are 0; unmatched columns keep sigma = 0. The clip at 0
-    # only removes rounding.
-    beta = np.maximum(-np.array(u), 0.0)
-    sigma = np.maximum(-np.array(v[:n]), 0.0)
+    # only removes rounding; ``0.0 if x >= 0.0 else -x`` is
+    # ``np.maximum(-x, 0.0)``, bit for bit.
+    beta = np.array([0.0 if x >= 0.0 else -x for x in u])
+    sigma = np.array([0.0 if x >= 0.0 else -x for x in v[:n]])
     # drop slack columns and edges that only existed through clipping; the
     # value adds up in row order with +=, since the builtin sum of floats is
     # compensated from Python 3.12 on
     value = 0.0
-    for i, (j, row) in enumerate(zip(row_match, g.tolist())):
+    for i, (j, row) in enumerate(zip(row_match, rows)):
         if j >= n or row[j] <= 0.0:
             row_match[i] = -1
         else:

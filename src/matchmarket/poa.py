@@ -4,8 +4,8 @@ The constant lower bound on selfish-vs-fair welfare depends only on the
 return functions: with H = max_i q_i'(0), the bound is L/2 where
 L = min_i ubar_i(c), ubar_i(c) is the utility at which the stationary
 probability's derivative equals c, and c is the fixed point of
-c = (H/2) L(c). Both root-finding problems are monotone, so nested
-bisection converges unconditionally.
+c = (H/2) L(c). The fixed point has a closed form in per-user roots (see
+``theorem1_bound``), so one monotone bisection finds it.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from .market import InstanceSampler, sample_instance
 from .returns import MONOPOLY, Evaluator, ReturnModel, Stationary
 from .selfish import solve_selfish
 
-OUTER_TOL = 1e-8
 INNER_TOL = 1e-12
-OUTER_MAX_ITERS = 200
 
 
 class BoundError(ValueError):
@@ -61,16 +59,16 @@ class EmpiricalPoAReport:
         return float(np.mean(self.ratios)) if self.ratios else float("nan")
 
 
-def _ubars(ev: Evaluator, c: float) -> np.ndarray:
-    """Per-user unique positive root of pi_i'(u) = c; pi' decreases from q'(0)
-    to q'(1) < 0. Bisects all users at once, each until its own bracket is
-    at most ``INNER_TOL`` wide."""
+def _ubars(ev: Evaluator, c: float, slope: float = 0.0) -> np.ndarray:
+    """Per-user unique positive root of pi_i'(u) = c + slope u, slope >= 0;
+    pi' decreases from q'(0) to q'(1) < 0. Bisects all users at once, each
+    until its own bracket is at most ``INNER_TOL`` wide."""
     lo = np.zeros(ev.m)
     hi = np.full(ev.m, 1.0 - 1e-12)
     live = hi - lo > INNER_TOL
     while live.any():
         mid = 0.5 * (lo + hi)
-        rise = ev.pi_prime(mid) > c
+        rise = ev.pi_prime(mid) > c + slope * mid
         lo = np.where(live & rise, mid, lo)
         hi = np.where(live & ~rise, mid, hi)
         live = hi - lo > INNER_TOL
@@ -83,7 +81,20 @@ def _ubar(model: ReturnModel, c: float) -> float:
 
 
 def theorem1_bound(models) -> PoABoundReport:
-    """Constant lower bound on the price of anarchy for concave return models."""
+    """Constant lower bound on the price of anarchy for concave return models.
+
+    The fixed point of c = (H/2) L(c), with L(c) = min_i ubar_i(c), is
+    c* = (H/2) min_i L_i, where L_i is the root of pi_i'(L) = (H/2) L.
+
+    Proof. Each pi_i' is strictly decreasing (strict concavity) and
+    (H/2) L is increasing, so L_i is unique; let L* = min_i L_i and
+    c* = (H/2) L*. For the user attaining the minimum, pi_i'(L*) = c*, so
+    ubar_i(c*) = L*. For every other user, pi_i'(L*) >= pi_i'(L_i) =
+    (H/2) L_i >= c*, and since pi_i' decreases, ubar_i(c*) >= L*. So
+    L(c*) = L* and c* = (H/2) L(c*). The residual (H/2) L(c) - c is
+    strictly decreasing, as every ubar_i is nonincreasing in c, so this
+    fixed point is the only one.
+    """
     models = list(models)
     for mod in models:
         if not returns.strictly_concave(mod):
@@ -94,21 +105,7 @@ def theorem1_bound(models) -> PoABoundReport:
     h = float(slopes0.min())
     if H <= 0.0:
         raise BoundError("needs a model with positive slope at zero utility")
-
-    def L(c: float) -> float:
-        return float(_ubars(ev, c).min())
-
-    lo, hi = 1e-12, h - 1e-12
-    c = 0.5 * (lo + hi)
-    for _ in range(OUTER_MAX_ITERS):
-        c = 0.5 * (lo + hi)
-        resid = (H / 2.0) * L(c) - c  # strictly decreasing in c
-        if abs(resid) <= OUTER_TOL:
-            break
-        if resid > 0.0:
-            lo = c
-        else:
-            hi = c
+    c = (H / 2.0) * float(_ubars(ev, 0.0, H / 2.0).min())
     u_bars = _ubars(ev, c)
     Lc = float(u_bars.min())
     return PoABoundReport(H=H, h=h, c=c, L=Lc, bound=Lc / 2.0, u_bars=u_bars)

@@ -5,8 +5,19 @@ from math import perm as n_perm
 
 import numpy as np
 
+from matchmarket import returns
+from matchmarket.experiment import (
+    PAYOFF_BINS,
+    ArmLog,
+    BehaviorModel,
+    RoundRecord,
+    StudyConfig,
+    agent_step,
+    assign_round,
+    generate_market,
+)
 from matchmarket.market import MarketInstance
-from matchmarket.returns import MONOPOLY, Evaluator
+from matchmarket.returns import GRID_NODES, MONOPOLY, Evaluator, ReturnModel
 from matchmarket.selfish import LINE_MAX_ITERS, WEIGHT_MAX_ITERS, WEIGHT_RIDGE, _project_simplex
 
 
@@ -197,6 +208,151 @@ def correct_weights_reference(ev: Evaluator, peaks, UV: np.ndarray, lam: np.ndar
         lam, grow = step
     g = UV @ grow
     return lam, bool(g.max() - lam @ g <= tol)
+
+
+# ---- reference behavioral-study arm ----------------------------------------
+# One arm of a sim game as it was before its set-up moved to once per game:
+# every arm seeds its own generators with default_rng, builds the prior and
+# the assignment sub-matrix with numpy, learns on numpy arrays and copies each
+# snapshot. ``experiment.run_study`` must return the same ArmLogs, bit for bit.
+
+
+def _prior_q_reference() -> ReturnModel:
+    nodes = np.linspace(0.0, 1.0, GRID_NODES)
+    return returns.grid(nodes * (1.0 - nodes))
+
+
+def _bins_to_grid_reference(bin_fractions: np.ndarray) -> np.ndarray:
+    nodes = np.arange(GRID_NODES)
+    return bin_fractions[np.minimum(nodes // 2, PAYOFF_BINS - 1)]
+
+
+def _q_update_reference(q_round: ReturnModel, f_round: np.ndarray,
+                        alpha_learn: float) -> ReturnModel:
+    old = np.asarray(q_round.values)
+    observed = np.isfinite(f_round)
+    new = old.copy()
+    new[observed] = alpha_learn * old[observed] \
+        + (1.0 - alpha_learn) * np.clip(f_round[observed], 0.0, 1.0)
+    return returns.grid(new)
+
+
+def _random_assign_reference(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    k, l = weights.shape
+    match = np.full(k, -1, dtype=int)
+    free = list(range(l))
+    for a in rng.permutation(k):
+        allowed = [b for b in free if weights[a, b] > 0.0]
+        if allowed:
+            b = allowed[int(rng.integers(len(allowed)))]
+            match[a] = b
+            free.remove(b)
+    return match
+
+
+def run_arm_reference(condition: str, config: StudyConfig, behavior: BehaviorModel,
+                      mean_payoffs: np.ndarray, player_seeds, arm_seed,
+                      q0: ReturnModel | None = None) -> ArmLog:
+    n, m, R = config.players_per_condition, config.slots, config.rounds
+    outside = config.outside_per_round
+    player_rng = [np.random.default_rng(seed) for seed in player_seeds]
+    arm_rng = np.random.default_rng(arm_seed)
+    norm = np.clip(mean_payoffs / config.payoff_scale, 0.0, 1.0)
+    means = mean_payoffs.tolist()
+    q = q0 if q0 is not None else _prior_q_reference()
+    log = ArmLog(condition=condition)
+    active = [True] * n
+    slot_of = [-1] * n
+    forbidden = [set() for _ in range(n)]
+    totals = [0.0] * n
+    plays = [0] * n
+
+    for r in range(1, R + 1):
+        drops = 0
+        for i in range(n):
+            if not active[i]:
+                continue
+            mean = totals[i] / plays[i] if plays[i] else None
+            if player_rng[i].random() < behavior.drop_prob(mean, outside):
+                active[i] = False
+                slot_of[i] = -1
+                totals[i] += outside * (R - r + 1)
+                drops += 1
+                log.records.append(RoundRecord(condition, r, i, -1, 0.0, "Exit"))
+        log.drop_count_per_round.append(drops)
+
+        held = set(slot_of)
+        open_slots = [j for j in range(m) if j not in held]
+        requesters = [i for i in range(n) if active[i] and slot_of[i] < 0]
+        if requesters and open_slots:
+            sub = norm.take(requesters, axis=0).take(open_slots, axis=1)
+            for a, i in enumerate(requesters):
+                for b, j in enumerate(open_slots):
+                    if j in forbidden[i]:
+                        sub[a, b] = 0.0
+            if condition == "Random":
+                match = _random_assign_reference(sub, arm_rng)
+            else:
+                match = assign_round(condition, sub, q, config.selfish_objective)
+            for i, b in zip(requesters, match.tolist()):
+                if b >= 0:
+                    slot_of[i] = open_slots[b]
+
+        switch_obs = []
+        round_total = 0.0
+        rematches = matched = 0
+        for i in range(n):
+            if not active[i]:
+                continue
+            j = slot_of[i]
+            if j < 0:
+                log.records.append(RoundRecord(condition, r, i, -1, 0.0, "Wait"))
+                continue
+            p = max(0.0, player_rng[i].normal(means[i][j], config.noise_sd))
+            totals[i] += p
+            plays[i] += 1
+            log.matched_payoffs.append(p)
+            round_total += p
+            matched += 1
+            action = agent_step(True, p, r, behavior, player_rng[i])
+            if action == "Rematch":
+                rematches += 1
+                forbidden[i].add(j)
+                slot_of[i] = -1
+            switch_obs.append((p, action == "Rematch"))
+            log.records.append(RoundRecord(condition, r, i, j, p, action))
+        log.engagement_per_round.append(rematches / matched if matched else 0.0)
+        log.mean_payoff_per_round.append(round_total / matched if matched else 0.0)
+
+        if condition == "Selfish" and switch_obs:
+            counts = [0] * PAYOFF_BINS
+            hits = [0] * PAYOFF_BINS
+            width = config.payoff_scale / PAYOFF_BINS
+            for p, switched in switch_obs:
+                b = min(int(min(p, config.payoff_scale) / width), PAYOFF_BINS - 1)
+                counts[b] += 1
+                hits[b] += switched
+            bins = np.array([h / c if c else np.nan for h, c in zip(hits, counts)])
+            q = _q_update_reference(q, _bins_to_grid_reference(bins), config.alpha_learn)
+        log.q_snapshots.append(np.asarray(q.values).copy())
+
+    log.totals = np.array(totals)
+    return log
+
+
+def run_study_arms_reference(config: StudyConfig, behavior: BehaviorModel,
+                             game_index: int,
+                             selfish_q0: ReturnModel | None) -> dict[str, ArmLog]:
+    """The Fair, Selfish and Random arms of one game, each set up on its own."""
+    _, _, mean_payoffs = generate_market(config, game_index)
+    player_seeds = [np.random.SeedSequence((config.seed, game_index, 2, i))
+                    for i in range(config.players_per_condition)]
+    arm_seed = np.random.SeedSequence((config.seed, game_index, 3))
+    return {
+        name: run_arm_reference(name, config, behavior, mean_payoffs, player_seeds,
+                                arm_seed, q0=selfish_q0 if name == "Selfish" else None)
+        for name in ("Fair", "Selfish", "Random")
+    }
 
 
 def max_single_row_utility(w) -> float:

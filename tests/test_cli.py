@@ -201,23 +201,44 @@ class TestSim:
                   (out / "round_log_game0.csv").read_text().splitlines()[1:]}
         assert max(rounds) == 3
 
-    def test_artifact_digests_pinned(self, tmp_path):
+    def test_artifact_digests_pinned(self, tmp_path, monkeypatch):
         """Byte-level golden check of the simulation artifacts.
 
         The digests pin the round loop's arithmetic and random-number
-        consumption. A change meant to alter simulation semantics must update
-        both digests in the same change and say why.
+        consumption. The Selfish arms' learned return models are pinned too,
+        as one digest of every q snapshot of every game in order, so that a
+        learning change that flips no matching still shows. A change meant to
+        alter simulation semantics must update the digests in the same change
+        and say why.
         """
+        batches = []
+        run_batch = matchmarket.experiment.run_batch
+
+        def recording_run_batch(*args, **kwargs):
+            batches.append(run_batch(*args, **kwargs))
+            return batches[-1]
+
+        monkeypatch.setattr(matchmarket.experiment, "run_batch", recording_run_batch)
         out = tmp_path / "sim"
         assert main(["sim", "--study", "B", "--pairs", "20", "--seed", "11",
                      "--out-dir", str(out)]) == 0
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in ("metrics.csv", "round_log_game0.csv")}
+                   for name in ("metrics.csv", "round_log_game0.csv", "histograms.csv")}
+        (results, _), = batches
+        snapshots = hashlib.sha256()
+        for res in results:
+            for snap in res.arms["Selfish"].q_snapshots:
+                snapshots.update(snap.tobytes())
+        digests["selfish_q_snapshots"] = snapshots.hexdigest()
         assert digests == {
             "metrics.csv":
                 "33a734ff86ebaf152f38877bfd8dc1fb5b57cc99252ab57d99d9b734d714aed7",
             "round_log_game0.csv":
                 "b339d0b3872cbd6ecc58a0ffac4c2e3595498340534bf273ed9df022637ec19a",
+            "histograms.csv":
+                "ccbe5dd3fc9db3324139ceb1bba4f27864ef2f2bc313ca7064bbbf9538f1a0e3",
+            "selfish_q_snapshots":
+                "8e06fe2232eba34fbef7beed589588275383544e4b063ab34dadbc80fdd249b7",
         }
 
     def test_rerun_identical(self, tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers_oracles import run_study_arms_reference
 
 from matchmarket.experiment import (
     STUDY_BETA,
@@ -97,9 +98,10 @@ class TestLearning:
     def test_bins_to_grid_mapping(self):
         bins = np.arange(10, dtype=float)
         g = bins_to_grid(bins)
-        assert g.shape == (GRID_NODES,)
+        assert len(g) == GRID_NODES
         assert g[0] == 0.0 and g[1] == 0.0  # nodes 0,1 -> bin 0
         assert g[20] == 9.0  # last node -> last bin
+        assert g == [k // 2 for k in range(GRID_NODES - 1)] + [9.0]
 
     def test_bins_to_grid_shape_check(self):
         with pytest.raises(ExperimentError):
@@ -313,3 +315,43 @@ class TestBatchAndOutputs:
         met = met_path.read_text().splitlines()
         assert met[0] == "metric,value"
         assert any(row.startswith("poa_pair,") for row in met)
+
+
+def _arm_bytes(log):
+    """Every field of an ArmLog as bytes, so that equal means bit-identical."""
+    return {
+        "records": [rec[:4] + (rec.action,) for rec in log.records],
+        "payoffs": np.array([rec.payoff for rec in log.records]).tobytes(),
+        "engagement": np.array(log.engagement_per_round).tobytes(),
+        "drops": log.drop_count_per_round,
+        "mean_payoff": np.array(log.mean_payoff_per_round).tobytes(),
+        "matched_payoffs": np.array(log.matched_payoffs).tobytes(),
+        "q_snapshots": [snap.tobytes() for snap in log.q_snapshots],
+        "totals": log.totals.tobytes(),
+    }
+
+
+class TestReferenceArms:
+    @pytest.mark.parametrize("config,carry", [
+        (StudyConfig(study="A", seed=11), True),
+        (StudyConfig(study="B", seed=11), True),
+        (StudyConfig(study="C", seed=11), True),
+        (StudyConfig(study="B", seed=3, selfish_objective="raw-q"), True),
+        (StudyConfig(study="A", seed=5, players_per_condition=1), True),
+        (StudyConfig(study="C", seed=7, players_per_condition=5), True),
+        (StudyConfig(study="B", seed=11), False),
+    ], ids=["A", "B", "C", "raw-q", "one-player", "five-players", "no-carry"])
+    def test_run_batch_matches_reference_arms(self, config, carry):
+        """Each game's three arms, with the learned model carried from game
+        to game or reset, match arms that each seed their own generators and
+        learn on numpy arrays: records, totals and every q snapshot, bit for
+        bit."""
+        behavior = BehaviorModel()
+        results, _ = run_batch(config, behavior, pairs=12, carry_learning=carry)
+        q0 = None
+        for game, res in enumerate(results):
+            ref = run_study_arms_reference(config, behavior, game, q0)
+            for name in ("Fair", "Selfish", "Random"):
+                assert _arm_bytes(res.arms[name]) == _arm_bytes(ref[name]), (game, name)
+            if carry:
+                q0 = grid(ref["Selfish"].q_snapshots[-1])

@@ -111,7 +111,8 @@ class TestDuals:
         """Value against scipy, and duals that certify it within 1e-9:
         feasible, complementary, with dual objective equal to the value; the
         assignment loop returns the reference numpy loop's (row_match, u, v)
-        bit for bit, so ties go to the lowest column as there."""
+        bit for bit, so ties go to the lowest column as there, and
+        ``best_matching``'s duals are that loop's potentials clipped by numpy."""
         res = max_weight_assignment(g)
         clipped = np.maximum(g, 0.0)
         rows, cols = linear_sum_assignment(clipped, maximize=True)
@@ -128,8 +129,12 @@ class TestDuals:
         assert np.abs(res.sigma * (1.0 - x.sum(axis=0))).max() <= 1e-9
         assert res.beta.sum() + res.sigma.sum() == pytest.approx(res.value, abs=1e-9)
         cost = -np.pad(clipped, ((0, 0), (0, max(g.shape) - g.shape[1])))
-        assert [np.asarray(a).tobytes() for a in _jv_assign(cost)] == \
-            [a.tobytes() for a in jv_assign_numpy(cost)]
+        ref = jv_assign_numpy(cost)
+        assert [np.asarray(a).tobytes() for a in _jv_assign(cost.tolist(), cost.shape[1])] == \
+            [a.tobytes() for a in ref]
+        # best_matching builds the same cost on lists and clips the same duals
+        assert res.beta.tobytes() == np.maximum(-ref[1], 0.0).tobytes()
+        assert res.sigma.tobytes() == np.maximum(-ref[2][:g.shape[1]], 0.0).tobytes()
 
     def test_negative_edges_never_used(self):
         res = max_weight_assignment(np.array([[-0.5, -0.2]]))

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from matchmarket.market import InstanceSampler
 from matchmarket.poa import (
@@ -62,6 +63,28 @@ class TestTheorem1Bound:
         cs = np.linspace(1e-6, rep.h - 1e-6, 9)
         vals = [resid(c) for c in cs]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("alphas", [[0.0], [0.25], [0.5], [0.75], [0.1, 0.6, 0.9]])
+    def test_matches_nested_brentq_reference(self, alphas):
+        """c, L and the bound against the fixed point of c = (H/2) L(c) found
+        by brentq on the residual, with every ubar_i(c) found by brentq on
+        the closed-form pi_i'; H = q'(0) = 1 for this family."""
+
+        def pi_prime(alpha, u):
+            e, r = 1.0 - alpha, 1.0 - u
+            q = u * r ** e
+            return r ** (e - 1.0) * (r - u * e) / (1.0 + q) ** 2
+
+        def L(c):
+            return min(brentq(lambda u, a=a: pi_prime(a, u) - c, 0.0, 1.0 - 1e-12,
+                              xtol=1e-15) for a in alphas)
+
+        c_ref = brentq(lambda c: 0.5 * L(c) - c, 1e-12, 1.0 - 1e-12, xtol=1e-15)
+        rep = theorem1_bound([parametric(a) for a in alphas])
+        assert rep.H == 1.0
+        assert rep.c == pytest.approx(c_ref, abs=1e-10)
+        assert rep.L == pytest.approx(L(c_ref), abs=1e-10)
+        assert rep.bound == pytest.approx(L(c_ref) / 2.0, abs=1e-10)
 
     def test_non_concave_model_rejected(self):
         vals = np.zeros(GRID_NODES)
