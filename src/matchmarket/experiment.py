@@ -20,10 +20,12 @@ payoffs, pi of the learned model, or its raw q), with no market instance,
 matching object or certificate built around it. Per-player state lives in
 Python lists of bools, ints and floats, and means come from running float
 sums. The assignment sub-matrix is one list comprehension over the payoff
-rows, and the Selfish arm's learning mixes the 21 grid values as Python
-floats, so the loop calls numpy only to draw random numbers, inside
-``assign_round``, and to build each learned model. A snapshot shares its
-model's read-only values.
+rows, which ``assign_round`` checks as lists; the Fair arm hands them to
+``best_matching`` as they are, and the Selfish arm builds one array for the
+q and pi kernels. The Selfish arm's learning mixes the 21 grid values as
+Python floats, so the loop calls numpy only to draw random numbers, in the
+Selfish arm's assignment, and to build each learned model. A snapshot
+shares its model's read-only values.
 
 ``run_study`` builds what the three arms of a game share once: the mean and
 normalized payoff rows as lists, and the player and Random-arm generators,
@@ -250,19 +252,29 @@ def assign_round(condition: str, weights, learned_q: ReturnModel,
     Each objective is one ``best_matching`` call on its per-edge matrix, the
     same matching that ``solve_fair``, ``solve_selfish_integral`` and
     ``max_weight_assignment`` return, without their duals, instances or
-    matching objects.
+    matching objects. The weights are checked as Python lists, and the Fair
+    arm hands its rows to ``best_matching`` as they are; the Selfish arm
+    builds one array and applies the q and pi kernels to it.
     """
-    weights = np.asarray(weights, dtype=float)
-    if weights.size == 0:
-        return np.full(weights.shape[0], -1, dtype=int)
-    if not (weights.min() >= 0.0 and weights.max() <= 1.0):  # also rejects NaN
-        raise MarketError("weights must be finite and lie in [0, 1]")
+    rows = weights if isinstance(weights, list) else np.asarray(weights, dtype=float).tolist()
+    n = len(rows[0]) if rows else 0
+    if not n:
+        return np.full(len(rows), -1, dtype=int)
+    for row in rows:
+        if len(row) != n:
+            raise MarketError("weight rows must have equal lengths")
+        for x in row:
+            if not 0.0 <= x <= 1.0:  # also rejects NaN
+                raise MarketError("weights must be finite and lie in [0, 1]")
     if condition == "Fair":
-        return best_matching(weights)[0]
+        return best_matching(rows)[0]
     if condition == "Selfish":
+        # the weights are checked above, so the unchecked kernels serve
+        w = np.array(rows, dtype=float)
+        q = returns._q_terms(learned_q, w, 0)[0]
         if selfish_objective == "raw-q":
-            return best_matching(returns.eval_q(learned_q, weights))[0]
-        return best_matching(returns.pi_monopoly(learned_q, weights))[0]
+            return best_matching(q)[0]
+        return best_matching(returns._pi(q, w, None))[0]
     raise ExperimentError(f"unknown condition {condition!r}")
 
 

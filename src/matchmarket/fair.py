@@ -137,17 +137,22 @@ def best_matching(g) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     Returns (row_match, value, beta, sigma); see ``AssignmentResult``. The
     unchecked kernel, for matrices the program builds: the Frank-Wolfe oracle
     of ``selfish._afw`` and ``experiment.assign_round``, which checks its own
-    input. ``max_weight_assignment`` is the checked entry point.
+    input. ``max_weight_assignment`` is the checked entry point. ``g`` is an
+    array, or a non-empty list of equal-length rows of floats, used as is.
 
     The clip at zero, the zero-weight slack columns and the negation into a
     cost run on the rows of ``g`` as Python lists, with numpy's rounding and
     signs of zeros: ``-0.0 if x <= 0.0 else -x`` is ``-np.maximum(x, 0.0)``
     (which maps -0.0 to +0.0 and keeps NaN), and a slack entry is -0.0.
     """
-    g = np.asarray(g, dtype=float)
-    m, n = g.shape
+    if isinstance(g, list):
+        rows = g
+        m, n = len(rows), len(rows[0])
+    else:
+        g = np.asarray(g, dtype=float)
+        m, n = g.shape
+        rows = g.tolist()
     k = max(m, n)
-    rows = g.tolist()
     slack = [-0.0] * (k - n)
     row_match, u, v = _jv_assign(
         [[-0.0 if x <= 0.0 else -x for x in row] + slack for row in rows], k)

@@ -47,12 +47,13 @@ class ReturnModel:
             if not (0.0 <= self.alpha < 1.0):
                 raise ReturnModelError("alpha must lie in [0, 1)")
         elif self.kind == "grid":
-            v = np.asarray(self.values, dtype=float)
+            v = np.array(self.values, dtype=float)  # the model's own copy
             if v.shape != (GRID_NODES,):
                 raise ReturnModelError(f"grid models need {GRID_NODES} node values")
-            if not (v.min() >= 0.0 and v.max() <= 1.0):  # also rejects NaN
+            # the ufunc reductions, not the ndarray.min/max wrappers; both
+            # propagate NaN, so the test also rejects it
+            if not (np.minimum.reduce(v) >= 0.0 and np.maximum.reduce(v) <= 1.0):
                 raise ReturnModelError("grid values must be finite and lie in [0, 1]")
-            v = v.copy()
             v[0] = 0.0
             v[-1] = 0.0
             v.flags.writeable = False
@@ -84,7 +85,8 @@ def parametric(alpha: float) -> ReturnModel:
 
 
 def grid(values) -> ReturnModel:
-    return ReturnModel(kind="grid", values=np.asarray(values, dtype=float))
+    """A grid model from ``GRID_NODES`` node values (an array or a list)."""
+    return ReturnModel(kind="grid", values=values)
 
 
 @dataclass(frozen=True)
@@ -162,17 +164,23 @@ def _pi_prime(q, qp, u, eps):
     return (qp + q * q / eps) / (1.0 + q + (q / eps) * (1.0 - u)) ** 2
 
 
-def _pi_second(model: ReturnModel, u):
-    """d^2/du^2 of the two-state pi.
+def _pi_derivs(model: ReturnModel, u) -> list:
+    """[pi'(u), pi''(u)] of the two-state chain from one kernel pass at u.
 
-    Analytic for the parametric family, q''/(1+q)^2 - 2 q'^2/(1+q)^3;
-    central differences of pi' for grid models, whose q is piecewise linear.
+    Analytic for the parametric family, with t = 1 + q: pi' = q'/t^2, the
+    bits of ``_pi_prime``, and pi'' = q''/t^2 - 2 q'^2/t^3. Grid models, whose
+    q is piecewise linear, take central differences of pi' for pi''.
     """
     if model.kind == "parametric-alpha":
         q, qp, qpp = _q_terms(model, u, 2)
         t = 1.0 + q
-        return qpp / t ** 2 - 2.0 * qp * qp / t ** 3
-    return _central(lambda v: _pi_prime(*_q_terms(model, v, 1), v, None), u)
+        t2 = t ** 2
+        return [qp / t2, qpp / t2 - 2.0 * qp * qp / t ** 3]
+
+    def prime(v):
+        return _pi_prime(*_q_terms(model, v, 1), v, None)
+
+    return [prime(u), _central(prime, u)]
 
 
 # ---- checked entry points for utilities from outside the program -----------
@@ -210,7 +218,7 @@ def pi_monopoly(model: ReturnModel, u):
 
 def pi_monopoly_second(model: ReturnModel, u):
     """d^2/du^2 of the two-state stationary probability; diverges at u = 1 for alpha > 0."""
-    return _pi_second(model, _check_domain(u))
+    return _pi_derivs(model, _check_domain(u))[1]
 
 
 def pi_competition(model: ReturnModel, u, eps: float):
@@ -231,8 +239,9 @@ class Evaluator:
     When every user shares one model (every market of the paper), each
     quantity is one kernel call on the whole array. Otherwise users are
     grouped by model, and each group's kernel results are scattered into
-    full-width arrays. ``pi_prime`` and ``pi_second`` take q and its
-    derivatives from one kernel pass. Utilities are not checked: they come
+    full-width arrays. ``pi_prime`` takes q and q' from one kernel pass, and
+    ``pi_derivs`` returns pi' and pi'' together, for the two-state chain
+    from one pass of q, q' and q''. Utilities are not checked: they come
     from matchings the program built.
     """
 
@@ -278,13 +287,17 @@ class Evaluator:
         q, qp = self._by_group(_q_terms, u, 1)
         return _pi_prime(q, qp, u, self.eps)
 
-    def pi_second(self, u) -> np.ndarray:
-        """pi_i''(u_i), evaluated at min(u_i, 1 - 1e-9); the competition chain
-        takes central differences of ``pi_prime``."""
+    def pi_derivs(self, u) -> tuple[np.ndarray, np.ndarray]:
+        """(pi_i'(u_i), pi_i''(u_i)), both evaluated at min(u_i, 1 - 1e-9).
+
+        The two-state chain takes both from ``_pi_derivs``, one kernel pass
+        per parametric model; the competition chain takes pi'' as central
+        differences of ``pi_prime``.
+        """
         u = np.minimum(u, 1.0 - 1e-9)
         if self.eps is None:
-            return self._by_group(lambda mod, v: [_pi_second(mod, v)], u)[0]
-        return _central(self.pi_prime, u)
+            return tuple(self._by_group(_pi_derivs, u))
+        return self.pi_prime(u), _central(self.pi_prime, u)
 
 
 def strictly_concave(model: ReturnModel) -> bool:

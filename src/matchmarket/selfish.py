@@ -5,7 +5,11 @@ adds the vertex of an assignment problem on the per-edge gradient weights to
 an active set of matchings, then reoptimizes the convex weights of that set
 by Newton ascent on the simplex, stopping on the weight problem's own
 Frank-Wolfe gap. Where a non-concave pi_i is locally convex, its curvature
-enters the Newton model as 0, so the model stays concave.
+enters the Newton model as 0, so the model stays concave. Each accepted
+Newton step takes the gradient and curvature at its new weights from one
+derivative pass (``Evaluator.pi_derivs``); line-search trial points evaluate
+pi' only. A weight solve whose Newton direction does not ascend stops there
+and is counted in the solution's ``weight_solves_short``.
 
 The objective is clamped at each user's peak utility, the global maximizer
 of pi_i; this leaves the optimum unchanged (rows can always be scaled down)
@@ -113,20 +117,23 @@ def _shrink_to_peaks(inst: MarketInstance, x: np.ndarray, peaks) -> np.ndarray:
     return x
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho = np.nonzero(u * np.arange(1, len(v) + 1) > (css - 1.0))[0][-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
 def _clamped_grad(ev: Evaluator, peaks, u: np.ndarray) -> np.ndarray:
     """Per-user slope of the clamped objective: pi'(u_i) below the peak, 0 from it on."""
     grad = ev.pi_prime(np.minimum(u, peaks))
     grad[u >= peaks] = 0.0
     return grad
+
+
+def _clamped_derivs(ev: Evaluator, peaks, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user slope and curvature of the clamped objective, from one
+    derivative pass: pi'(u_i) and min(pi''(u_i), 0) below the peak, 0 from
+    the peak on. The curvature is the Newton model's, so it stays concave."""
+    grad, curv = ev.pi_derivs(np.minimum(u, peaks))
+    past = u >= peaks
+    grad[past] = 0.0
+    np.minimum(curv, 0.0, out=curv)
+    curv[past] = 0.0
+    return grad, curv
 
 
 def _newton_direction(UV: np.ndarray, g: np.ndarray, curv: np.ndarray,
@@ -141,12 +148,11 @@ def _newton_direction(UV: np.ndarray, g: np.ndarray, curv: np.ndarray,
     """
     A = UV[face]
     p = len(A)
-    K = np.zeros((p + 1, p + 1))
+    K = np.ones((p + 1, p + 1))
     K[:p, :p] = (A * curv) @ A.T
-    K[:p, p] = 1.0
-    K[p, :p] = 1.0
+    K[p, p] = 0.0
     diag = K.ravel()[:p * (p + 2):p + 2]  # a view of H's diagonal
-    diag -= WEIGHT_RIDGE * (1.0 + np.abs(diag).max())
+    diag -= WEIGHT_RIDGE * (1.0 + np.maximum.reduce(np.abs(diag)))
     rhs = np.zeros(p + 1)
     np.negative(g[face], out=rhs[:p])
     d = np.zeros(len(g))
@@ -164,8 +170,9 @@ def _ascent_step(ev: Evaluator, peaks, UV, lam, u0, grow, d):
     the objective. The step is tmax if the slope there is non-negative;
     otherwise a safeguarded secant search on the slope brackets its root and
     stops at a step whose slope is non-negative and at most a tenth of the
-    initial one. Returns (lam, u, grow) at the new weights, or None when d
-    does not ascend.
+    initial one. Trial steps evaluate pi' only. Returns (lam, u, grow, curv)
+    at the new weights, the clamped gradient and curvature from one
+    ``_clamped_derivs`` pass, or None when d does not ascend.
     """
     # near the optimum g is nearly constant, so sum(d) must vanish to the
     # rounding of d, not of lam, for the slopes below to keep their sign
@@ -173,13 +180,13 @@ def _ascent_step(ev: Evaluator, peaks, UV, lam, u0, grow, d):
     dm = d[~still]
     if not dm.size:
         return None
-    d = d - dm.sum() / dm.size
+    d = d - np.add.reduce(dm) / dm.size
     d[still] = 0.0
     du = d @ UV
     s0 = float(grow @ du)
     neg = d < 0.0
     ratios = lam[neg] / -d[neg]
-    tmax = min(1.0, float(ratios.min(initial=np.inf)))
+    tmax = min([1.0, *ratios.tolist()])
     if not (s0 > 0.0 and tmax > 0.0):
         return None
     lo, s_lo, hi, s_hi = 0.0, s0, tmax, 0.0
@@ -201,7 +208,7 @@ def _ascent_step(ev: Evaluator, peaks, UV, lam, u0, grow, d):
     if lo == tmax and tmax < 1.0:
         new[np.flatnonzero(neg)[np.argmin(ratios)]] = 0.0
     u = new @ UV
-    return new, u, _clamped_grad(ev, peaks, u)
+    return (new, u, *_clamped_derivs(ev, peaks, u))
 
 
 def _correct_weights(ev: Evaluator, peaks, UV: np.ndarray, lam: np.ndarray,
@@ -216,25 +223,24 @@ def _correct_weights(ev: Evaluator, peaks, UV: np.ndarray, lam: np.ndarray,
     negative, the vertex leaves the face and the step is taken again. The
     Hessian uses min(pi'', 0) below each user's peak and 0 from the peak on,
     where the clamped objective is flat, so it stays negative semidefinite
-    and the step ascends even where a non-concave pi_i is convex. A
-    projected-gradient step stands in when the Newton direction does not
-    ascend. The utilities u = lam @ UV and the clamped gradient there are
-    carried from each step into the next, not computed again.
+    and the step ascends even where a non-concave pi_i is convex. The
+    utilities u = lam @ UV and the clamped gradient and curvature there come
+    from one ``_clamped_derivs`` pass at entry and one at each accepted
+    step, and are carried into the next iteration, not computed again.
 
     Stops when the weight problem's own Frank-Wolfe gap max(g) - lam.g is at
-    most ``tol`` and returns (lam, True); returns (lam, False) when no
-    ascent step is found, or when ``WEIGHT_MAX_ITERS`` steps leave the gap
-    above ``tol``.
+    most ``tol`` and returns (lam, True); returns (lam, False) when the
+    Newton direction does not ascend, or when ``WEIGHT_MAX_ITERS`` steps
+    leave the gap above ``tol``. ``_afw`` counts such solves, and
+    ``solve_selfish`` reports them as ``weight_solves_short``.
     """
     u = lam @ UV
-    grow = _clamped_grad(ev, peaks, u)
+    grow, curv = _clamped_derivs(ev, peaks, u)
     for _ in range(WEIGHT_MAX_ITERS):
         g = UV @ grow
         j = int(g.argmax())
         if g[j] - lam @ g <= tol:
             return lam, True
-        curv = np.minimum(ev.pi_second(np.minimum(u, peaks)), 0.0)
-        curv[u >= peaks] = 0.0
         face = lam > 0.0
         face[j] = True
         d = _newton_direction(UV, g, curv, face)
@@ -243,12 +249,8 @@ def _correct_weights(ev: Evaluator, peaks, UV: np.ndarray, lam: np.ndarray,
             d = _newton_direction(UV, g, curv, face)
         step = _ascent_step(ev, peaks, UV, lam, u, grow, d)
         if step is None:
-            scale = max(float(-((UV * UV) @ curv).min()), tol)
-            step = _ascent_step(ev, peaks, UV, lam, u, grow,
-                                _project_simplex(lam + g / scale) - lam)
-            if step is None:
-                return lam, False
-        lam, u, grow = step
+            return lam, False
+        lam, u, grow, curv = step
     g = UV @ grow
     return lam, bool(g.max() - lam @ g <= tol)
 
@@ -292,7 +294,7 @@ def _afw(inst: MarketInstance, ev: Evaluator, peaks, gap_tol: float, start):
         gap = float(s_value - (grad * x).sum())
         if gap <= gap_tol:
             break
-        s_key = tuple(row_match)
+        s_key = tuple(row_match.tolist())
         if s_key not in util:
             util[s_key] = utility_row(s_key)
         active.setdefault(s_key, 0.0)
@@ -301,7 +303,7 @@ def _afw(inst: MarketInstance, ev: Evaluator, peaks, gap_tol: float, start):
                                           np.array([active[k] for k in keys]),
                                           WEIGHT_GAP_FRACTION * gap_tol)
         short += not converged
-        active = {k: float(a) for k, a in zip(keys, lam) if a > 0.0}
+        active = {k: a for k, a in zip(keys, lam.tolist()) if a > 0.0}
         active.setdefault(empty, 0.0)
         util = {k: util[k] for k in active}
         cells = [[0.0] * n for _ in range(m)]

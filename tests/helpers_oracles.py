@@ -17,8 +17,8 @@ from matchmarket.experiment import (
     generate_market,
 )
 from matchmarket.market import MarketInstance
-from matchmarket.returns import GRID_NODES, MONOPOLY, Evaluator, ReturnModel
-from matchmarket.selfish import LINE_MAX_ITERS, WEIGHT_MAX_ITERS, WEIGHT_RIDGE, _project_simplex
+from matchmarket.returns import GRID_NODES, MONOPOLY, Evaluator, ReturnModel, _central, _pi_prime, _q_terms
+from matchmarket.selfish import LINE_MAX_ITERS, WEIGHT_MAX_ITERS, WEIGHT_RIDGE
 
 
 def brute_force_fair(inst: MarketInstance) -> float:
@@ -83,11 +83,45 @@ def jv_assign_numpy(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return row_match, u[1:], v[1:]
 
 
+# ---- reference pi'' --------------------------------------------------------
+# ``Evaluator.pi_second`` as it was before pi' and pi'' came from one pass
+# (``Evaluator.pi_derivs``): the two-state chain per group of users with one
+# model, analytic for the parametric family and central differences of pi'
+# for grid models; the competition chain as central differences of
+# ``Evaluator.pi_prime``. ``pi_derivs`` must give the same bits.
+
+def _pi_second_two_state(model: ReturnModel, u):
+    if model.kind == "parametric-alpha":
+        q, qp, qpp = _q_terms(model, u, 2)
+        t = 1.0 + q
+        return qpp / t ** 2 - 2.0 * qp * qp / t ** 3
+    return _central(lambda v: _pi_prime(*_q_terms(model, v, 1), v, None), u)
+
+
+def pi_second_reference(ev: Evaluator, u) -> np.ndarray:
+    """pi_i''(u_i) at min(u_i, 1 - 1e-9), as the parent's ``Evaluator.pi_second``."""
+    u = np.minimum(u, 1.0 - 1e-9)
+    if ev.eps is None:
+        return ev._by_group(lambda mod, v: [_pi_second_two_state(mod, v)], u)[0]
+    return _central(ev.pi_prime, u)
+
+
 # ---- reference weight solve ------------------------------------------------
 # The selfish weight solve as it was before its numpy calls were trimmed: it
 # rebuilds u = lam @ UV in every step, builds the KKT system with np.eye,
-# np.diag and np.append, and clamps with np.where. ``selfish._correct_weights``
-# must return the same (lam, converged), bit for bit.
+# np.diag and np.append, clamps with np.where, takes pi'' in a pass of its
+# own, and keeps the projected-gradient fallback that the library dropped.
+# ``selfish._correct_weights`` must return the same (lam, converged), bit for
+# bit, on every weight solve where that fallback does not run.
+
+def _project_simplex(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto the probability simplex."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    rho = np.nonzero(u * np.arange(1, len(v) + 1) > (css - 1.0))[0][-1]
+    theta = (css[rho] - 1.0) / (rho + 1.0)
+    return np.maximum(v - theta, 0.0)
+
 
 def _clamped_grad(ev: Evaluator, peaks, u: np.ndarray) -> np.ndarray:
     """Per-user slope of the clamped objective: pi'(u_i) below the peak, 0 from it on."""
@@ -189,7 +223,8 @@ def correct_weights_reference(ev: Evaluator, peaks, UV: np.ndarray, lam: np.ndar
         if g[j] - lam @ g <= tol:
             return lam, True
         u = lam @ UV
-        curv = np.where(u >= peaks, 0.0, np.minimum(ev.pi_second(np.minimum(u, peaks)), 0.0))
+        curv = np.where(u >= peaks, 0.0,
+                        np.minimum(pi_second_reference(ev, np.minimum(u, peaks)), 0.0))
         face = lam > 0.0
         face[j] = True
         while True:

@@ -164,8 +164,10 @@ class TestAssignment:
 
     def test_invalid_weights_rejected(self):
         for bad in (np.array([[0.5, np.nan]]), np.array([[0.5, 1.5]])):
-            with pytest.raises(MarketError):
-                assign_round("Fair", bad, prior_q())
+            for weights in (bad, bad.tolist()):
+                for condition in ("Fair", "Selfish"):
+                    with pytest.raises(MarketError):
+                        assign_round(condition, weights, prior_q())
 
     def test_matches_library_path(self):
         """Sim-shaped rounds: 1-3 requesters, 1-13 open slots, zeroed
@@ -184,14 +186,15 @@ class TestAssignment:
             q = models[trial % len(models)]
             inst = make_instance(w)
             x = solve_selfish_integral(inst, [q] * m, MONOPOLY).matching.x
-            np.testing.assert_array_equal(
-                assign_round("Fair", w, q), solve_fair(inst).assignment.row_match)
-            np.testing.assert_array_equal(
-                assign_round("Selfish", w, q),
-                np.where(x.max(axis=1) > 0.0, x.argmax(axis=1), -1))
-            np.testing.assert_array_equal(
-                assign_round("Selfish", w, q, selfish_objective="raw-q"),
-                max_weight_assignment(eval_q(q, w)).row_match)
+            for weights in (w, w.tolist()):
+                np.testing.assert_array_equal(
+                    assign_round("Fair", weights, q), solve_fair(inst).assignment.row_match)
+                np.testing.assert_array_equal(
+                    assign_round("Selfish", weights, q),
+                    np.where(x.max(axis=1) > 0.0, x.argmax(axis=1), -1))
+                np.testing.assert_array_equal(
+                    assign_round("Selfish", weights, q, selfish_objective="raw-q"),
+                    max_weight_assignment(eval_q(q, w)).row_match)
 
 
 class TestRunStudy:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers_oracles import pi_second_reference
 
 from matchmarket.returns import (
     GRID_NODES,
@@ -20,6 +21,7 @@ from matchmarket.returns import (
     q_peak,
     strictly_concave,
 )
+from matchmarket.selfish import peak_utility
 
 ALPHAS = [0.0, 0.25, 0.5, 0.75]
 
@@ -35,17 +37,27 @@ class TestModels:
 
     def test_grid_validation(self):
         grid(np.linspace(0, 1, GRID_NODES) * 0.5)
+        grid((np.linspace(0, 1, GRID_NODES) * 0.5).tolist())
+        for bad in (np.zeros(GRID_NODES - 1), np.full(GRID_NODES, 1.5),
+                    np.full(GRID_NODES, np.nan)):
+            for values in (bad, bad.tolist()):
+                with pytest.raises(ReturnModelError):
+                    grid(values)
         with pytest.raises(ReturnModelError):
-            grid(np.zeros(GRID_NODES - 1))
+            grid([[0.5]] * GRID_NODES)
+        one_nan = [0.5] * GRID_NODES
+        one_nan[7] = float("nan")
         with pytest.raises(ReturnModelError):
-            grid(np.full(GRID_NODES, 1.5))
-        with pytest.raises(ReturnModelError):
-            grid(np.full(GRID_NODES, np.nan))
+            grid(one_nan)
 
     def test_grid_endpoints_pinned(self):
-        g = grid(np.full(GRID_NODES, 0.5))
-        assert g.values[0] == 0.0
-        assert g.values[-1] == 0.0
+        source = np.full(GRID_NODES, 0.5)
+        for values in (source, source.tolist()):
+            g = grid(values)
+            assert g.values[0] == 0.0
+            assert g.values[-1] == 0.0
+            assert not g.values.flags.writeable
+        assert source[0] == 0.5  # the model keeps its own copy
 
     def test_json_round_trip(self):
         for model in (parametric(0.3), grid(np.linspace(0, 1, GRID_NODES) * (1 - np.linspace(0, 1, GRID_NODES)))):
@@ -187,7 +199,7 @@ class TestEvaluator:
         models, U = self._mixed()
         ev = Evaluator(models)
         for i, model in enumerate(models):
-            np.testing.assert_allclose(ev.pi_second(U)[:, i],
+            np.testing.assert_allclose(ev.pi_derivs(U)[1][:, i],
                                        pi_monopoly_second(model, U[:, i]), rtol=1e-12)
         # the competition chain has no checked pi'', so second differences
         # of the checked pi stand in for it
@@ -196,8 +208,26 @@ class TestEvaluator:
         for i, model in enumerate(models):
             pis = [pi_competition(model, U[:, i] + k * h, eps) for k in (-1, 0, 1)]
             numeric = (pis[0] - 2 * pis[1] + pis[2]) / h**2
-            np.testing.assert_allclose(ev.pi_second(U)[:, i], numeric, atol=1e-5)
+            np.testing.assert_allclose(ev.pi_derivs(U)[1][:, i], numeric, atol=1e-5)
 
+
+    @pytest.mark.parametrize("eps", [None, 0.1])
+    def test_pi_derivs_matches_pi_prime_and_pi_second(self, eps):
+        # one derivative pass gives the bits of pi_prime and of the separate
+        # pi'' pass, below, at and above each user's peak and at the clamp
+        models, U = self._mixed()
+        stat = MONOPOLY if eps is None else competition(eps)
+        peaks = np.array([peak_utility(mod, stat) for mod in models])
+        rows = [U, peaks[None, :], np.clip(peaks + np.array([[-1e-3], [1e-3]]), 0.0, 1.0),
+                np.full((2, len(models)), 1.0 - 1e-9), np.ones((1, len(models)))]
+        V = np.vstack(rows)
+        evaluators = [(Evaluator(models, stat), V)] + [
+            (Evaluator([mod], stat), V[:, [i]]) for i, mod in enumerate(models)]
+        for ev, W in evaluators:
+            for u in (W, W[0]):  # a batch, and one utility vector
+                prime, second = ev.pi_derivs(u)
+                assert prime.tobytes() == ev.pi_prime(u).tobytes()
+                assert second.tobytes() == pi_second_reference(ev, u).tobytes()
 
     @pytest.mark.parametrize("eps", [None, 0.1])
     def test_one_group_matches_grouped(self, eps):
@@ -209,14 +239,14 @@ class TestEvaluator:
         for model in models:
             ix = [i for i, mod in enumerate(models) if mod.cache_key() == model.cache_key()]
             one = Evaluator([model] * len(ix), stat)
-            for quantity in ("pi", "pi_prime", "pi_second"):
+            for quantity in ("pi", "pi_prime", "pi_derivs"):
                 np.testing.assert_array_equal(getattr(one, quantity)(U[:, ix]),
-                                              getattr(grouped, quantity)(U)[:, ix])
+                                              np.asarray(getattr(grouped, quantity)(U))[..., ix])
 
     def test_no_users(self):
         ev = Evaluator([])
         np.testing.assert_array_equal(ev.objective(np.zeros((3, 0))), np.zeros(3))
-        assert ev.pi_prime(np.zeros(0)).shape == ev.pi_second(np.zeros(0)).shape == (0,)
+        assert ev.pi_prime(np.zeros(0)).shape == ev.pi_derivs(np.zeros(0))[1].shape == (0,)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_shared_terms_round_as_separate_formulas(self, alpha):
@@ -229,7 +259,7 @@ class TestEvaluator:
         qpp = e * (1.0 - u) ** (e - 2.0) * (u * (1.0 + e) - 2.0)
         ev = Evaluator([parametric(alpha)])
         np.testing.assert_array_equal(ev.pi_prime(u[:, None])[:, 0], qp / (1.0 + q) ** 2)
-        np.testing.assert_array_equal(ev.pi_second(u[:, None])[:, 0],
+        np.testing.assert_array_equal(ev.pi_derivs(u[:, None])[1][:, 0],
                                       qpp / (1.0 + q) ** 2 - 2.0 * qp * qp / (1.0 + q) ** 3)
 
 

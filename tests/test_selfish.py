@@ -236,7 +236,7 @@ class TestWeightSolve:
         iterations = [sol.iterations for _, _, sol in solves]
         assert (sum(iterations), max(iterations)) == self.FW_ITERATIONS[alpha]
 
-    @pytest.mark.parametrize("alpha", [0.25, 0.5])
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75])
     def test_matches_reference_weight_solve(self, alpha):
         _, calls = _seed42_recorded(alpha)
         for args, (lam, converged) in calls:
@@ -254,17 +254,20 @@ class TestWeightSolve:
             assert kkt_residual_of(inst, models, sol).max_residual <= 1e-6
         assert short > 0
 
-    def test_projected_gradient_fallback_alone(self, monkeypatch):
-        # a Newton direction that never ascends leaves every step to the fallback
+    def test_non_ascending_direction_is_reported(self, monkeypatch):
+        # a weight solve whose Newton direction does not ascend keeps its
+        # weights, returns unconverged and is counted in the solution
         monkeypatch.setattr(selfish, "_newton_direction",
                             lambda UV, g, curv, face: np.zeros(len(g)))
-        rng = np.random.default_rng(5)
-        models = [parametric(0.25)] * 4
-        for _ in range(3):
-            inst = make_instance(rng.beta(2, 2, (4, 4)))
-            sol = solve_selfish(inst, models)
-            assert sol.fw_gap <= 1e-7 * inst.m
-            assert kkt_residual_of(inst, models, sol).max_residual <= 1e-6
+        monkeypatch.setattr(selfish, "MAX_ITERS", 3)
+        _, calls = _seed42_recorded(0.25)
+        # a recorded weight solve that moved its weights
+        args = next(a for a, (out, _) in calls if out.tobytes() != a[3].tobytes())
+        lam, converged = selfish._correct_weights(*args)
+        assert lam.tobytes() == args[3].tobytes() and not converged
+        inst = make_instance(np.random.default_rng(5).beta(2, 2, (4, 4)))
+        sol = solve_selfish(inst, [parametric(0.25)] * 4)
+        assert (sol.weight_solves_short, sol.starts_capped) == (3, 1)
 
 
 class TestIntegral:
