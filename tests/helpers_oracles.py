@@ -99,7 +99,7 @@ def _pi_second_two_state(model: ReturnModel, u):
 
 
 def pi_second_reference(ev: Evaluator, u) -> np.ndarray:
-    """pi_i''(u_i) at min(u_i, 1 - 1e-9), as the parent's ``Evaluator.pi_second``."""
+    """pi_i''(u_i) at min(u_i, 1 - 1e-9), on the separate pi'' path described above."""
     u = np.minimum(u, 1.0 - 1e-9)
     if ev.eps is None:
         return ev._by_group(lambda mod, v: [_pi_second_two_state(mod, v)], u)[0]
