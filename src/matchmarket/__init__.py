@@ -36,7 +36,6 @@ from .selfish import (  # noqa: F401
     kkt_residual,
     kkt_residual_of,
     solve_selfish,
-    solve_selfish_integral,
 )
 from .poa import (  # noqa: F401
     EmpiricalPoAReport,

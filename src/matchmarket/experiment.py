@@ -250,11 +250,11 @@ def assign_round(condition: str, weights, learned_q: ReturnModel,
     [0, 1]; disallowed pairs must already be zeroed (zero-value edges are
     never matched). Returns the chosen column per row, -1 for unassigned.
     Each objective is one ``best_matching`` call on its per-edge matrix, the
-    same matching that ``solve_fair``, ``solve_selfish_integral`` and
-    ``max_weight_assignment`` return, without their duals, instances or
-    matching objects. The weights are checked as Python lists, and the Fair
-    arm hands its rows to ``best_matching`` as they are; the Selfish arm
-    builds one array and applies the q and pi kernels to it.
+    same matching that ``solve_fair`` and ``max_weight_assignment`` return,
+    without their duals, instances or matching objects. The weights are
+    checked as Python lists, and the Fair arm hands its rows to
+    ``best_matching`` as they are; the Selfish arm builds one array and
+    applies the q and pi kernels to it.
     """
     rows = weights if isinstance(weights, list) else np.asarray(weights, dtype=float).tolist()
     n = len(rows[0]) if rows else 0

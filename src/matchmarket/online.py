@@ -50,31 +50,30 @@ def greedy_online(
     its peak and falls after it, so the best feasible utility is
     min(peak_i, U_max). The target is realized by filling higher-quality
     columns first, which uses the fewest columns; ties break to the lowest
-    column index.
+    column index. The arrivals run on Python floats: numpy's float64 bits.
     """
     inst = seq.instance
     models = _check_models(inst, models)
-    w = inst.w
-    cap = np.ones(inst.n)
-    x = np.zeros_like(w)
-    for i in seq.order:
-        open_cols = np.nonzero((cap > _CAP_TOL) & (w[i] > 0.0))[0]
-        if len(open_cols) == 0:
-            continue
-        # stable sort on -w keeps lowest column index first among ties
-        open_cols = open_cols[np.argsort(-w[i, open_cols], kind="stable")]
+    rows = inst.w.tolist()
+    cap = [1.0] * inst.n
+    x = [[0.0] * inst.n for _ in rows]
+    for i in seq.order.tolist():
+        row, xi = rows[i], x[i]
+        # a stable sort, reversed, keeps the lowest column index first among ties
+        open_cols = sorted((j for j, wij in enumerate(row) if cap[j] > _CAP_TOL and wij > 0.0),
+                           key=row.__getitem__, reverse=True)
         budget = 1.0  # row mass
         target = peak_utility(models[i], stationary)
         achieved = 0.0
         for j in open_cols:
             if budget <= 0.0 or achieved >= target - 1e-15:
                 break
-            take = min(cap[j], budget, (target - achieved) / w[i, j])
-            x[i, j] = take
+            take = min(cap[j], budget, (target - achieved) / row[j])
+            xi[j] = take
             cap[j] -= take
             budget -= take
-            achieved += take * w[i, j]
-    matching = FractionalMatching.from_x(inst, x)
+            achieved += take * row[j]
+    matching = FractionalMatching.from_x(inst, np.array(x))
     value = float(Evaluator(models, stationary).objective(matching.u))
     return OnlineSolution(matching=matching, value=value)
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import returns
 from .fair import solve_fair
 from .market import InstanceSampler, sample_instance
-from .returns import MONOPOLY, Evaluator, ReturnModel, Stationary
+from .returns import MONOPOLY, Evaluator, Stationary
 from .selfish import solve_selfish
 
 INNER_TOL = 1e-12
@@ -73,11 +73,6 @@ def _ubars(ev: Evaluator, c: float, slope: float = 0.0) -> np.ndarray:
         hi = np.where(live & ~rise, mid, hi)
         live = hi - lo > INNER_TOL
     return 0.5 * (lo + hi)
-
-
-def _ubar(model: ReturnModel, c: float) -> float:
-    """``_ubars`` for a single user."""
-    return float(_ubars(Evaluator([model]), c)[0])
 
 
 def theorem1_bound(models) -> PoABoundReport:

@@ -28,6 +28,7 @@ import numpy as np
 GRID_NODES = 21
 GRID_DERIV_STEP = 1e-5  # central-difference step for grid-model derivatives
 PEAK_SAMPLES = 2001  # uniform samples of pi that bracket its global maximizer
+U_CLAMP = 1.0 - 1e-9  # pi' diverges at u = 1 for alpha > 0, so it is taken at min(u, U_CLAMP)
 
 
 class ReturnModelError(ValueError):
@@ -282,22 +283,28 @@ class Evaluator:
         return self.pi(U).sum(axis=-1)
 
     def pi_prime(self, u) -> np.ndarray:
-        """pi_i'(u_i), evaluated at min(u_i, 1 - 1e-9) since pi' diverges at 1 for alpha > 0."""
-        u = np.minimum(u, 1.0 - 1e-9)
-        q, qp = self._by_group(_q_terms, u, 1)
-        return _pi_prime(q, qp, u, self.eps)
+        """pi_i'(u_i), evaluated at min(u_i, ``U_CLAMP``)."""
+        return self._prime(np.minimum(u, U_CLAMP))
 
     def pi_derivs(self, u) -> tuple[np.ndarray, np.ndarray]:
-        """(pi_i'(u_i), pi_i''(u_i)), both evaluated at min(u_i, 1 - 1e-9).
+        """(pi_i'(u_i), pi_i''(u_i)), both evaluated at min(u_i, ``U_CLAMP``).
 
         The two-state chain takes both from ``_pi_derivs``, one kernel pass
         per parametric model; the competition chain takes pi'' as central
         differences of ``pi_prime``.
         """
-        u = np.minimum(u, 1.0 - 1e-9)
+        return self._derivs(np.minimum(u, U_CLAMP))
+
+    def _prime(self, u: np.ndarray) -> np.ndarray:
+        """``pi_prime`` at utilities already clamped to at most ``U_CLAMP``."""
+        q, qp = self._by_group(_q_terms, u, 1)
+        return _pi_prime(q, qp, u, self.eps)
+
+    def _derivs(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``pi_derivs`` at utilities already clamped to at most ``U_CLAMP``."""
         if self.eps is None:
             return tuple(self._by_group(_pi_derivs, u))
-        return self.pi_prime(u), _central(self.pi_prime, u)
+        return self._prime(u), _central(self.pi_prime, u)
 
 
 def strictly_concave(model: ReturnModel) -> bool:

@@ -9,7 +9,9 @@ enters the Newton model as 0, so the model stays concave. Each accepted
 Newton step takes the gradient and curvature at its new weights from one
 derivative pass (``Evaluator.pi_derivs``); line-search trial points evaluate
 pi' only. A weight solve whose Newton direction does not ascend stops there
-and is counted in the solution's ``weight_solves_short``.
+and is counted in the solution's ``weight_solves_short``. Each gradient
+clamps once, the Newton system goes to LAPACK without numpy's wrapper and the
+ratio test runs on Python floats, each with the bits of the plain numpy form.
 
 The objective is clamped at each user's peak utility, the global maximizer
 of pi_i; this leaves the optimum unchanged (rows can always be scaled down)
@@ -32,9 +34,11 @@ are defined in ``returns`` and re-exported here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _lapack_solve
 
 from . import returns
 from .fair import best_matching, max_weight_assignment, solve_fair, vertex_matrix
@@ -117,18 +121,20 @@ def _shrink_to_peaks(inst: MarketInstance, x: np.ndarray, peaks) -> np.ndarray:
     return x
 
 
-def _clamped_grad(ev: Evaluator, peaks, u: np.ndarray) -> np.ndarray:
-    """Per-user slope of the clamped objective: pi'(u_i) below the peak, 0 from it on."""
-    grad = ev.pi_prime(np.minimum(u, peaks))
+def _clamped_grad(ev: Evaluator, peaks, cap, u: np.ndarray) -> np.ndarray:
+    """Per-user slope of the clamped objective: pi'(u_i) below the peak, 0 from
+    it on, taken at min(u, cap) with cap = min(peaks, ``returns.U_CLAMP``)."""
+    grad = ev._prime(np.minimum(u, cap))
     grad[u >= peaks] = 0.0
     return grad
 
 
-def _clamped_derivs(ev: Evaluator, peaks, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _clamped_derivs(ev: Evaluator, peaks, cap, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-user slope and curvature of the clamped objective, from one
     derivative pass: pi'(u_i) and min(pi''(u_i), 0) below the peak, 0 from
-    the peak on. The curvature is the Newton model's, so it stays concave."""
-    grad, curv = ev.pi_derivs(np.minimum(u, peaks))
+    the peak on, at min(u, cap) as in ``_clamped_grad``. The curvature is the
+    Newton model's, so it stays concave."""
+    grad, curv = ev._derivs(np.minimum(u, cap))
     past = u >= peaks
     grad[past] = 0.0
     np.minimum(curv, 0.0, out=curv)
@@ -144,7 +150,10 @@ def _newton_direction(UV: np.ndarray, g: np.ndarray, curv: np.ndarray,
     sum(d) = 0, where H = UV diag(curv) UV^T. H has rank at most m, so the
     (k+1)x(k+1) KKT system gets a tiny ridge on its diagonal; the gradient
     vanishes along H's null space, so the ridge only picks the shortest of
-    the equal steps.
+    the equal steps. The system goes straight to the LAPACK gufunc behind
+    ``np.linalg.solve``, the same bits without the wrapper; a non-finite
+    result is solved again through ``np.linalg.solve``, which raises its
+    ``LinAlgError`` for a singular system.
     """
     A = UV[face]
     p = len(A)
@@ -155,16 +164,22 @@ def _newton_direction(UV: np.ndarray, g: np.ndarray, curv: np.ndarray,
     diag -= WEIGHT_RIDGE * (1.0 + np.maximum.reduce(np.abs(diag)))
     rhs = np.zeros(p + 1)
     np.negative(g[face], out=rhs[:p])
+    with np.errstate(all="ignore"):
+        sol = _lapack_solve(K, rhs, signature="dd->d")
+    if not math.isfinite(np.add.reduce(sol)):
+        sol = np.linalg.solve(K, rhs)
     d = np.zeros(len(g))
-    d[face] = np.linalg.solve(K, rhs)[:p]
+    d[face] = sol[:p]
     return d
 
 
-def _ascent_step(ev: Evaluator, peaks, UV, lam, u0, grow, d):
+def _ascent_step(ev: Evaluator, peaks, cap, UV, lam, u0, grow, d):
     """Move the weights along d to near the maximum of the clamped objective.
 
-    ``u0`` is lam @ UV and ``grow`` the clamped gradient there. A ratio test
-    caps the step at tmax <= 1, where the first weight reaches zero. Where
+    ``u0`` is lam @ UV, ``grow`` the clamped gradient there and ``cap`` as in
+    ``_clamped_grad``. A ratio test on Python floats caps the step at
+    tmax <= 1, where the first weight reaches zero; of equal smallest ratios
+    the first index is that weight, as ``np.argmin`` would pick. Where
     the objective is concave along the line, a step at which its slope is
     still non-negative lies short of the line's maximizer and cannot lower
     the objective. The step is tmax if the slope there is non-negative;
@@ -184,15 +199,16 @@ def _ascent_step(ev: Evaluator, peaks, UV, lam, u0, grow, d):
     d[still] = 0.0
     du = d @ UV
     s0 = float(grow @ du)
-    neg = d < 0.0
-    ratios = lam[neg] / -d[neg]
-    tmax = min([1.0, *ratios.tolist()])
+    tmax, first = 1.0, -1
+    for k, (a, b) in enumerate(zip(lam.tolist(), d.tolist())):
+        if b < 0.0 and a / -b < tmax:
+            tmax, first = a / -b, k
     if not (s0 > 0.0 and tmax > 0.0):
         return None
     lo, s_lo, hi, s_hi = 0.0, s0, tmax, 0.0
     t, found = tmax, False
     for _ in range(LINE_MAX_ITERS):
-        s = float(_clamped_grad(ev, peaks, u0 + t * du) @ du)
+        s = float(_clamped_grad(ev, peaks, cap, u0 + t * du) @ du)
         if s >= 0.0:
             lo, s_lo, found = t, s, True
             if t == tmax or s <= 0.1 * s0:
@@ -206,9 +222,9 @@ def _ascent_step(ev: Evaluator, peaks, UV, lam, u0, grow, d):
         return None
     new = np.maximum(lam + lo * d, 0.0)
     if lo == tmax and tmax < 1.0:
-        new[np.flatnonzero(neg)[np.argmin(ratios)]] = 0.0
+        new[first] = 0.0
     u = new @ UV
-    return (new, u, *_clamped_derivs(ev, peaks, u))
+    return (new, u, *_clamped_derivs(ev, peaks, cap, u))
 
 
 def _correct_weights(ev: Evaluator, peaks, UV: np.ndarray, lam: np.ndarray,
@@ -234,8 +250,9 @@ def _correct_weights(ev: Evaluator, peaks, UV: np.ndarray, lam: np.ndarray,
     leave the gap above ``tol``. ``_afw`` counts such solves, and
     ``solve_selfish`` reports them as ``weight_solves_short``.
     """
+    cap = np.minimum(peaks, returns.U_CLAMP)
     u = lam @ UV
-    grow, curv = _clamped_derivs(ev, peaks, u)
+    grow, curv = _clamped_derivs(ev, peaks, cap, u)
     for _ in range(WEIGHT_MAX_ITERS):
         g = UV @ grow
         j = int(g.argmax())
@@ -247,7 +264,7 @@ def _correct_weights(ev: Evaluator, peaks, UV: np.ndarray, lam: np.ndarray,
         if lam[j] <= 0.0 and d[j] < 0.0:  # j is the face's one vertex at zero weight
             face[j] = False
             d = _newton_direction(UV, g, curv, face)
-        step = _ascent_step(ev, peaks, UV, lam, u, grow, d)
+        step = _ascent_step(ev, peaks, cap, UV, lam, u, grow, d)
         if step is None:
             return lam, False
         lam, u, grow, curv = step
@@ -255,7 +272,7 @@ def _correct_weights(ev: Evaluator, peaks, UV: np.ndarray, lam: np.ndarray,
     return lam, bool(g.max() - lam @ g <= tol)
 
 
-def _afw(inst: MarketInstance, ev: Evaluator, peaks, gap_tol: float, start):
+def _afw(inst: MarketInstance, ev: Evaluator, peaks, cap, gap_tol: float, start):
     """Fully-corrective Frank-Wolfe on the clamped objective from ``start``.
 
     ``start`` is a matching given as the column per row, -1 if unmatched; the
@@ -289,7 +306,7 @@ def _afw(inst: MarketInstance, ev: Evaluator, peaks, gap_tol: float, start):
     it = 0
     for it in range(1, MAX_ITERS + 1):
         u = (w * x).sum(axis=1)
-        grad = _clamped_grad(ev, peaks, u)[:, None] * w
+        grad = _clamped_grad(ev, peaks, cap, u)[:, None] * w
         row_match, s_value, _, _ = best_matching(grad)
         gap = float(s_value - (grad * x).sum())
         if gap <= gap_tol:
@@ -345,6 +362,7 @@ def solve_selfish(
         returns.strictly_concave(mod) for mod in models)
     gap_tol = GAP_TOL_PER_USER * inst.m
     peaks = np.array([peak_utility(mod, stationary) for mod in models])
+    cap = np.minimum(peaks, returns.U_CLAMP)
 
     if concave:
         starts = [np.full(inst.m, -1)]
@@ -355,7 +373,7 @@ def solve_selfish(
     best = None
     weight_short = capped = 0
     for start in starts:
-        x, gap, iters, short = _afw(inst, ev, peaks, gap_tol, start)
+        x, gap, iters, short = _afw(inst, ev, peaks, cap, gap_tol, start)
         weight_short += short
         capped += gap > gap_tol
         x = _shrink_to_peaks(inst, x, peaks)
@@ -429,27 +447,3 @@ def kkt_residual_of(inst: MarketInstance, models, sol: SelfishSolution,
     return kkt_residual(inst, models, sol.matching.x, sol.beta, sol.sigma,
                         mu=sol.mu, stationary=stationary)
 
-
-def solve_selfish_integral(
-    inst: MarketInstance,
-    models,
-    stationary: Stationary = MONOPOLY,
-) -> SelfishSolution:
-    """Best integral matching: per-edge objective pi_i(w_ij) reduces to assignment."""
-    ev = Evaluator(_check_models(inst, models), stationary)
-    # users on the last axis: column j of w.T holds user j's edge utilities
-    res = max_weight_assignment(ev.pi(inst.w.T).T)
-    x = res.x_matrix(inst.w.shape)
-    matching = FractionalMatching.from_x(inst, x)
-    grow = ev.pi_prime(matching.u)
-    mu = res.beta[:, None] + res.sigma[None, :] - grow[:, None] * inst.w
-    return SelfishSolution(
-        matching=matching,
-        value=res.value,
-        fw_gap=float("nan"),
-        iterations=0,
-        beta=res.beta,
-        sigma=res.sigma,
-        mu=mu,
-        mode="integral",
-    )

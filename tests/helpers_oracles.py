@@ -16,9 +16,20 @@ from matchmarket.experiment import (
     assign_round,
     generate_market,
 )
-from matchmarket.market import MarketInstance
+from matchmarket.fair import max_weight_assignment
+from matchmarket.market import FractionalMatching, MarketInstance
+from matchmarket.online import _CAP_TOL, ArrivalSequence, OnlineSolution
+from matchmarket.poa import _ubars
 from matchmarket.returns import GRID_NODES, MONOPOLY, Evaluator, ReturnModel, _central, _pi_prime, _q_terms
-from matchmarket.selfish import LINE_MAX_ITERS, WEIGHT_MAX_ITERS, WEIGHT_RIDGE
+from matchmarket.selfish import (
+    LINE_MAX_ITERS,
+    WEIGHT_MAX_ITERS,
+    WEIGHT_RIDGE,
+    SelfishSolution,
+    Stationary,
+    _check_models,
+    peak_utility,
+)
 
 
 def brute_force_fair(inst: MarketInstance) -> float:
@@ -388,6 +399,76 @@ def run_study_arms_reference(config: StudyConfig, behavior: BehaviorModel,
                                 arm_seed, q0=selfish_q0 if name == "Selfish" else None)
         for name in ("Fair", "Selfish", "Random")
     }
+
+
+# ---- reference integral selfish solve and single-user ubar -----------------
+# No library code needs these two: the ``sim`` arms take their integral
+# matchings from ``experiment.assign_round``, and ``poa.theorem1_bound``
+# bisects every user at once in ``poa._ubars``.
+
+def solve_selfish_integral(
+    inst: MarketInstance,
+    models,
+    stationary: Stationary = MONOPOLY,
+) -> SelfishSolution:
+    """Best integral matching: per-edge objective pi_i(w_ij) reduces to assignment."""
+    ev = Evaluator(_check_models(inst, models), stationary)
+    # users on the last axis: column j of w.T holds user j's edge utilities
+    res = max_weight_assignment(ev.pi(inst.w.T).T)
+    x = res.x_matrix(inst.w.shape)
+    matching = FractionalMatching.from_x(inst, x)
+    grow = ev.pi_prime(matching.u)
+    mu = res.beta[:, None] + res.sigma[None, :] - grow[:, None] * inst.w
+    return SelfishSolution(
+        matching=matching,
+        value=res.value,
+        fw_gap=float("nan"),
+        iterations=0,
+        beta=res.beta,
+        sigma=res.sigma,
+        mu=mu,
+        mode="integral",
+    )
+
+
+def ubar(model: ReturnModel, c: float) -> float:
+    """``poa._ubars`` for a single user: the root of pi'(u) = c."""
+    return float(_ubars(Evaluator([model]), c)[0])
+
+
+# ---- reference greedy online policy ----------------------------------------
+# ``online.greedy_online`` as it was before its arrivals moved to Python
+# lists: numpy rows, np.nonzero for the open columns, a stable argsort on -w
+# and numpy scalar reads. ``greedy_online`` must return the same x and value,
+# bit for bit.
+
+def greedy_online_reference(seq: ArrivalSequence, models,
+                            stationary: Stationary = MONOPOLY) -> OnlineSolution:
+    inst = seq.instance
+    models = _check_models(inst, models)
+    w = inst.w
+    cap = np.ones(inst.n)
+    x = np.zeros_like(w)
+    for i in seq.order:
+        open_cols = np.nonzero((cap > _CAP_TOL) & (w[i] > 0.0))[0]
+        if len(open_cols) == 0:
+            continue
+        # stable sort on -w keeps lowest column index first among ties
+        open_cols = open_cols[np.argsort(-w[i, open_cols], kind="stable")]
+        budget = 1.0  # row mass
+        target = peak_utility(models[i], stationary)
+        achieved = 0.0
+        for j in open_cols:
+            if budget <= 0.0 or achieved >= target - 1e-15:
+                break
+            take = min(cap[j], budget, (target - achieved) / w[i, j])
+            x[i, j] = take
+            cap[j] -= take
+            budget -= take
+            achieved += take * w[i, j]
+    matching = FractionalMatching.from_x(inst, x)
+    value = float(Evaluator(models, stationary).objective(matching.u))
+    return OnlineSolution(matching=matching, value=value)
 
 
 def max_single_row_utility(w) -> float:

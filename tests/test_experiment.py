@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers_oracles import run_study_arms_reference
+from helpers_oracles import run_study_arms_reference, solve_selfish_integral
 
 from matchmarket.experiment import (
     STUDY_BETA,
@@ -21,7 +21,6 @@ from matchmarket.experiment import (
 from matchmarket.fair import max_weight_assignment, solve_fair
 from matchmarket.market import MarketError, make_instance
 from matchmarket.returns import GRID_NODES, MONOPOLY, eval_q, grid
-from matchmarket.selfish import solve_selfish_integral
 
 
 class TestConfigs:

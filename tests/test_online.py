@@ -2,15 +2,16 @@ import csv
 
 import numpy as np
 import pytest
+from helpers_oracles import greedy_online_reference
 
-from matchmarket.market import InstanceSampler, make_instance
+from matchmarket.market import InstanceSampler, make_instance, sample_instance
 from matchmarket.online import (
     ArrivalSequence,
     greedy_online,
     online_poa_empirical,
     write_online_csv,
 )
-from matchmarket.returns import parametric
+from matchmarket.returns import GRID_NODES, MONOPOLY, competition, grid, parametric
 from matchmarket.selfish import solve_selfish
 
 
@@ -84,6 +85,42 @@ class TestGreedyOnline:
             ArrivalSequence(order=np.array([0, 0]), instance=inst)
         with pytest.raises(ValueError):
             ArrivalSequence(order=np.array([0]), instance=inst)
+
+
+def _assert_matches_reference(seq, models, stationary=MONOPOLY):
+    got = greedy_online(seq, models, stationary)
+    ref = greedy_online_reference(seq, models, stationary)
+    assert got.matching.x.tobytes() == ref.matching.x.tobytes()
+    assert np.float64(got.value).tobytes() == np.float64(ref.value).tobytes()
+
+
+class TestGreedyReference:
+    """The list-based arrivals give the numpy reference's x and value, bit for bit."""
+
+    def test_online_command_trials(self):
+        # the 200 trials of `matchmarket online --m 5 --n 5 --trials 200 --seed 1`
+        sampler = InstanceSampler("beta", 2.0, 2.0, seed=1)
+        models = [parametric(0.0)] * 5
+        for trial in range(200):
+            inst = sample_instance(sampler, 5, 5, trial)
+            order = np.random.default_rng(np.random.SeedSequence((1, trial, 1))).permutation(5)
+            _assert_matches_reference(ArrivalSequence(order, inst), models)
+
+    @pytest.mark.parametrize("w, order", [
+        ([[0.3, 0.6, 0.3, 0.6], [0.6, 0.6, 0.6, 0.6]], [0, 1]),  # tied weights in a row
+        ([[0.0, 0.0, 0.0], [0.4, 0.0, 0.9], [0.7, 0.0, 0.2]], [1, 0, 2]),  # zero row and column
+        ([[0.9, 0.5], [0.8, 0.8], [0.6, 0.7], [0.5, 0.5]], [2, 0, 3, 1]),  # m > n
+        ([[0.2, 0.9, 0.9, 0.4, 0.1], [0.3, 0.8, 0.1, 0.8, 0.5]], [1, 0]),  # m < n
+        ([[0.1, 0.2, 0.1], [0.05, 0.3, 0.3]], [0, 1]),  # peaks above what a row can reach
+    ])
+    @pytest.mark.parametrize("stationary", [MONOPOLY, competition(0.1)])
+    def test_hand_cases(self, w, order, stationary):
+        inst = make_instance(w)
+        nodes = np.linspace(0, 1, GRID_NODES)
+        mixed = [parametric(0.75), grid(nodes * (1 - nodes) ** 0.5), parametric(0.0),
+                 parametric(0.25)][:inst.m]
+        for models in ([parametric(0.0)] * inst.m, mixed):
+            _assert_matches_reference(ArrivalSequence(np.array(order), inst), models, stationary)
 
 
 class TestOnlineEmpirical:

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from helpers_oracles import ubar
 from scipy.optimize import brentq
 
 from matchmarket.market import InstanceSampler
@@ -57,8 +58,7 @@ class TestTheorem1Bound:
         rep = theorem1_bound(models)
 
         def resid(c):
-            from matchmarket.poa import _ubar
-            return (rep.H / 2.0) * _ubar(models[0], c) - c
+            return (rep.H / 2.0) * ubar(models[0], c) - c
 
         cs = np.linspace(1e-6, rep.h - 1e-6, 9)
         vals = [resid(c) for c in cs]

@@ -5,6 +5,7 @@ from helpers_oracles import pi_second_reference
 from matchmarket.returns import (
     GRID_NODES,
     MONOPOLY,
+    U_CLAMP,
     Evaluator,
     ReturnModel,
     ReturnModelError,
@@ -218,16 +219,26 @@ class TestEvaluator:
         models, U = self._mixed()
         stat = MONOPOLY if eps is None else competition(eps)
         peaks = np.array([peak_utility(mod, stat) for mod in models])
+        near_one = 1.0 - np.array([[2e-9], [1e-9], [1e-9], [5e-10], [0.0]])
         rows = [U, peaks[None, :], np.clip(peaks + np.array([[-1e-3], [1e-3]]), 0.0, 1.0),
-                np.full((2, len(models)), 1.0 - 1e-9), np.ones((1, len(models)))]
+                np.repeat(near_one, len(models), axis=1)]
         V = np.vstack(rows)
-        evaluators = [(Evaluator(models, stat), V)] + [
-            (Evaluator([mod], stat), V[:, [i]]) for i, mod in enumerate(models)]
-        for ev, W in evaluators:
+        evaluators = [(Evaluator(models, stat), V, peaks)] + [
+            (Evaluator([mod], stat), V[:, [i]], peaks[[i]]) for i, mod in enumerate(models)]
+        for ev, W, pk in evaluators:
             for u in (W, W[0]):  # a batch, and one utility vector
                 prime, second = ev.pi_derivs(u)
                 assert prime.tobytes() == ev.pi_prime(u).tobytes()
                 assert second.tobytes() == pi_second_reference(ev, u).tobytes()
+                # the selfish solver's one clamp: the unclamped path at
+                # min(u, cap), cap = min(peak, U_CLAMP), gives the bits of the
+                # public path at min(u, peak); peaks at 1 let U_CLAMP bind
+                for p in (pk, np.ones_like(pk)):
+                    at_cap = np.minimum(u, np.minimum(p, U_CLAMP))
+                    at_peak = np.minimum(u, p)
+                    assert ev._prime(at_cap).tobytes() == ev.pi_prime(at_peak).tobytes()
+                    for a, b in zip(ev._derivs(at_cap), ev.pi_derivs(at_peak), strict=True):
+                        assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("eps", [None, 0.1])
     def test_one_group_matches_grouped(self, eps):

@@ -1,9 +1,15 @@
+import warnings
 from functools import cache
 from unittest import mock
 
 import numpy as np
 import pytest
-from helpers_oracles import correct_weights_reference, oracle_2x2, oracle_single_row
+from helpers_oracles import (
+    correct_weights_reference,
+    oracle_2x2,
+    oracle_single_row,
+    solve_selfish_integral,
+)
 
 from matchmarket import selfish
 from matchmarket.market import InstanceSampler, make_instance, sample_instance
@@ -14,7 +20,6 @@ from matchmarket.selfish import (
     kkt_residual,
     kkt_residual_of,
     solve_selfish,
-    solve_selfish_integral,
 )
 
 
@@ -268,6 +273,24 @@ class TestWeightSolve:
         inst = make_instance(np.random.default_rng(5).beta(2, 2, (4, 4)))
         sol = solve_selfish(inst, [parametric(0.25)] * 4)
         assert (sol.weight_solves_short, sol.starts_capped) == (3, 1)
+
+    def test_singular_system_raises(self, monkeypatch):
+        # without the ridge, two equal face rows at zero curvature make the
+        # KKT system singular: np.linalg.solve's LinAlgError, and no warning
+        monkeypatch.setattr(selfish, "WEIGHT_RIDGE", 0.0)
+        UV = np.array([[0.5, 0.25], [0.5, 0.25], [0.125, 0.75]])
+        g = np.array([0.375, 0.375, 0.25])
+        face = np.array([True, True, False])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                selfish._newton_direction(UV, g, np.zeros(2), face)
+
+    def test_seed42_solves_emit_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for alpha in (0.0, 0.25, 0.5, 0.75):
+                assert len(list(_seed42(alpha, 50))) == 50
 
 
 class TestIntegral:
