@@ -164,7 +164,7 @@ def _newton_direction(UV: np.ndarray, g: np.ndarray, curv: np.ndarray,
     diag -= WEIGHT_RIDGE * (1.0 + np.maximum.reduce(np.abs(diag)))
     rhs = np.zeros(p + 1)
     np.negative(g[face], out=rhs[:p])
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # a singular K raises below, not as a warning here
         sol = _lapack_solve(K, rhs, signature="dd->d")
     if not math.isfinite(np.add.reduce(sol)):
         sol = np.linalg.solve(K, rhs)
