@@ -6,11 +6,23 @@ interpolation, endpoints pinned to 0) used for learned return behavior.
 
 ``Stationary`` names the Markov chain: the two-state (monopoly) chain with
 pi = q / (1 + q), or the three-state competition chain. This module is the
-only place a formula for q, q', q'', pi, pi' or pi'' is written. The kernels
-take trusted utilities; ``eval_q``, ``eval_q_prime``, ``pi_monopoly``,
-``pi_monopoly_second`` and ``pi_competition`` check the domain first, and
-``Evaluator`` applies the kernels to a batch of users: in one call when they
-share a model, else once per group of users with the same model.
+only place a formula for q, q', q'', pi, pi' or pi'' is written, once, as
+arithmetic that works on numpy arrays and on Python floats alike, with the
+powers (and the clip of a central difference) supplied by the caller: numpy's
+``**`` on arrays, ``_pow`` on floats. The kernels take trusted utilities;
+``eval_q``, ``eval_q_prime``, ``pi_monopoly``, ``pi_monopoly_second`` and
+``pi_competition`` check the domain first, and ``Evaluator`` applies the
+kernels to a batch of users. A market of at most ``ELEMENT_MAX_USERS`` users,
+all parametric, is evaluated user by user on Python floats (the element
+path), which spares numpy's per-call cost on the paper's 5-user markets;
+every other market is evaluated on arrays, in one call when its users share
+a model, else once per group of users with the same model.
+
+The element path gives the bits of the array path wherever numpy's ``**``
+calls the C library's ``pow``, as ``_pow`` does. numpy's AVX-512 (SVML) power
+loop rounds differently in the last bit for about 5% of its inputs, so on
+hosts where numpy dispatches that loop the two paths can differ by one
+rounding; ``NPY_DISABLE_CPU_FEATURES`` with the AVX-512 features turns it off.
 
 ``strictly_concave`` decides assumption A3 of Theorem 1 from the model
 family alone, with a proof instead of samples: it holds for every
@@ -21,6 +33,8 @@ the closed form 1 / (2 - alpha).
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +43,10 @@ GRID_NODES = 21
 GRID_DERIV_STEP = 1e-5  # central-difference step for grid-model derivatives
 PEAK_SAMPLES = 2001  # uniform samples of pi that bracket its global maximizer
 U_CLAMP = 1.0 - 1e-9  # pi' diverges at u = 1 for alpha > 0, so it is taken at min(u, U_CLAMP)
+# markets of at most this many users, all parametric, take the element path;
+# on whole selfish solves it is faster than the array path up to 10 users, at
+# parity at 11 and 12 and slower from 14 (measured in BENCH_13.json)
+ELEMENT_MAX_USERS = 10
 
 
 class ReturnModelError(ValueError):
@@ -115,30 +133,62 @@ def competition(eps: float) -> Stationary:
 
 _NODES = np.linspace(0.0, 1.0, GRID_NODES)
 
+# numpy's ``**`` on a float array with one of these exponents calls another
+# ufunc instead of ``power``: square, positive, ones_like, reciprocal, sqrt
+_FAST_POWERS = {
+    2.0: lambda x: x * x,
+    1.0: lambda x: x,
+    0.0: lambda x: 1.0,
+    -1.0: lambda x: 1.0 / x,
+    0.5: math.sqrt,
+}
 
-def _central(f, u):
+
+def _pow(x: float, y: float) -> float:
+    """x ** y on a float, as numpy's ``**`` computes it on an array of x.
+
+    For x > 0 it takes numpy's fast paths for the exponents above, and any
+    other exponent goes to Python's ``**``, which is the C library's
+    ``pow``. Zero, negative and NaN bases go to numpy itself, so they give
+    numpy's inf or NaN and its warning, never a Python error or a complex.
+    """
+    if x > 0.0:
+        fast = _FAST_POWERS.get(y)
+        return x ** y if fast is None else fast(x)
+    return float(np.array(x) ** y)
+
+
+def _clip(x: float, lo: float, hi: float) -> float:
+    """np.clip on a float: min(max(x, lo), hi) as numpy orders the operands,
+    the same bits for every non-NaN x, signed zeros included."""
+    x = x if x > lo else lo
+    return x if x < hi else hi
+
+
+def _central(f, u, clip=np.clip):
     """Central difference of f with step ``GRID_DERIV_STEP``, one-sided at 0 and 1."""
     h = GRID_DERIV_STEP
-    lo = np.clip(u - h, 0.0, 1.0)
-    hi = np.clip(u + h, 0.0, 1.0)
+    lo = clip(u - h, 0.0, 1.0)
+    hi = clip(u + h, 0.0, 1.0)
     return (f(hi) - f(lo)) / (hi - lo)
 
 
-def _q_terms(model: ReturnModel, u, order: int) -> list:
-    """[q(u), q'(u), q''(u)][:order + 1].
+def _q_terms(model: ReturnModel, u, order: int, pw=operator.pow) -> list:
+    """[q(u), q'(u), q''(u)][:order + 1], with pw(x, y) for x ** y.
 
     The parametric family shares r = 1 - u: q = u r^e, q' = r^(e-1) (r - u e)
     and q'' = e r^(e-2) (u(1+e) - 2), with e = 1 - alpha. Grid models
-    interpolate q linearly and take central differences for q' (order <= 1).
+    interpolate q linearly and take central differences for q' (order <= 1);
+    they are evaluated on arrays only.
     """
     if model.kind == "parametric-alpha":
         e = 1.0 - model.alpha
         r = 1.0 - u
-        terms = [u * r ** e]
+        terms = [u * pw(r, e)]
         if order >= 1:
-            terms.append(r ** (e - 1.0) * (r - u * e))
+            terms.append(pw(r, e - 1.0) * (r - u * e))
         if order >= 2:
-            terms.append(e * r ** (e - 2.0) * (u * (1.0 + e) - 2.0))
+            terms.append(e * pw(r, e - 2.0) * (u * (1.0 + e) - 2.0))
         return terms
 
     def q(v):
@@ -159,24 +209,29 @@ def _pi(q, u, eps):
 
 
 def _pi_prime(q, qp, u, eps):
-    """d/du of ``_pi`` given q = q(u) and qp = q'(u)."""
+    """d/du of ``_pi`` given q = q(u) and qp = q'(u). Squares are written
+    t * t, the bits of numpy's ``t ** 2`` on arrays; the C library's
+    pow(t, 2) rounds differently for about one input in a thousand."""
     if eps is None:
-        return qp / (1.0 + q) ** 2
-    return (qp + q * q / eps) / (1.0 + q + (q / eps) * (1.0 - u)) ** 2
+        t = 1.0 + q
+        return qp / (t * t)
+    t = 1.0 + q + (q / eps) * (1.0 - u)
+    return (qp + q * q / eps) / (t * t)
 
 
-def _pi_derivs(model: ReturnModel, u) -> list:
-    """[pi'(u), pi''(u)] of the two-state chain from one kernel pass at u.
+def _pi_derivs(model: ReturnModel, u, pw=operator.pow) -> list:
+    """[pi'(u), pi''(u)] of the two-state chain from one kernel pass at u,
+    with pw(x, y) for x ** y.
 
     Analytic for the parametric family, with t = 1 + q: pi' = q'/t^2, the
     bits of ``_pi_prime``, and pi'' = q''/t^2 - 2 q'^2/t^3. Grid models, whose
     q is piecewise linear, take central differences of pi' for pi''.
     """
     if model.kind == "parametric-alpha":
-        q, qp, qpp = _q_terms(model, u, 2)
+        q, qp, qpp = _q_terms(model, u, 2, pw)
         t = 1.0 + q
-        t2 = t ** 2
-        return [qp / t2, qpp / t2 - 2.0 * qp * qp / t ** 3]
+        t2 = t * t
+        return [qp / t2, qpp / t2 - 2.0 * qp * qp / pw(t, 3.0)]
 
     def prime(v):
         return _pi_prime(*_q_terms(model, v, 1), v, None)
@@ -234,16 +289,53 @@ def pi_competition(model: ReturnModel, u, eps: float):
     return _pi(_q_terms(model, u, 0)[0], u, eps)
 
 
+def _element_kernels(model: ReturnModel, eps):
+    """(pi, pi', (pi', pi'')) of one parametric user as functions of a float:
+    the array kernels' formulas with ``_pow`` and ``_clip``. The competition
+    chain's pi'' is the central difference of pi' at min(u, ``U_CLAMP``).
+
+    pi' and pi'' are taken at utilities in [0, ``U_CLAMP``], so every base
+    they raise to a power, 1 - u and 1 + q, is positive. There ``_pow``
+    takes Python's ``**`` for each exponent without a fast path, so when
+    none of the model's exponents e, e - 1 and e - 2 (e = 1 - alpha) has
+    one, they call ``**`` directly and skip ``_pow``'s dispatch; t ** 3
+    never has one.
+    """
+    e = 1.0 - model.alpha
+    pw = _pow if {e, e - 1.0, e - 2.0} & _FAST_POWERS.keys() else operator.pow
+
+    def pi(u):
+        return _pi(_q_terms(model, u, 0, _pow)[0], u, eps)
+
+    def prime(u):
+        return _pi_prime(*_q_terms(model, u, 1, pw), u, eps)
+
+    def clamped_prime(u):
+        return prime(u if u < U_CLAMP else U_CLAMP)  # np.minimum's operand order
+
+    def derivs(u):
+        if eps is None:
+            return _pi_derivs(model, u, pw)
+        return prime(u), _central(clamped_prime, u, _clip)
+
+    return pi, prime, derivs
+
+
 class Evaluator:
     """Batch pi_i, pi_i' and pi_i'' for users on the last axis.
 
-    When every user shares one model (every market of the paper), each
-    quantity is one kernel call on the whole array. Otherwise users are
-    grouped by model, and each group's kernel results are scattered into
-    full-width arrays. ``pi_prime`` takes q and q' from one kernel pass, and
-    ``pi_derivs`` returns pi' and pi'' together, for the two-state chain
-    from one pass of q, q' and q''. Utilities are not checked: they come
-    from matchings the program built.
+    A market of at most ``ELEMENT_MAX_USERS`` users whose models are all
+    parametric takes the element path: ``element_pi``, ``element_prime``
+    and ``element_derivs`` hold one function of a float per user, and every
+    quantity is evaluated user by user on Python floats. The choice is made
+    once, from the market, so a result never depends on the batch shape.
+    Other markets keep them None and take the array path: when every user
+    shares one model, each quantity is one kernel call on the whole array;
+    otherwise users are grouped by model, and each group's kernel results
+    are scattered into full-width arrays. ``pi_prime`` takes q and q' from
+    one kernel pass, and ``pi_derivs`` returns pi' and pi'' together, for
+    the two-state chain from one pass of q, q' and q''. Utilities are not
+    checked: they come from matchings the program built.
     """
 
     def __init__(self, models, stat: Stationary = MONOPOLY):
@@ -258,6 +350,13 @@ class Evaluator:
         # model serves, as every kernel maps empty arrays to empty arrays
         self.model = (None if len(self.groups) > 1 else
                       self.groups[0][0] if self.groups else parametric(0.0))
+        self.element_pi = self.element_prime = self.element_derivs = None
+        if 0 < self.m <= ELEMENT_MAX_USERS and all(
+                mod.kind == "parametric-alpha" for mod in models):
+            kernels = {key: _element_kernels(mod, self.eps)
+                       for key, (mod, _) in grouped.items()}
+            self.element_pi, self.element_prime, self.element_derivs = zip(
+                *(kernels[mod.cache_key()] for mod in models))
 
     def _by_group(self, kernel, U: np.ndarray, *args):
         """kernel(model, U[..., users], *args) for every group of users; the
@@ -273,9 +372,21 @@ class Evaluator:
                 out[..., ix] = part
         return outs
 
+    def _each(self, kernels, U: np.ndarray) -> np.ndarray:
+        """kernels[i](U[..., i]) for every user on Python floats, as an
+        array of U's shape, followed by the kernels' own output axis if
+        they return pairs."""
+        if U.shape == (self.m,):
+            return np.array([f(v) for f, v in zip(kernels, U.tolist())])
+        rows = U.reshape(-1, self.m).tolist()
+        out = np.array([[f(v) for f, v in zip(kernels, row)] for row in rows])
+        return out.reshape(U.shape + out.shape[2:])
+
     def pi(self, U) -> np.ndarray:
         """pi_i(U[..., i])."""
         U = np.asarray(U, dtype=float)
+        if self.element_pi is not None:
+            return self._each(self.element_pi, U)
         return _pi(self._by_group(_q_terms, U, 0)[0], U, self.eps)
 
     def objective(self, U) -> np.ndarray:
@@ -297,11 +408,16 @@ class Evaluator:
 
     def _prime(self, u: np.ndarray) -> np.ndarray:
         """``pi_prime`` at utilities already clamped to at most ``U_CLAMP``."""
+        if self.element_prime is not None:
+            return self._each(self.element_prime, u)
         q, qp = self._by_group(_q_terms, u, 1)
         return _pi_prime(q, qp, u, self.eps)
 
     def _derivs(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``pi_derivs`` at utilities already clamped to at most ``U_CLAMP``."""
+        if self.element_derivs is not None:
+            pairs = self._each(self.element_derivs, u)
+            return pairs[..., 0].copy(), pairs[..., 1].copy()
         if self.eps is None:
             return tuple(self._by_group(_pi_derivs, u))
         return self._prime(u), _central(self.pi_prime, u)

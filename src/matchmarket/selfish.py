@@ -123,7 +123,12 @@ def _shrink_to_peaks(inst: MarketInstance, x: np.ndarray, peaks) -> np.ndarray:
 
 def _clamped_grad(ev: Evaluator, peaks, cap, u: np.ndarray) -> np.ndarray:
     """Per-user slope of the clamped objective: pi'(u_i) below the peak, 0 from
-    it on, taken at min(u, cap) with cap = min(peaks, ``returns.U_CLAMP``)."""
+    it on, taken at min(u, cap) with cap = min(peaks, ``returns.U_CLAMP``).
+    On the evaluator's element path the clamp and the zeroing run in the
+    same loop, with the bits of np.minimum and of the masked store."""
+    if ev.element_prime is not None:
+        return np.array([0.0 if v >= p else f(v if v < c else c) for f, v, p, c
+                         in zip(ev.element_prime, u.tolist(), peaks.tolist(), cap.tolist())])
     grad = ev._prime(np.minimum(u, cap))
     grad[u >= peaks] = 0.0
     return grad
@@ -134,6 +139,17 @@ def _clamped_derivs(ev: Evaluator, peaks, cap, u: np.ndarray) -> tuple[np.ndarra
     derivative pass: pi'(u_i) and min(pi''(u_i), 0) below the peak, 0 from
     the peak on, at min(u, cap) as in ``_clamped_grad``. The curvature is the
     Newton model's, so it stays concave."""
+    if ev.element_derivs is not None:
+        grad, curv = [], []
+        for f, v, p, c in zip(ev.element_derivs, u.tolist(), peaks.tolist(), cap.tolist()):
+            if v >= p:
+                grad.append(0.0)
+                curv.append(0.0)
+            else:
+                g, h = f(v if v < c else c)
+                grad.append(g)
+                curv.append(h if h < 0.0 else 0.0)
+        return np.array(grad), np.array(curv)
     grad, curv = ev._derivs(np.minimum(u, cap))
     past = u >= peaks
     grad[past] = 0.0

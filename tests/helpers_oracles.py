@@ -1,11 +1,15 @@
 """Brute-force and reference oracles shared by the unit and acceptance tests."""
 
+import ctypes
+import operator
+import os
 from itertools import permutations
 from math import perm as n_perm
+from unittest import mock
 
 import numpy as np
 
-from matchmarket import returns
+from matchmarket import returns, selfish
 from matchmarket.experiment import (
     PAYOFF_BINS,
     ArmLog,
@@ -30,6 +34,27 @@ from matchmarket.selfish import (
     _check_models,
     peak_utility,
 )
+
+
+def openblas_core() -> str:
+    """Core name of the OpenBLAS library numpy loaded, such as "SkylakeX" or
+    "Haswell" (``OPENBLAS_CORETYPE`` picks it), read through the library's
+    get_corename symbol; "unknown" where none can be read."""
+    numpy_dir = os.path.realpath(os.path.dirname(np.__file__))  # also prefixes numpy.libs
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+    except OSError:
+        return "unknown"
+    for path in sorted(paths, key=lambda p: not p.startswith(numpy_dir)):  # numpy's first
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                     "openblas_get_corename"):
+            corename = getattr(lib, name, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return "unknown"
 
 
 def brute_force_fair(inst: MarketInstance) -> float:
@@ -99,22 +124,101 @@ def jv_assign_numpy(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 # (``Evaluator.pi_derivs``): the two-state chain per group of users with one
 # model, analytic for the parametric family and central differences of pi'
 # for grid models; the competition chain as central differences of
-# ``Evaluator.pi_prime``. ``pi_derivs`` must give the same bits.
+# ``Evaluator.pi_prime``. ``pi_derivs`` must give the same bits. On the
+# evaluator's element path the analytic formula runs on each float with
+# ``returns._pow``, as the library's element kernels do, so the two are
+# compared on the same powers whatever numpy's SIMD dispatch.
 
-def _pi_second_two_state(model: ReturnModel, u):
+def _pi_second_two_state(model: ReturnModel, u, pw=operator.pow):
     if model.kind == "parametric-alpha":
-        q, qp, qpp = _q_terms(model, u, 2)
+        q, qp, qpp = _q_terms(model, u, 2, pw)
         t = 1.0 + q
-        return qpp / t ** 2 - 2.0 * qp * qp / t ** 3
+        return qpp / pw(t, 2.0) - 2.0 * qp * qp / pw(t, 3.0)
     return _central(lambda v: _pi_prime(*_q_terms(model, v, 1), v, None), u)
+
+
+def _floatwise(f, u: np.ndarray) -> np.ndarray:
+    """f on every element of u as a Python float."""
+    return np.array([f(v) for v in u.ravel().tolist()]).reshape(u.shape)
 
 
 def pi_second_reference(ev: Evaluator, u) -> np.ndarray:
     """pi_i''(u_i) at min(u_i, 1 - 1e-9), on the separate pi'' path described above."""
     u = np.minimum(u, 1.0 - 1e-9)
-    if ev.eps is None:
-        return ev._by_group(lambda mod, v: [_pi_second_two_state(mod, v)], u)[0]
-    return _central(ev.pi_prime, u)
+    if ev.eps is not None:
+        return _central(ev.pi_prime, u)
+    if ev.element_prime is not None:
+        return ev._by_group(lambda mod, v: [_floatwise(
+            lambda x: _pi_second_two_state(mod, x, returns._pow), v)], u)[0]
+    return ev._by_group(lambda mod, v: [_pi_second_two_state(mod, v)], u)[0]
+
+
+# ---- element path against array path ---------------------------------------
+# Markets small enough for ``Evaluator``'s element path, with utilities
+# below, at and past each user's peak, at U_CLAMP and at 1. The element path
+# must give the array path's bits wherever numpy's power calls the C
+# library's pow (``NPY_AVX512_OFF`` turns numpy's AVX-512 loops off).
+
+NPY_AVX512_OFF = {"NPY_DISABLE_CPU_FEATURES": "AVX512F AVX512CD AVX512_SKX AVX512_CLX "
+                                              "AVX512_CNL AVX512_ICL AVX512_SPR X86_V4"}
+# every fast-path exponent of returns._pow: e, e - 1 and e - 2 with
+# e = 1 - alpha are 1, 0 and -1 at alpha 0 and 0.5 at alpha 0.5
+ELEMENT_ALPHAS = (0.0, 0.25, 0.5, 0.75, 0.9)
+
+
+def numpy_power_is_libm() -> bool:
+    """Whether numpy's power loop gives the C library's pow bits (Python's
+    ``**``) on a sample of bases and exponents."""
+    x = np.random.default_rng(0).uniform(1e-9, 2.5, 20_000)
+    return all((x ** y).tolist() == [v ** y for v in x.tolist()] for y in (0.75, -1.25, 3.0))
+
+
+def element_path_cases():
+    """(label, models, stationary, U, peaks) for every size 1..ELEMENT_MAX_USERS:
+    a market cycling through ``ELEMENT_ALPHAS`` and one market per alpha, under
+    the monopoly chain and the eps-0.1 competition chain."""
+    rng = np.random.default_rng(13)
+    for m in range(1, returns.ELEMENT_MAX_USERS + 1):
+        markets = [[returns.parametric(ELEMENT_ALPHAS[i % len(ELEMENT_ALPHAS)])
+                    for i in range(m)]]
+        markets += [[returns.parametric(a)] * m for a in ELEMENT_ALPHAS]
+        for models in markets:
+            for stat in (MONOPOLY, returns.competition(0.1)):
+                peaks = np.array([peak_utility(mod, stat) for mod in models])
+                U = np.vstack([rng.uniform(0.0, 1.0, (2, m)) * peaks, peaks,
+                               np.minimum(peaks + 1e-3, 1.0), np.full(m, returns.U_CLAMP),
+                               np.ones(m), np.zeros(m)])
+                label = f"m={m} alphas={[mod.alpha for mod in models]} {stat.kind}"
+                yield label, models, stat, U, peaks
+
+
+def _outputs(ev: Evaluator, U: np.ndarray, peaks: np.ndarray) -> dict:
+    """Every evaluator quantity on the batch U and on each row, and the selfish
+    solver's clamped gradient and curvature on each row."""
+    cap = np.minimum(peaks, returns.U_CLAMP)
+    out = {}
+    for name in ("pi", "pi_prime", "pi_derivs"):
+        out[name] = getattr(ev, name)(U)
+        for k, u in enumerate(U):
+            out[f"{name} row {k}"] = getattr(ev, name)(u)
+    for k, u in enumerate(U):
+        out[f"_clamped_grad row {k}"] = selfish._clamped_grad(ev, peaks, cap, u)
+        out[f"_clamped_derivs row {k}"] = selfish._clamped_derivs(ev, peaks, cap, u)
+    return {name: np.asarray(v).tobytes() for name, v in out.items()}
+
+
+def element_path_mismatches() -> list[str]:
+    """The quantities on which an element-path evaluator and an array-path
+    evaluator of the same market differ in any bit, over ``element_path_cases``."""
+    bad = []
+    for label, models, stat, U, peaks in element_path_cases():
+        element = Evaluator(models, stat)
+        with mock.patch.object(returns, "ELEMENT_MAX_USERS", 0):
+            array = Evaluator(models, stat)
+        assert element.element_prime is not None and array.element_prime is None
+        got, want = _outputs(element, U, peaks), _outputs(array, U, peaks)
+        bad += [f"{label}: {name}" for name in want if got[name] != want[name]]
+    return bad
 
 
 # ---- reference weight solve ------------------------------------------------
@@ -485,12 +589,21 @@ def max_single_row_utility(w) -> float:
     return min(u_max, 1.0)
 
 
+def _pi_on_array(model, u, stationary):
+    """pi through the checked entry points, whose kernels run on the whole
+    array: a grid search over a million utilities would take seconds on the
+    evaluator's element path, which small markets take."""
+    if stationary.kind == "monopoly":
+        return returns.pi_monopoly(model, u)
+    return returns.pi_competition(model, u, stationary.eps)
+
+
 def oracle_single_row(w, model, stationary=MONOPOLY, step=1e-3) -> float:
     """Grid-search optimum of pi over the achievable utility interval."""
     u_max = max_single_row_utility(w)
     us = np.arange(0.0, u_max + step, step)
     us = np.clip(us, 0.0, u_max)
-    return float(np.max(Evaluator([model], stationary).pi(us[:, None])))
+    return float(np.max(_pi_on_array(model, us, stationary)))
 
 
 def _convex_hull(pts):
@@ -556,7 +669,7 @@ def oracle_2x2(w, models, stationary=MONOPOLY, step=1e-3) -> float:
     u2 = np.arange(0.0, verts[:, 1].max() + step, step)
     g1, g2 = np.meshgrid(u1, u2, indexing="ij")
     mask = _hull_mask(verts, g1, g2)
-    vals = Evaluator(models, stationary).objective(
-        np.stack([np.clip(g1, 0, 1), np.clip(g2, 0, 1)], axis=-1))
+    vals = (_pi_on_array(models[0], np.clip(g1, 0, 1), stationary)
+            + _pi_on_array(models[1], np.clip(g2, 0, 1), stationary))
     vals = np.where(mask, vals, -np.inf)
     return float(vals.max())

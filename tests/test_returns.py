@@ -1,8 +1,18 @@
+import operator
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from helpers_oracles import pi_second_reference
+from helpers_oracles import NPY_AVX512_OFF, element_path_cases, pi_second_reference
+
+import matchmarket
+from matchmarket import selfish
 
 from matchmarket.returns import (
+    ELEMENT_MAX_USERS,
     GRID_NODES,
     MONOPOLY,
     U_CLAMP,
@@ -21,6 +31,7 @@ from matchmarket.returns import (
     pi_monopoly_second,
     q_peak,
     strictly_concave,
+    _pow,
 )
 from matchmarket.selfish import peak_utility
 
@@ -243,16 +254,21 @@ class TestEvaluator:
     @pytest.mark.parametrize("eps", [None, 0.1])
     def test_one_group_matches_grouped(self, eps):
         # a market of one model takes the whole-array path, and gives the
-        # same bits as that model's columns in the grouped evaluator
+        # same bits as that model's columns in the grouped evaluator; its
+        # columns are repeated past ELEMENT_MAX_USERS so that a parametric
+        # model stays on the array path too
         models, U = self._mixed()
         stat = MONOPOLY if eps is None else competition(eps)
         grouped = Evaluator(models, stat)
         for model in models:
             ix = [i for i, mod in enumerate(models) if mod.cache_key() == model.cache_key()]
-            one = Evaluator([model] * len(ix), stat)
+            reps = ELEMENT_MAX_USERS // len(ix) + 1
+            one = Evaluator([model] * (len(ix) * reps), stat)
+            assert one.element_prime is None
             for quantity in ("pi", "pi_prime", "pi_derivs"):
-                np.testing.assert_array_equal(getattr(one, quantity)(U[:, ix]),
-                                              np.asarray(getattr(grouped, quantity)(U))[..., ix])
+                np.testing.assert_array_equal(
+                    getattr(one, quantity)(np.tile(U[:, ix], reps)),
+                    np.tile(np.asarray(getattr(grouped, quantity)(U))[..., ix], reps))
 
     def test_no_users(self):
         ev = Evaluator([])
@@ -262,16 +278,92 @@ class TestEvaluator:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_shared_terms_round_as_separate_formulas(self, alpha):
         # q, q' and q'' from one r = 1 - u give the bits of each formula
-        # written out on its own, as 1 - u - u e evaluates as (1 - u) - u e
+        # written out on its own, as 1 - u - u e evaluates as (1 - u) - u e:
+        # on the array path with numpy's **, on the element path with _pow
         u = np.linspace(0.0, 0.999, 1001)
         e = 1.0 - alpha
-        q = u * (1.0 - u) ** (1.0 - alpha)
-        qp = (1.0 - u) ** (e - 1.0) * (1.0 - u - u * e)
-        qpp = e * (1.0 - u) ** (e - 2.0) * (u * (1.0 + e) - 2.0)
-        ev = Evaluator([parametric(alpha)])
-        np.testing.assert_array_equal(ev.pi_prime(u[:, None])[:, 0], qp / (1.0 + q) ** 2)
-        np.testing.assert_array_equal(ev.pi_derivs(u[:, None])[1][:, 0],
-                                      qpp / (1.0 + q) ** 2 - 2.0 * qp * qp / (1.0 + q) ** 3)
+
+        def formulas(u, pw):
+            q = u * pw(1.0 - u, 1.0 - alpha)
+            qp = pw(1.0 - u, e - 1.0) * (1.0 - u - u * e)
+            qpp = e * pw(1.0 - u, e - 2.0) * (u * (1.0 + e) - 2.0)
+            return (qp / pw(1.0 + q, 2.0),
+                    qpp / pw(1.0 + q, 2.0) - 2.0 * qp * qp / pw(1.0 + q, 3.0))
+
+        wide = Evaluator([parametric(alpha)] * (ELEMENT_MAX_USERS + 1))
+        one = Evaluator([parametric(alpha)])
+        assert wide.element_prime is None and one.element_prime is not None
+        U = np.repeat(u[:, None], wide.m, axis=1)
+        on_floats = np.array([formulas(v, _pow) for v in u.tolist()]).T
+        for ev, V, (prime, second) in ((wide, U, formulas(U, operator.pow)),
+                                       (one, u[:, None], on_floats[:, :, None])):
+            np.testing.assert_array_equal(ev.pi_prime(V), prime)
+            np.testing.assert_array_equal(ev.pi_derivs(V)[1], second)
+
+
+class TestElementPath:
+    """Markets of at most ELEMENT_MAX_USERS parametric users are evaluated on
+    Python floats, user by user, with the array path's formulas."""
+
+    def test_matches_array_path_without_avx512(self):
+        # numpy's AVX-512 power loop rounds differently from the C library's
+        # pow, so the two paths are compared in a process where it is off
+        env = dict(os.environ, **NPY_AVX512_OFF, PYTHONPATH=os.pathsep.join(
+            [str(Path(matchmarket.__file__).resolve().parent.parent), str(Path(__file__).parent)]))
+        script = ("import sys\n"
+                  "from helpers_oracles import element_path_mismatches, numpy_power_is_libm\n"
+                  "assert numpy_power_is_libm(), 'numpy power differs from pow without AVX-512'\n"
+                  "bad = element_path_mismatches()\n"
+                  "print(len(bad), *bad[:20], sep='\\n')\n"
+                  "sys.exit(bool(bad))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines()[0] == "0"
+
+    def test_batch_equals_rows(self):
+        # a result never depends on the batch shape: a 2-D batch gives the
+        # bits of evaluating each row on its own, and the selfish solver's
+        # clamps in the element loop give the bits of np.minimum and the
+        # masked store on the same kernels
+        for label, models, stat, U, peaks in element_path_cases():
+            ev = Evaluator(models, stat)
+            assert ev.element_prime is not None, label
+            for name in ("pi", "pi_prime", "pi_derivs"):
+                batch = np.asarray(getattr(ev, name)(U))
+                rows = np.stack([np.asarray(getattr(ev, name)(u)) for u in U], axis=-2)
+                assert batch.tobytes() == rows.tobytes(), (label, name)
+            cap = np.minimum(peaks, U_CLAMP)
+            for u in U:
+                grad = ev._prime(np.minimum(u, cap))
+                grad[u >= peaks] = 0.0
+                assert selfish._clamped_grad(ev, peaks, cap, u).tobytes() == grad.tobytes()
+                grad, curv = ev._derivs(np.minimum(u, cap))
+                grad[u >= peaks] = 0.0
+                curv = np.where(u >= peaks, 0.0, np.minimum(curv, 0.0))
+                for a, b in zip(selfish._clamped_derivs(ev, peaks, cap, u), (grad, curv)):
+                    assert a.tobytes() == b.tobytes(), label
+
+    def test_market_size_selects_the_path(self):
+        nodes = np.linspace(0, 1, GRID_NODES)
+        small = [parametric(0.25)] * ELEMENT_MAX_USERS
+        assert Evaluator(small).element_prime is not None
+        assert Evaluator(small + [parametric(0.25)]).element_prime is None
+        assert Evaluator(small[1:] + [grid(nodes * (1 - nodes))]).element_prime is None
+        assert Evaluator([]).element_prime is None
+
+    def test_pow_fast_paths(self):
+        # numpy's ** on arrays with these exponents calls square, positive,
+        # ones_like, reciprocal and sqrt, which _pow reproduces exactly; the
+        # C library's pow differs from x * x, 1 / x and sqrt(x) for about
+        # one input in a thousand, so 50,000 inputs tell them apart
+        x = np.random.default_rng(3).uniform(1e-6, 3.0, 50_000)
+        for y in (2.0, 1.0, 0.0, -1.0, 0.5):
+            assert np.array([_pow(v, y) for v in x.tolist()]).tobytes() == (x ** y).tobytes()
+        # zero and negative bases give numpy's values, not a Python error or a complex
+        with np.errstate(all="ignore"):
+            for v, y in ((0.0, -1.0), (0.0, -1.5), (0.0, 0.75), (-0.5, 0.75), (-0.5, 0.5)):
+                assert np.array(_pow(v, y)).tobytes() == (np.array([v]) ** y)[0].tobytes()
 
 
 class TestAssumptions:
