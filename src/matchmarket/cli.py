@@ -170,7 +170,7 @@ def cmd_sweep(args) -> int:
         eps_list = [float(tok) for tok in args.eps.split(",") if tok]
     except ValueError as exc:
         raise CliError(f"invalid --eps list: {exc}") from exc
-    if not eps_list or any(e <= 0.0 or e > 1.0 for e in eps_list):
+    if not eps_list or any(not 0.0 < e <= 1.0 for e in eps_list):
         raise CliError("--eps values must lie in (0, 1]")
     _check_count(args, "trials")
     models = _models(args, args.m)

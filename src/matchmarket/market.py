@@ -106,8 +106,8 @@ class InstanceSampler:
     def __post_init__(self):
         if self.distribution not in ("beta", "uniform", "explicit"):
             raise MarketError(f"unknown distribution {self.distribution!r}")
-        if self.distribution == "beta" and (self.a <= 0 or self.b <= 0):
-            raise MarketError("Beta parameters must be positive")
+        if self.distribution == "beta" and not (0.0 < self.a < np.inf and 0.0 < self.b < np.inf):
+            raise MarketError("Beta parameters must be positive and finite")
         if self.distribution == "explicit" and self.matrix is None:
             raise MarketError("explicit sampler needs a matrix")
 

@@ -12,7 +12,7 @@ import numpy as np
 from .market import FractionalMatching, InstanceSampler, MarketInstance
 from .poa import EmpiricalPoAReport, _run_trials
 from .returns import MONOPOLY, Evaluator, Stationary
-from .selfish import _check_models, peak_utility
+from .selfish import _check_models
 
 _CAP_TOL = 1e-9  # residual column capacity below this counts as exhausted
 
@@ -54,16 +54,17 @@ def greedy_online(
     """
     inst = seq.instance
     models = _check_models(inst, models)
+    ev = Evaluator(models, stationary)
+    targets = ev.peaks.tolist()
     rows = inst.w.tolist()
     cap = [1.0] * inst.n
     x = [[0.0] * inst.n for _ in rows]
     for i in seq.order.tolist():
-        row, xi = rows[i], x[i]
+        row, xi, target = rows[i], x[i], targets[i]
         # a stable sort, reversed, keeps the lowest column index first among ties
         open_cols = sorted((j for j, wij in enumerate(row) if cap[j] > _CAP_TOL and wij > 0.0),
                            key=row.__getitem__, reverse=True)
         budget = 1.0  # row mass
-        target = peak_utility(models[i], stationary)
         achieved = 0.0
         for j in open_cols:
             if budget <= 0.0 or achieved >= target - 1e-15:
@@ -74,7 +75,7 @@ def greedy_online(
             budget -= take
             achieved += take * row[j]
     matching = FractionalMatching.from_x(inst, np.array(x))
-    value = float(Evaluator(models, stationary).objective(matching.u))
+    value = float(ev.objective(matching.u))
     return OnlineSolution(matching=matching, value=value)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import returns
 from .fair import solve_fair
-from .market import InstanceSampler, sample_instance
+from .market import InstanceSampler, MarketError, sample_instance
 from .returns import MONOPOLY, Evaluator, Stationary
 from .selfish import solve_selfish
 
@@ -113,7 +113,8 @@ def _run_trials(sampler: InstanceSampler, m: int, n: int, trials: int,
     Trial t samples instance t of ``sampler`` (its own RNG stream) and solves
     the fair program; ``policy(inst, t)`` returns the policy's total
     utility. Trials whose fair optimum is zero have an undefined ratio; they
-    keep a row with ratio nan and are counted as degenerate. ``settings``
+    keep a row with ratio nan and are counted as degenerate; if all are,
+    the sampler's markets are unusable (``MarketError``). ``settings``
     extends the report's m, n, sampler and seed settings.
     """
     if trials < 1:
@@ -130,7 +131,7 @@ def _run_trials(sampler: InstanceSampler, m: int, n: int, trials: int,
     records = [one(t) for t in range(trials)]
     ratios = [rec[4] for rec in records if rec[4] == rec[4]]
     if not ratios:
-        raise ValueError("all trials degenerate: every fair optimum was zero")
+        raise MarketError("all trials degenerate: every fair optimum was zero")
     settings = {"m": m, "n": n, "sampler": sampler.distribution, "seed": sampler.seed,
                 **settings}
     return EmpiricalPoAReport(trials=trials, ratios=ratios, degenerate=trials - len(ratios),

@@ -27,7 +27,9 @@ rounding; ``NPY_DISABLE_CPU_FEATURES`` with the AVX-512 features turns it off.
 ``strictly_concave`` decides assumption A3 of Theorem 1 from the model
 family alone, with a proof instead of samples: it holds for every
 parametric model and for no grid model. The peak u' of a parametric q has
-the closed form 1 / (2 - alpha).
+the closed form 1 / (2 - alpha). ``peak_utility``, the utility maximizing
+pi, depends only on the model and the chain; ``Evaluator`` holds one per
+user and the slopes of the objective clamped there, sum_i pi_i(min(u_i, peak_i)).
 """
 
 from __future__ import annotations
@@ -334,8 +336,10 @@ class Evaluator:
     otherwise users are grouped by model, and each group's kernel results
     are scattered into full-width arrays. ``pi_prime`` takes q and q' from
     one kernel pass, and ``pi_derivs`` returns pi' and pi'' together, for
-    the two-state chain from one pass of q, q' and q''. Utilities are not
-    checked: they come from matchings the program built.
+    the two-state chain from one pass of q, q' and q''. ``clamped_prime`` and
+    ``clamped_derivs`` give the slope and curvature of the objective clamped
+    at each user's ``peak_utility`` (``peaks``). Utilities are not checked:
+    they come from matchings the program built.
     """
 
     def __init__(self, models, stat: Stationary = MONOPOLY):
@@ -357,6 +361,8 @@ class Evaluator:
                        for key, (mod, _) in grouped.items()}
             self.element_pi, self.element_prime, self.element_derivs = zip(
                 *(kernels[mod.cache_key()] for mod in models))
+        self.peaks = np.array([peak_utility(mod, stat) for mod in models])
+        self.cap = np.minimum(self.peaks, U_CLAMP)
 
     def _by_group(self, kernel, U: np.ndarray, *args):
         """kernel(model, U[..., users], *args) for every group of users; the
@@ -421,6 +427,35 @@ class Evaluator:
         if self.eps is None:
             return tuple(self._by_group(_pi_derivs, u))
         return self._prime(u), _central(self.pi_prime, u)
+
+    def clamped_prime(self, u: np.ndarray) -> np.ndarray:
+        """Per-user slope of the clamped objective at one utility vector:
+        pi_i'(u_i) below the peak, 0 from it on, taken at min(u_i, cap_i).
+        On the element path the clamp and the zeroing run in the same loop,
+        with the bits of np.minimum and of the masked store."""
+        if self.element_prime is not None:
+            return np.array([0.0 if v >= p else f(v if v < c else c) for f, v, p, c in zip(
+                self.element_prime, u.tolist(), self.peaks.tolist(), self.cap.tolist())])
+        grad = self._prime(np.minimum(u, self.cap))
+        grad[u >= self.peaks] = 0.0
+        return grad
+
+    def clamped_derivs(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-user slope and curvature of the clamped objective from one
+        derivative pass: pi_i'(u_i) and min(pi_i''(u_i), 0) below the peak,
+        0 from the peak on, at min(u_i, cap_i) as in ``clamped_prime``. The
+        curvature is that of a Newton model, so it stays concave."""
+        if self.element_derivs is not None:
+            pairs = [(0.0, 0.0) if v >= p else f(v if v < c else c) for f, v, p, c in zip(
+                self.element_derivs, u.tolist(), self.peaks.tolist(), self.cap.tolist())]
+            return (np.array([g for g, _ in pairs]),
+                    np.array([h if h < 0.0 else 0.0 for _, h in pairs]))
+        grad, curv = self._derivs(np.minimum(u, self.cap))
+        past = u >= self.peaks
+        grad[past] = 0.0
+        np.minimum(curv, 0.0, out=curv)
+        curv[past] = 0.0
+        return grad, curv
 
 
 def strictly_concave(model: ReturnModel) -> bool:
@@ -494,14 +529,38 @@ def argmax_pi(model: ReturnModel, stat: Stationary) -> float:
     with its two neighbours; bisection on the sign of pi' then refines it,
     so pi' from ``Evaluator`` changes sign at the returned utility.
     """
-    ev = Evaluator([model], stat)
+    eps = stat.eps if stat.kind == "competition" else None
     us = np.linspace(0.0, 1.0, PEAK_SAMPLES)
-    k = int(np.argmax(ev.pi(us[:, None])[:, 0]))
+    k = int(np.argmax(_pi(_q_terms(model, us, 0)[0], us, eps)))
     lo, hi = us[max(k - 1, 0)], us[min(k + 1, PEAK_SAMPLES - 1)]
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
-        if ev.pi_prime(np.array([mid]))[0] > 0.0:
+        v = min(float(mid), U_CLAMP)  # as Evaluator clamps; lo and hi stay unclamped
+        if _pi_prime(*_q_terms(model, v, 1, _pow), v, eps) > 0.0:
             lo = mid
         else:
             hi = mid
     return float(0.5 * (lo + hi))
+
+
+_peak_cache: dict[tuple, float] = {}
+
+
+def peak_utility(model: ReturnModel, stat: Stationary) -> float:
+    """Utility maximizing pi for this user.
+
+    Models that ``strictly_concave`` certifies use the peak conditions of a
+    concave q (``q_peak``, ``argmax_pi_competition``); any other model gets
+    the global maximizer ``argmax_pi``.
+    """
+    key = (model.cache_key(), stat.kind, stat.eps)
+    cached = _peak_cache.get(key)
+    if cached is None:
+        if not strictly_concave(model):
+            cached = argmax_pi(model, stat)
+        elif stat.kind == "monopoly":
+            cached = q_peak(model)
+        else:
+            cached = argmax_pi_competition(model, stat.eps)
+        _peak_cache[key] = cached
+    return cached

@@ -7,11 +7,12 @@ by Newton ascent on the simplex, stopping on the weight problem's own
 Frank-Wolfe gap. Where a non-concave pi_i is locally convex, its curvature
 enters the Newton model as 0, so the model stays concave. Each accepted
 Newton step takes the gradient and curvature at its new weights from one
-derivative pass (``Evaluator.pi_derivs``); line-search trial points evaluate
-pi' only. A weight solve whose Newton direction does not ascend stops there
-and is counted in the solution's ``weight_solves_short``. Each gradient
-clamps once, the Newton system goes to LAPACK without numpy's wrapper and the
-ratio test runs on Python floats, each with the bits of the plain numpy form.
+derivative pass (``Evaluator.clamped_derivs``); line-search trial points
+evaluate pi' only (``Evaluator.clamped_prime``). A weight solve whose Newton
+direction does not ascend stops there and is counted in the solution's
+``weight_solves_short``. The Newton system goes to LAPACK without numpy's
+wrapper and the ratio test runs on Python floats, each with the bits of the
+plain numpy form.
 
 The objective is clamped at each user's peak utility, the global maximizer
 of pi_i; this leaves the optimum unchanged (rows can always be scaled down)
@@ -27,9 +28,10 @@ engine runs from random polytope vertices plus the fair matching and keeps
 the best stationary point (mode ``multistart-local``); starts that stop at
 the iteration cap are counted in the solution.
 
-Every value of pi, pi' and pi'' comes from ``returns.Evaluator``; this module
-holds the optimization only. ``Stationary``, ``MONOPOLY`` and ``competition``
-are defined in ``returns`` and re-exported here.
+Every value of pi, pi' and pi'', every peak and every clamp of the objective
+comes from ``returns.Evaluator``; this module holds the optimization only.
+``Stationary``, ``MONOPOLY`` and ``competition`` are defined in ``returns``
+and re-exported here.
 """
 
 from __future__ import annotations
@@ -52,29 +54,6 @@ WEIGHT_GAP_FRACTION = 0.01  # weight solves stop at this share of the FW gap tol
 WEIGHT_MAX_ITERS = 100
 WEIGHT_RIDGE = 1e-12  # relative ridge on the rank-deficient weight Hessian
 LINE_MAX_ITERS = 60
-
-_peak_cache: dict[tuple, float] = {}
-
-
-def peak_utility(model: ReturnModel, stat: Stationary) -> float:
-    """Utility maximizing pi for this user.
-
-    Models that ``returns.strictly_concave`` certifies use the peak
-    conditions of a concave q (``q_peak``, ``argmax_pi_competition``); any
-    other model gets the global maximizer ``argmax_pi``.
-    """
-    key = (model.cache_key(), stat.kind, stat.eps)
-    cached = _peak_cache.get(key)
-    if cached is None:
-        if not returns.strictly_concave(model):
-            cached = returns.argmax_pi(model, stat)
-        elif stat.kind == "monopoly":
-            cached = returns.q_peak(model)
-        else:
-            cached = returns.argmax_pi_competition(model, stat.eps)
-        _peak_cache[key] = cached
-    return cached
-
 
 @dataclass(frozen=True)
 class KKTReport:
@@ -121,43 +100,6 @@ def _shrink_to_peaks(inst: MarketInstance, x: np.ndarray, peaks) -> np.ndarray:
     return x
 
 
-def _clamped_grad(ev: Evaluator, peaks, cap, u: np.ndarray) -> np.ndarray:
-    """Per-user slope of the clamped objective: pi'(u_i) below the peak, 0 from
-    it on, taken at min(u, cap) with cap = min(peaks, ``returns.U_CLAMP``).
-    On the evaluator's element path the clamp and the zeroing run in the
-    same loop, with the bits of np.minimum and of the masked store."""
-    if ev.element_prime is not None:
-        return np.array([0.0 if v >= p else f(v if v < c else c) for f, v, p, c
-                         in zip(ev.element_prime, u.tolist(), peaks.tolist(), cap.tolist())])
-    grad = ev._prime(np.minimum(u, cap))
-    grad[u >= peaks] = 0.0
-    return grad
-
-
-def _clamped_derivs(ev: Evaluator, peaks, cap, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user slope and curvature of the clamped objective, from one
-    derivative pass: pi'(u_i) and min(pi''(u_i), 0) below the peak, 0 from
-    the peak on, at min(u, cap) as in ``_clamped_grad``. The curvature is the
-    Newton model's, so it stays concave."""
-    if ev.element_derivs is not None:
-        grad, curv = [], []
-        for f, v, p, c in zip(ev.element_derivs, u.tolist(), peaks.tolist(), cap.tolist()):
-            if v >= p:
-                grad.append(0.0)
-                curv.append(0.0)
-            else:
-                g, h = f(v if v < c else c)
-                grad.append(g)
-                curv.append(h if h < 0.0 else 0.0)
-        return np.array(grad), np.array(curv)
-    grad, curv = ev._derivs(np.minimum(u, cap))
-    past = u >= peaks
-    grad[past] = 0.0
-    np.minimum(curv, 0.0, out=curv)
-    curv[past] = 0.0
-    return grad, curv
-
-
 def _newton_direction(UV: np.ndarray, g: np.ndarray, curv: np.ndarray,
                       face: np.ndarray) -> np.ndarray:
     """Newton ascent direction of the weight problem on the face ``face``.
@@ -189,11 +131,11 @@ def _newton_direction(UV: np.ndarray, g: np.ndarray, curv: np.ndarray,
     return d
 
 
-def _ascent_step(ev: Evaluator, peaks, cap, UV, lam, u0, grow, d):
+def _ascent_step(ev: Evaluator, UV, lam, u0, grow, d):
     """Move the weights along d to near the maximum of the clamped objective.
 
-    ``u0`` is lam @ UV, ``grow`` the clamped gradient there and ``cap`` as in
-    ``_clamped_grad``. A ratio test on Python floats caps the step at
+    ``u0`` is lam @ UV and ``grow`` the clamped gradient there
+    (``Evaluator.clamped_prime``). A ratio test on Python floats caps the step at
     tmax <= 1, where the first weight reaches zero; of equal smallest ratios
     the first index is that weight, as ``np.argmin`` would pick. Where
     the objective is concave along the line, a step at which its slope is
@@ -203,7 +145,7 @@ def _ascent_step(ev: Evaluator, peaks, cap, UV, lam, u0, grow, d):
     stops at a step whose slope is non-negative and at most a tenth of the
     initial one. Trial steps evaluate pi' only. Returns (lam, u, grow, curv)
     at the new weights, the clamped gradient and curvature from one
-    ``_clamped_derivs`` pass, or None when d does not ascend.
+    ``Evaluator.clamped_derivs`` pass, or None when d does not ascend.
     """
     # near the optimum g is nearly constant, so sum(d) must vanish to the
     # rounding of d, not of lam, for the slopes below to keep their sign
@@ -224,7 +166,7 @@ def _ascent_step(ev: Evaluator, peaks, cap, UV, lam, u0, grow, d):
     lo, s_lo, hi, s_hi = 0.0, s0, tmax, 0.0
     t, found = tmax, False
     for _ in range(LINE_MAX_ITERS):
-        s = float(_clamped_grad(ev, peaks, cap, u0 + t * du) @ du)
+        s = float(ev.clamped_prime(u0 + t * du) @ du)
         if s >= 0.0:
             lo, s_lo, found = t, s, True
             if t == tmax or s <= 0.1 * s0:
@@ -240,10 +182,10 @@ def _ascent_step(ev: Evaluator, peaks, cap, UV, lam, u0, grow, d):
     if lo == tmax and tmax < 1.0:
         new[first] = 0.0
     u = new @ UV
-    return (new, u, *_clamped_derivs(ev, peaks, cap, u))
+    return (new, u, *ev.clamped_derivs(u))
 
 
-def _correct_weights(ev: Evaluator, peaks, UV: np.ndarray, lam: np.ndarray,
+def _correct_weights(ev: Evaluator, UV: np.ndarray, lam: np.ndarray,
                      tol: float) -> tuple[np.ndarray, bool]:
     """Maximize the clamped objective over convex weights of the active set.
 
@@ -257,7 +199,7 @@ def _correct_weights(ev: Evaluator, peaks, UV: np.ndarray, lam: np.ndarray,
     where the clamped objective is flat, so it stays negative semidefinite
     and the step ascends even where a non-concave pi_i is convex. The
     utilities u = lam @ UV and the clamped gradient and curvature there come
-    from one ``_clamped_derivs`` pass at entry and one at each accepted
+    from one ``Evaluator.clamped_derivs`` pass at entry and one at each accepted
     step, and are carried into the next iteration, not computed again.
 
     Stops when the weight problem's own Frank-Wolfe gap max(g) - lam.g is at
@@ -266,9 +208,8 @@ def _correct_weights(ev: Evaluator, peaks, UV: np.ndarray, lam: np.ndarray,
     leave the gap above ``tol``. ``_afw`` counts such solves, and
     ``solve_selfish`` reports them as ``weight_solves_short``.
     """
-    cap = np.minimum(peaks, returns.U_CLAMP)
     u = lam @ UV
-    grow, curv = _clamped_derivs(ev, peaks, cap, u)
+    grow, curv = ev.clamped_derivs(u)
     for _ in range(WEIGHT_MAX_ITERS):
         g = UV @ grow
         j = int(g.argmax())
@@ -280,7 +221,7 @@ def _correct_weights(ev: Evaluator, peaks, UV: np.ndarray, lam: np.ndarray,
         if lam[j] <= 0.0 and d[j] < 0.0:  # j is the face's one vertex at zero weight
             face[j] = False
             d = _newton_direction(UV, g, curv, face)
-        step = _ascent_step(ev, peaks, cap, UV, lam, u, grow, d)
+        step = _ascent_step(ev, UV, lam, u, grow, d)
         if step is None:
             return lam, False
         lam, u, grow, curv = step
@@ -288,7 +229,7 @@ def _correct_weights(ev: Evaluator, peaks, UV: np.ndarray, lam: np.ndarray,
     return lam, bool(g.max() - lam @ g <= tol)
 
 
-def _afw(inst: MarketInstance, ev: Evaluator, peaks, cap, gap_tol: float, start):
+def _afw(inst: MarketInstance, ev: Evaluator, gap_tol: float, start):
     """Fully-corrective Frank-Wolfe on the clamped objective from ``start``.
 
     ``start`` is a matching given as the column per row, -1 if unmatched; the
@@ -322,7 +263,7 @@ def _afw(inst: MarketInstance, ev: Evaluator, peaks, cap, gap_tol: float, start)
     it = 0
     for it in range(1, MAX_ITERS + 1):
         u = (w * x).sum(axis=1)
-        grad = _clamped_grad(ev, peaks, cap, u)[:, None] * w
+        grad = ev.clamped_prime(u)[:, None] * w
         row_match, s_value, _, _ = best_matching(grad)
         gap = float(s_value - (grad * x).sum())
         if gap <= gap_tol:
@@ -332,7 +273,7 @@ def _afw(inst: MarketInstance, ev: Evaluator, peaks, cap, gap_tol: float, start)
             util[s_key] = utility_row(s_key)
         active.setdefault(s_key, 0.0)
         keys = sorted(active)
-        lam, converged = _correct_weights(ev, peaks, np.array([util[k] for k in keys]),
+        lam, converged = _correct_weights(ev, np.array([util[k] for k in keys]),
                                           np.array([active[k] for k in keys]),
                                           WEIGHT_GAP_FRACTION * gap_tol)
         short += not converged
@@ -377,8 +318,6 @@ def solve_selfish(
     concave = stationary.kind == "monopoly" and all(
         returns.strictly_concave(mod) for mod in models)
     gap_tol = GAP_TOL_PER_USER * inst.m
-    peaks = np.array([peak_utility(mod, stationary) for mod in models])
-    cap = np.minimum(peaks, returns.U_CLAMP)
 
     if concave:
         starts = [np.full(inst.m, -1)]
@@ -389,10 +328,10 @@ def solve_selfish(
     best = None
     weight_short = capped = 0
     for start in starts:
-        x, gap, iters, short = _afw(inst, ev, peaks, cap, gap_tol, start)
+        x, gap, iters, short = _afw(inst, ev, gap_tol, start)
         weight_short += short
         capped += gap > gap_tol
-        x = _shrink_to_peaks(inst, x, peaks)
+        x = _shrink_to_peaks(inst, x, ev.peaks)
         val = float(ev.objective((inst.w * x).sum(axis=1)))
         if best is None or val > best[0] + 1e-12 or (
             abs(val - best[0]) <= 1e-12 and tuple(x.ravel()) < tuple(best[1].ravel())
@@ -404,7 +343,7 @@ def solve_selfish(
     matching = FractionalMatching.from_x(inst, x)
     value = float(ev.objective(matching.u))
     grow = ev.pi_prime(matching.u)
-    grow = np.where(matching.u >= peaks - 1e-15, 0.0, grow)
+    grow = np.where(matching.u >= ev.peaks - 1e-15, 0.0, grow)
     final = max_weight_assignment(grow[:, None] * inst.w)
     beta, sigma = final.beta, final.sigma
     mu = beta[:, None] + sigma[None, :] - grow[:, None] * inst.w

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 
-from matchmarket import returns, selfish
+from matchmarket import returns
 from matchmarket.experiment import (
     PAYOFF_BINS,
     ArmLog,
@@ -24,7 +24,16 @@ from matchmarket.fair import max_weight_assignment
 from matchmarket.market import FractionalMatching, MarketInstance
 from matchmarket.online import _CAP_TOL, ArrivalSequence, OnlineSolution
 from matchmarket.poa import _ubars
-from matchmarket.returns import GRID_NODES, MONOPOLY, Evaluator, ReturnModel, _central, _pi_prime, _q_terms
+from matchmarket.returns import (
+    GRID_NODES,
+    MONOPOLY,
+    Evaluator,
+    ReturnModel,
+    _central,
+    _pi_prime,
+    _q_terms,
+    peak_utility,
+)
 from matchmarket.selfish import (
     LINE_MAX_ITERS,
     WEIGHT_MAX_ITERS,
@@ -32,7 +41,6 @@ from matchmarket.selfish import (
     SelfishSolution,
     Stationary,
     _check_models,
-    peak_utility,
 )
 
 
@@ -192,18 +200,17 @@ def element_path_cases():
                 yield label, models, stat, U, peaks
 
 
-def _outputs(ev: Evaluator, U: np.ndarray, peaks: np.ndarray) -> dict:
-    """Every evaluator quantity on the batch U and on each row, and the selfish
-    solver's clamped gradient and curvature on each row."""
-    cap = np.minimum(peaks, returns.U_CLAMP)
+def _outputs(ev: Evaluator, U: np.ndarray) -> dict:
+    """Every evaluator quantity on the batch U and on each row, and the clamped
+    objective's gradient and curvature on each row."""
     out = {}
     for name in ("pi", "pi_prime", "pi_derivs"):
         out[name] = getattr(ev, name)(U)
         for k, u in enumerate(U):
             out[f"{name} row {k}"] = getattr(ev, name)(u)
     for k, u in enumerate(U):
-        out[f"_clamped_grad row {k}"] = selfish._clamped_grad(ev, peaks, cap, u)
-        out[f"_clamped_derivs row {k}"] = selfish._clamped_derivs(ev, peaks, cap, u)
+        out[f"clamped_prime row {k}"] = ev.clamped_prime(u)
+        out[f"clamped_derivs row {k}"] = ev.clamped_derivs(u)
     return {name: np.asarray(v).tobytes() for name, v in out.items()}
 
 
@@ -211,12 +218,12 @@ def element_path_mismatches() -> list[str]:
     """The quantities on which an element-path evaluator and an array-path
     evaluator of the same market differ in any bit, over ``element_path_cases``."""
     bad = []
-    for label, models, stat, U, peaks in element_path_cases():
+    for label, models, stat, U, _ in element_path_cases():
         element = Evaluator(models, stat)
         with mock.patch.object(returns, "ELEMENT_MAX_USERS", 0):
             array = Evaluator(models, stat)
         assert element.element_prime is not None and array.element_prime is None
-        got, want = _outputs(element, U, peaks), _outputs(array, U, peaks)
+        got, want = _outputs(element, U), _outputs(array, U)
         bad += [f"{label}: {name}" for name in want if got[name] != want[name]]
     return bad
 

@@ -134,6 +134,13 @@ class TestPoaAndSweep:
     ["poa", "--seed", "-1"],
     ["online", "--seed", "-1"],
     ["sweep", "--seed", "-1"],
+    ["sweep", "--eps", "nan"],
+    ["poa", "--beta-b", "inf"],
+    ["online", "--beta-b", "inf"],
+    ["sweep", "--beta-b", "inf"],
+    ["poa", "--beta-a", "nan"],
+    ["poa", "--beta-a", "1e-300"],
+    ["online", "--beta-a", "1e-300"],
     ["match", "--mode", "online", "--seed", "-1"],
     ["match", "--mode", "selfish", "--eps", "0.5", "--seed", "-1"],
     ["bound", "--alpha", "0", "--users", "0"],

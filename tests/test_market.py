@@ -104,6 +104,12 @@ class TestSampler:
         with pytest.raises(MarketError):
             InstanceSampler("explicit")
 
+    def test_rejects_non_finite_beta_parameters(self):
+        # Beta(2, inf) samples all-zero markets and Beta(nan, 2) NaN weights
+        for a, b in ((2.0, np.inf), (np.inf, 2.0), (np.nan, 2.0), (2.0, np.nan)):
+            with pytest.raises(MarketError, match="finite"):
+                InstanceSampler("beta", a, b)
+
 
 class TestInstanceIO:
     def test_round_trip(self, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import operator
 import os
 import subprocess
@@ -9,8 +10,7 @@ import pytest
 from helpers_oracles import NPY_AVX512_OFF, element_path_cases, pi_second_reference
 
 import matchmarket
-from matchmarket import selfish
-
+from matchmarket import returns
 from matchmarket.returns import (
     ELEMENT_MAX_USERS,
     GRID_NODES,
@@ -26,6 +26,7 @@ from matchmarket.returns import (
     eval_q_prime,
     grid,
     parametric,
+    peak_utility,
     pi_competition,
     pi_monopoly,
     pi_monopoly_second,
@@ -33,7 +34,6 @@ from matchmarket.returns import (
     strictly_concave,
     _pow,
 )
-from matchmarket.selfish import peak_utility
 
 ALPHAS = [0.0, 0.25, 0.5, 0.75]
 
@@ -241,7 +241,7 @@ class TestEvaluator:
                 prime, second = ev.pi_derivs(u)
                 assert prime.tobytes() == ev.pi_prime(u).tobytes()
                 assert second.tobytes() == pi_second_reference(ev, u).tobytes()
-                # the selfish solver's one clamp: the unclamped path at
+                # the clamped objective's one clamp: the unclamped path at
                 # min(u, cap), cap = min(peak, U_CLAMP), gives the bits of the
                 # public path at min(u, peak); peaks at 1 let U_CLAMP bind
                 for p in (pk, np.ones_like(pk)):
@@ -323,12 +323,13 @@ class TestElementPath:
 
     def test_batch_equals_rows(self):
         # a result never depends on the batch shape: a 2-D batch gives the
-        # bits of evaluating each row on its own, and the selfish solver's
+        # bits of evaluating each row on its own, and the clamped objective's
         # clamps in the element loop give the bits of np.minimum and the
         # masked store on the same kernels
         for label, models, stat, U, peaks in element_path_cases():
             ev = Evaluator(models, stat)
             assert ev.element_prime is not None, label
+            assert ev.peaks.tobytes() == peaks.tobytes(), label
             for name in ("pi", "pi_prime", "pi_derivs"):
                 batch = np.asarray(getattr(ev, name)(U))
                 rows = np.stack([np.asarray(getattr(ev, name)(u)) for u in U], axis=-2)
@@ -337,11 +338,11 @@ class TestElementPath:
             for u in U:
                 grad = ev._prime(np.minimum(u, cap))
                 grad[u >= peaks] = 0.0
-                assert selfish._clamped_grad(ev, peaks, cap, u).tobytes() == grad.tobytes()
+                assert ev.clamped_prime(u).tobytes() == grad.tobytes()
                 grad, curv = ev._derivs(np.minimum(u, cap))
                 grad[u >= peaks] = 0.0
                 curv = np.where(u >= peaks, 0.0, np.minimum(curv, 0.0))
-                for a, b in zip(selfish._clamped_derivs(ev, peaks, cap, u), (grad, curv)):
+                for a, b in zip(ev.clamped_derivs(u), (grad, curv), strict=True):
                     assert a.tobytes() == b.tobytes(), label
 
     def test_market_size_selects_the_path(self):
@@ -384,6 +385,63 @@ class TestAssumptions:
 
 
 class TestPeaks:
+    # SHA-256 of argmax_pi's float64 bits over ``_argmax_cases``, recorded
+    # while argmax_pi evaluated pi and pi' through a one-user Evaluator
+    ARGMAX_PI_SHA256 = "01a0fc89b2846cffce356cde8722fd0f45a7338e012466fd5e4bdcd814cd851d"
+
+    @staticmethod
+    def _argmax_cases():
+        """300 seeded grid models, half of them uniform noise and half noisy
+        humps, and 5 parametric ones, under the monopoly chain and the
+        competition chain at eps 0.1 and 0.001: 915 (model, chain) pairs."""
+        rng = np.random.default_rng(14)
+        nodes = np.linspace(0.0, 1.0, GRID_NODES)
+        models = [grid(rng.uniform(0.0, 1.0, GRID_NODES)) for _ in range(150)]
+        models += [grid(4.0 * nodes * (1.0 - nodes) * rng.uniform(0.5, 1.0, GRID_NODES))
+                   for _ in range(150)]
+        models += [parametric(a) for a in (0.0, 0.25, 0.5, 0.75, 0.9)]
+        return [(mod, stat) for stat in (MONOPOLY, competition(0.1), competition(0.001))
+                for mod in models]
+
+    def test_argmax_pi_golden(self):
+        got = np.array([argmax_pi(mod, stat) for mod, stat in self._argmax_cases()])
+        assert got.shape == (915,)
+        assert hashlib.sha256(got.tobytes()).hexdigest() == self.ARGMAX_PI_SHA256
+
+    @pytest.mark.parametrize("alpha,eps", [(0.9, 1e-12), (0.5, 1e-15)])
+    def test_argmax_pi_peak_past_the_clamp(self, alpha, eps, monkeypatch):
+        # pi' is still positive at U_CLAMP, where it is taken for every u
+        # above; the bracket moves to u itself, so the bisection still ends
+        model, stat = parametric(alpha), competition(eps)
+        assert Evaluator([model], stat).pi_prime(np.array([1.0]))[0] > 0.0
+        kernel, calls = returns._pi_prime, []
+
+        def counted(*args):
+            calls.append(args)
+            assert len(calls) <= 100, "the bisection does not end"
+            return kernel(*args)
+
+        monkeypatch.setattr(returns, "_pi_prime", counted)
+        assert argmax_pi(model, stat) == 0.9999999999995344
+
+    @pytest.mark.parametrize("stat", [MONOPOLY, competition(0.1), competition(0.001)],
+                             ids=["monopoly", "eps0.1", "eps0.001"])
+    def test_evaluator_peaks_are_peak_utility(self, stat, monkeypatch):
+        # each evaluator fills its own empty cache, so its peaks are computed,
+        # not read back from the list below; mixed markets take the array
+        # path, and the all-parametric one the element path
+        nodes = np.linspace(0, 1, GRID_NODES)
+        mixed = [parametric(0.0), grid(nodes * (1 - nodes) ** 0.5), parametric(0.5),
+                 grid(np.sin(np.pi * nodes) * 0.3), parametric(0.75)]
+        for models in (mixed, mixed * 3, [parametric(a) for a in (0.0, 0.5, 0.0, 0.9)]):
+            monkeypatch.setattr(returns, "_peak_cache", {})
+            want = np.array([peak_utility(mod, stat) for mod in models])
+            monkeypatch.setattr(returns, "_peak_cache", {})
+            ev = Evaluator(models, stat)
+            assert ev.peaks.tobytes() == want.tobytes()
+            assert ev.cap.tobytes() == np.minimum(want, U_CLAMP).tobytes()
+        assert Evaluator([], stat).peaks.shape == Evaluator([], stat).cap.shape == (0,)
+
     def test_q_peak_alpha0(self):
         assert q_peak(parametric(0.0)) == pytest.approx(0.5, abs=1e-8)
 

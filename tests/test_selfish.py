@@ -208,13 +208,13 @@ def _seed42(alpha, trials):
 @cache
 def _seed42_recorded(alpha):
     """The 50 seed-42 5x5 solves at ``alpha``, run once, and every weight
-    solve they made as ((ev, peaks, UV, lam, tol), (lam, converged))."""
+    solve they made as ((ev, UV, lam, tol), (lam, converged))."""
     calls = []
     solve = selfish._correct_weights
 
-    def recording(ev, peaks, UV, lam, tol):
-        args = (ev, peaks, UV.copy(), lam.copy(), tol)
-        out = solve(ev, peaks, UV, lam, tol)
+    def recording(ev, UV, lam, tol):
+        args = (ev, UV.copy(), lam.copy(), tol)
+        out = solve(ev, UV, lam, tol)
         calls.append((args, out))
         return out
 
@@ -260,8 +260,8 @@ class TestWeightSolve:
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75])
     def test_matches_reference_weight_solve(self, alpha):
         _, calls = _seed42_recorded(alpha)
-        for args, (lam, converged) in calls:
-            ref_lam, ref_converged = correct_weights_reference(*args)
+        for (ev, UV, lam0, tol), (lam, converged) in calls:
+            ref_lam, ref_converged = correct_weights_reference(ev, ev.peaks, UV, lam0, tol)
             assert lam.tobytes() == ref_lam.tobytes()
             assert converged == ref_converged
         # one per non-final FW iteration
@@ -284,9 +284,9 @@ class TestWeightSolve:
         monkeypatch.setattr(selfish, "MAX_ITERS", 3)
         _, calls = _seed42_recorded(0.25)
         # a recorded weight solve that moved its weights
-        args = next(a for a, (out, _) in calls if out.tobytes() != a[3].tobytes())
+        args = next(a for a, (out, _) in calls if out.tobytes() != a[2].tobytes())
         lam, converged = selfish._correct_weights(*args)
-        assert lam.tobytes() == args[3].tobytes() and not converged
+        assert lam.tobytes() == args[2].tobytes() and not converged
         inst = make_instance(np.random.default_rng(5).beta(2, 2, (4, 4)))
         sol = solve_selfish(inst, [parametric(0.25)] * 4)
         assert (sol.weight_solves_short, sol.starts_capped) == (3, 1)
