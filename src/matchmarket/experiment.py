@@ -13,19 +13,26 @@ player exits with a probability that rises when their running mean payoff is
 below the outside option), assignment (one ``assign_round`` call, or one
 random matching, for the players without a slot over the open slots, with
 slots a player left by re-matching zeroed), payoff and action (noisy payoff,
-then Continue or Rematch), and, in the Selfish arm, learning (``q_update``
-from this round's switch rates). ``assign_round`` is one
+then Continue or Rematch), and, in the Selfish arm, learning (``q_update``'s
+mix from this round's switch rates). ``assign_round`` is one
 ``fair.best_matching`` call on the per-edge matrix of its objective (mean
 payoffs, pi of the learned model, or its raw q), with no market instance,
-matching object or certificate built around it. Per-player state lives in
-Python lists of bools, ints and floats, and means come from running float
-sums. The assignment sub-matrix is one list comprehension over the payoff
-rows, which ``assign_round`` checks as lists; the Fair arm hands them to
-``best_matching`` as they are, and the Selfish arm builds one array for the
-q and pi kernels. The Selfish arm's learning mixes the 21 grid values as
-Python floats, so the loop calls numpy only to draw random numbers, in the
-Selfish arm's assignment, and to build each learned model. A snapshot
-shares its model's read-only values.
+matching object or certificate built around it; ``best_matching`` returns
+the matching as a list, and its one-row case, most of a pass's assignments,
+is one ``min``. Per-player state lives in Python lists of bools, ints and
+floats, and means come from running float sums. An arm reads its config and
+behavior fields and the players' bound ``random`` and ``normal`` methods
+once, and takes ``BehaviorModel.switch_prob`` and ``drop_prob`` inline with
+the same operations. The assignment sub-matrix is one list comprehension over
+the payoff rows, which ``assign_round`` checks as lists; the Fair arm hands
+them to ``best_matching`` as they are, and the Selfish arm builds one array
+for ``np.interp`` and the pi kernel. The Selfish arm keeps its model's 21
+node values as Python floats and mixes, with ``q_update``'s expression, only
+the nodes of the payoff bins it observed (at most two per player), so the
+loop calls numpy only to draw random numbers, in the Selfish arm's
+assignment, and to build each learned model. A snapshot shares its model's
+read-only values. A payoff sum that overflows a float, in an arm or over a
+batch, raises ``ExperimentError``.
 
 ``run_study`` builds what the three arms of a game share once: the mean and
 normalized payoff rows as lists, and the player and Random-arm generators,
@@ -57,6 +64,23 @@ class ExperimentError(ValueError):
     pass
 
 
+def _check_finite(obj, names) -> None:
+    """Each named field of ``obj`` must be a finite real number, not a bool."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                or not math.isfinite(value):
+            raise ExperimentError(f"{name} must be a finite number, got {value!r}")
+
+
+def _check_payoff_sum(total: float) -> None:
+    """A sum of payoffs that overflows a float makes every mean and ratio
+    built on it meaningless; the sums are nonnegative, so every partial sum
+    of a finite one is finite too."""
+    if not math.isfinite(total):
+        raise ExperimentError("payoff sums overflow a float; lower payoff_scale or noise_sd")
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     study: str = "B"
@@ -77,11 +101,7 @@ class StudyConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ExperimentError(f"{name} must be an integer, got {value!r}")
-        for name in ("outside_per_round", "payoff_scale", "noise_sd", "alpha_learn"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not math.isfinite(value):
-                raise ExperimentError(f"{name} must be a finite number, got {value!r}")
+        _check_finite(self, ("outside_per_round", "payoff_scale", "noise_sd", "alpha_learn"))
         if self.seed < 0:
             raise ExperimentError("seed must be non-negative")
         if self.payoff_scale <= 0.0:
@@ -119,6 +139,10 @@ class BehaviorModel:
     drop_low_bonus: float = 0.10
 
     def __post_init__(self):
+        _check_finite(self, ("switch_hi", "switch_slope", "switch_lo", "risk_decay",
+                             "drop_base", "drop_low_bonus"))
+        if self.switch_slope < 0.0:
+            raise ExperimentError("switch_slope must be non-negative")
         if not (0.0 <= self.switch_lo <= self.switch_hi <= 1.0):
             raise ExperimentError("need 0 <= switch_lo <= switch_hi <= 1")
         if not (0.0 < self.risk_decay <= 1.0):
@@ -199,6 +223,10 @@ _NODES = np.linspace(0.0, 1.0, GRID_NODES)
 _PRIOR = returns.grid(_NODES * (1.0 - _NODES))
 # the payoff bin each grid node reads: nodes 2b and 2b + 1 read bin b
 _NODE_BIN = [min(k // 2, PAYOFF_BINS - 1) for k in range(GRID_NODES)]
+# the interior nodes that read each bin, at most two; the grid constructor
+# pins the endpoints to 0 whatever they read
+_BIN_NODES = [[k for k in range(1, GRID_NODES - 1) if _NODE_BIN[k] == b]
+              for b in range(PAYOFF_BINS)]
 
 
 def prior_q() -> ReturnModel:
@@ -218,15 +246,22 @@ def bins_to_grid(bin_fractions) -> list:
     return [bin_fractions[b] for b in _NODE_BIN]
 
 
+def _mix(old: float, f: float, alpha_learn: float, keep: float) -> float:
+    """One node of the learning step, with keep = 1 - alpha_learn:
+    alpha * old + (1 - alpha) * clip(f, 0, 1) on Python floats, the same IEEE
+    operations in the same order as on numpy arrays; ``min(max(f, 0.0), 1.0)``
+    is ``np.clip`` for finite f, signed zeros included."""
+    return alpha_learn * old + keep * min(max(f, 0.0), 1.0)
+
+
 def q_update(q_round: ReturnModel, f_round, alpha_learn: float) -> ReturnModel:
     """Convex mix of the prior grid with observed switch fractions.
 
     ``f_round`` holds one value per grid node; NaN (any non-finite value)
     marks unobserved nodes, which keep their prior value. Endpoints are
-    re-pinned to 0 by the grid constructor. The mix runs on the 21 values as
-    Python floats: alpha * old + (1 - alpha) * clip(f, 0, 1), the same IEEE
-    operations in the same order as on numpy arrays, and ``min(max(f, 0.0),
-    1.0)`` is ``np.clip`` for finite f, signed zeros included.
+    re-pinned to 0 by the grid constructor. Each observed node takes
+    ``_mix``, which ``_learn`` applies to the nodes of the observed bins
+    alone.
     """
     if q_round.kind != "grid":
         raise ExperimentError("q_update needs a grid model")
@@ -237,9 +272,34 @@ def q_update(q_round: ReturnModel, f_round, alpha_learn: float) -> ReturnModel:
         raise ExperimentError("alpha_learn must lie in [0, 1]")
     keep = 1.0 - alpha_learn
     return returns.grid([
-        alpha_learn * old + keep * min(max(f, 0.0), 1.0) if math.isfinite(f) else old
+        _mix(old, f, alpha_learn, keep) if math.isfinite(f) else old
         for old, f in zip(q_round.values.tolist(), f_round.tolist())
     ])
+
+
+def _learn(values: list, switch_obs, payoff_scale: float, alpha_learn: float) -> None:
+    """The Selfish arm's learning step on its model's node values, in place.
+
+    ``switch_obs`` holds one (payoff, switched) pair per matched player. Each
+    payoff falls in one of ``PAYOFF_BINS`` bins on [0, payoff_scale]; each
+    interior node of an observed bin takes ``_mix`` with the bin's switch
+    fraction, and every other node keeps its value. That is ``q_update`` on
+    the ``bins_to_grid`` vector with NaN for the unobserved bins, bit for bit,
+    once the grid constructor has pinned the endpoints.
+    """
+    keep = 1.0 - alpha_learn
+    width = payoff_scale / PAYOFF_BINS
+    counts = [0] * PAYOFF_BINS
+    hits = [0] * PAYOFF_BINS
+    for p, switched in switch_obs:
+        b = min(int(min(p, payoff_scale) / width), PAYOFF_BINS - 1)
+        counts[b] += 1
+        hits[b] += switched
+    for b, c in enumerate(counts):
+        if c:
+            f = hits[b] / c
+            for k in _BIN_NODES[b]:
+                values[k] = _mix(values[k], f, alpha_learn, keep)
 
 
 def assign_round(condition: str, weights, learned_q: ReturnModel,
@@ -248,13 +308,15 @@ def assign_round(condition: str, weights, learned_q: ReturnModel,
 
     ``weights`` (an array, or a list of rows) are normalized mean payoffs in
     [0, 1]; disallowed pairs must already be zeroed (zero-value edges are
-    never matched). Returns the chosen column per row, -1 for unassigned.
-    Each objective is one ``best_matching`` call on its per-edge matrix, the
-    same matching that ``solve_fair`` and ``max_weight_assignment`` return,
-    without their duals, instances or matching objects. The weights are
-    checked as Python lists, and the Fair arm hands its rows to
-    ``best_matching`` as they are; the Selfish arm builds one array and
-    applies the q and pi kernels to it.
+    never matched). Returns the chosen column per row as an integer array,
+    -1 for unassigned. Each objective is one ``best_matching`` call on its
+    per-edge matrix, the same matching that ``solve_fair`` and
+    ``max_weight_assignment`` return, without their duals, instances or
+    matching objects. The weights are checked as Python lists, and the Fair
+    arm hands its rows to ``best_matching`` as they are; the Selfish arm
+    builds one array for ``np.interp`` and applies the q and pi kernels to
+    it. ``best_matching`` returns the matching as a list, which becomes the
+    array here.
     """
     rows = weights if isinstance(weights, list) else np.asarray(weights, dtype=float).tolist()
     n = len(rows[0]) if rows else 0
@@ -267,25 +329,16 @@ def assign_round(condition: str, weights, learned_q: ReturnModel,
             if not 0.0 <= x <= 1.0:  # also rejects NaN
                 raise MarketError("weights must be finite and lie in [0, 1]")
     if condition == "Fair":
-        return best_matching(rows)[0]
-    if condition == "Selfish":
+        g = rows
+    elif condition == "Selfish":
         # the weights are checked above, so the unchecked kernels serve
         w = np.array(rows, dtype=float)
-        q = returns._q_terms(learned_q, w, 0)[0]
-        if selfish_objective == "raw-q":
-            return best_matching(q)[0]
-        return best_matching(returns._pi(q, w, None))[0]
-    raise ExperimentError(f"unknown condition {condition!r}")
-
-
-def agent_step(matched: bool, payoff_cents: float, round_index: int,
-               behavior: BehaviorModel, rng: np.random.Generator) -> str:
-    """Action of a player who stayed past this round's drop decision."""
-    if not matched:
-        return "Wait"
-    if rng.random() < behavior.switch_prob(payoff_cents, round_index):
-        return "Rematch"
-    return "Continue"
+        g = returns._q_terms(learned_q, w, 0)[0]
+        if selfish_objective != "raw-q":
+            g = returns._pi(g, w, None)
+    else:
+        raise ExperimentError(f"unknown condition {condition!r}")
+    return np.array(best_matching(g)[0])
 
 
 class _Game(NamedTuple):
@@ -300,16 +353,30 @@ class _Game(NamedTuple):
 def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
              game: _Game, q0: ReturnModel | None = None) -> ArmLog:
     n, m, R = config.players_per_condition, config.slots, config.rounds
-    outside = config.outside_per_round
+    outside, noise_sd = config.outside_per_round, config.noise_sd
+    objective, scale = config.selfish_objective, config.payoff_scale
+    alpha_learn = config.alpha_learn
+    learning = condition == "Selfish"
+    # BehaviorModel.switch_prob and drop_prob, read once per arm: the same
+    # operations in the same order, so the same bits
+    hi, slope, lo = behavior.switch_hi, behavior.switch_slope, behavior.switch_lo
+    risk_decay = behavior.risk_decay
+    drop_low = behavior.drop_base + behavior.drop_low_bonus  # mean below outside
+    drop_other = behavior.drop_base + 0.0
     # agent/noise streams restart from the same states in every arm so that
     # the conditions face the same randomness where consumption aligns
     for rng, state in zip(game.rngs, game.states):
         rng.bit_generator.state = state
     *player_rng, arm_rng = game.rngs
+    random = [rng.random for rng in player_rng]
+    normal = [rng.normal for rng in player_rng]
     means, norm = game.means, game.norm
     q = q0 if q0 is not None else prior_q()
+    values = q.values.tolist()  # the learned node values, mixed in place
     log = ArmLog(condition=condition)
     records = log.records
+    matched_payoffs = log.matched_payoffs
+    snapshots = log.q_snapshots
     active = [True] * n
     slot_of = [-1] * n
     forbidden = [set() for _ in range(n)]
@@ -324,8 +391,8 @@ def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
         for i in range(n):
             if not active[i]:
                 continue
-            mean = totals[i] / plays[i] if plays[i] else None
-            if player_rng[i].random() < behavior.drop_prob(mean, outside):
+            low = plays[i] and totals[i] / plays[i] < outside
+            if random[i]() < (drop_low if low else drop_other):
                 active[i] = False
                 slot_of[i] = -1
                 totals[i] += outside * (R - r + 1)
@@ -334,21 +401,23 @@ def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
         log.drop_count_per_round.append(drops)
 
         # assignment phase
-        held = set(slot_of)
-        open_slots = [j for j in range(m) if j not in held]
         requesters = [i for i in range(n) if active[i] and slot_of[i] < 0]
-        if requesters and open_slots:
-            sub = [[0.0 if j in forbidden[i] else norm[i][j] for j in open_slots]
-                   for i in requesters]
-            if condition == "Random":
-                match = _random_assign(sub, arm_rng)
-            else:
-                match = assign_round(condition, sub, q, config.selfish_objective).tolist()
-            for i, b in zip(requesters, match):
-                if b >= 0:
-                    slot_of[i] = open_slots[b]
+        if requesters:
+            held = set(slot_of)
+            open_slots = [j for j in range(m) if j not in held]
+            if open_slots:
+                sub = [[0.0 if j in forbidden[i] else norm[i][j] for j in open_slots]
+                       for i in requesters]
+                if condition == "Random":
+                    match = _random_assign(sub, arm_rng)
+                else:
+                    match = assign_round(condition, sub, q, objective).tolist()
+                for i, b in zip(requesters, match):
+                    if b >= 0:
+                        slot_of[i] = open_slots[b]
 
         # payoff + action phase
+        decay = risk_decay ** r
         switch_obs: list[tuple[float, bool]] = []
         round_total = 0.0
         rematches = matched = 0
@@ -359,37 +428,32 @@ def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
             if j < 0:
                 records.append(RoundRecord(condition, r, i, -1, 0.0, "Wait"))
                 continue
-            p = max(0.0, player_rng[i].normal(means[i][j], config.noise_sd))
+            p = max(0.0, normal[i](means[i][j], noise_sd))
             totals[i] += p
             plays[i] += 1
-            log.matched_payoffs.append(p)
+            matched_payoffs.append(p)
             round_total += p
             matched += 1
-            action = agent_step(True, p, r, behavior, player_rng[i])
-            if action == "Rematch":
+            switched = random[i]() < min(max(hi - slope * p, lo), hi) * decay
+            if switched:
                 rematches += 1
                 forbidden[i].add(j)
                 slot_of[i] = -1
-            switch_obs.append((p, action == "Rematch"))
-            records.append(RoundRecord(condition, r, i, j, p, action))
+            switch_obs.append((p, switched))
+            records.append(RoundRecord(condition, r, i, j, p,
+                                       "Rematch" if switched else "Continue"))
         log.engagement_per_round.append(rematches / matched if matched else 0.0)
         log.mean_payoff_per_round.append(round_total / matched if matched else 0.0)
 
         # learning phase (Selfish condition only)
-        if condition == "Selfish" and switch_obs:
-            counts = [0] * PAYOFF_BINS
-            hits = [0] * PAYOFF_BINS
-            width = config.payoff_scale / PAYOFF_BINS
-            for p, switched in switch_obs:
-                b = min(int(min(p, config.payoff_scale) / width), PAYOFF_BINS - 1)
-                counts[b] += 1
-                hits[b] += switched
-            bins = [h / c if c else math.nan for h, c in zip(hits, counts)]
-            q = q_update(q, bins_to_grid(bins), config.alpha_learn)
+        if learning and switch_obs:
+            _learn(values, switch_obs, scale, alpha_learn)
+            q = returns.grid(values)
         # a model's values are a read-only array of its own, so the snapshot
         # shares them
-        log.q_snapshots.append(q.values)
+        snapshots.append(q.values)
 
+    _check_payoff_sum(sum(totals))
     log.totals = np.array(totals)
     return log
 
@@ -472,6 +536,11 @@ def run_batch(config: StudyConfig, behavior: BehaviorModel | None = None,
         results.append(res)
         if carry_learning:
             q_carry = returns.grid(res.arms["Selfish"].q_snapshots[-1])
+    # the batch's payoff sum bounds every sum of payoffs or their means taken
+    # over its games: the aggregates below and the CLI's per-round plots
+    _check_payoff_sum(config.players_per_condition * sum(
+        res.metrics[k] for res in results
+        for k in ("fair_mean_total", "selfish_mean_total", "random_mean_total")))
     keys = results[0].metrics.keys()
     agg = {k: float(np.nanmean([res.metrics[k] for res in results])) for k in keys}
     agg["poa_min"] = float(np.nanmin([res.metrics["poa_pair"] for res in results]))

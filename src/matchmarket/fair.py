@@ -6,12 +6,14 @@ zero-weight slack columns, so leaving a user unmatched costs nothing. Edges
 with nonpositive weight are never used.
 
 It is one loop on Python lists, and ``best_matching`` builds its cost (the
-clip at zero, the slack columns and the negation) and clips its duals on
-Python lists as well, rounding as numpy would. The program solves thousands
-of small problems (5x5 markets in the price-of-anarchy loop, at most 3x13
-per round of the behavioral study), where a numpy step costs more in call
-overhead than in arithmetic. Against the same loop on numpy arrays (kept in
-the tests as the reference it must match bit for bit), a call took, on a 2-CPU Xeon with
+clip at zero, the slack columns and the negation) on Python lists as well and
+returns lists, rounding as numpy would; ``max_weight_assignment`` clips the
+duals into arrays. A one-row cost, the most common case in the behavioral
+study, is one ``min`` over the row. The program solves thousands of small
+problems (5x5 markets in the price-of-anarchy loop, at most 3x13 per round of
+the behavioral study), where a numpy step costs more in call overhead than in
+arithmetic. Against the same loop on numpy arrays (kept in the tests as the
+reference it must match bit for bit), a call took, on a 2-CPU Xeon with
 Python 3.11 and numpy 2.4: 0.013 against 0.12 ms at 5x5, 0.33 against 2.1 ms
 at 20x20, 11 against 18 ms at 100x100, and about the same at 200x200. Larger
 inputs cost more than they would on numpy: 194 against 140 ms at 300x300,
@@ -25,7 +27,7 @@ feasibility) and zero on matched edges (complementary slackness). A search
 lowers only columns it reaches, which stay matched, and never lowers the
 column matched last, which bounds every row potential by zero: so beta,
 sigma >= 0, and users or items left unmatched carry a zero dual (see
-``best_matching``). The duals certify the fair optimum and feed the KKT
+``max_weight_assignment``). The duals certify the fair optimum and feed the KKT
 checks of the selfish solver.
 """
 
@@ -79,9 +81,19 @@ def _jv_assign(cost: list[list[float]],
     column index and the output is reproducible. Only the rows and columns
     the search has reached take the step's potential change; the free
     columns' distances take it lazily, at the next scan.
+
+    One row is one scan from zero potentials: the first minimum of the row,
+    u = 0.0 + that minimum and v left at zero, the loop's bits (x - 0.0 is x,
+    signed zeros included). ``min`` returns NaN only when the row starts with
+    NaN, where the loop, which skips NaN, takes over.
     """
     c = cost
     m = len(c)
+    if m == 1:
+        row = c[0]
+        best = min(row)
+        if best == best:
+            return [row.index(best)], [0.0 + best], [0.0] * k
     inf = float("inf")
     u = [0.0] * m
     v = [0.0] * k
@@ -131,12 +143,16 @@ def _jv_assign(cost: list[list[float]],
     return row_match, u, v
 
 
-def best_matching(g) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """Optimal matching, value and duals (beta, sigma) for max <g, x>.
+def best_matching(g) -> tuple[list[int], float, list[float], list[float]]:
+    """Optimal matching and value for max <g, x>, with the assignment potentials.
 
-    Returns (row_match, value, beta, sigma); see ``AssignmentResult``. The
-    unchecked kernel, for matrices the program builds: the Frank-Wolfe oracle
-    of ``selfish._afw`` and ``experiment.assign_round``, which checks its own
+    Returns (row_match, value, u, v) as Python lists and a float: the column
+    per row (-1 if unmatched), the value, and the raw row and column
+    potentials of ``_jv_assign`` on the negated cost, m row entries and
+    max(m, n) column entries (slack columns last). ``max_weight_assignment``
+    turns the potentials into the duals of ``AssignmentResult``. The unchecked
+    kernel, for matrices the program builds: the Frank-Wolfe oracle of
+    ``selfish._afw`` and ``experiment.assign_round``, which checks its own
     input. ``max_weight_assignment`` is the checked entry point. ``g`` is an
     array, or a non-empty list of equal-length rows of floats, used as is.
 
@@ -156,17 +172,6 @@ def best_matching(g) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     slack = [-0.0] * (k - n)
     row_match, u, v = _jv_assign(
         [[-0.0 if x <= 0.0 else -x for x in row] + slack for row in rows], k)
-    # Invariant: every column with v < 0 was reached by some search, so it is
-    # matched. The column j* matched last was free before the last search, so
-    # it was never lowered: v[j*] = 0, and feasibility gives
-    # u_i <= -clipped[i, j*] <= 0 for every row. Hence beta = -u >= 0 and
-    # sigma = -v >= 0. A row whose edge is dropped below (slack column or
-    # clipped weight) has beta_i + sigma_j = clipped[i, j] = 0 with both terms
-    # >= 0, so both are 0; unmatched columns keep sigma = 0. The clip at 0
-    # only removes rounding; ``0.0 if x >= 0.0 else -x`` is
-    # ``np.maximum(-x, 0.0)``, bit for bit.
-    beta = np.array([0.0 if x >= 0.0 else -x for x in u])
-    sigma = np.array([0.0 if x >= 0.0 else -x for x in v[:n]])
     # drop slack columns and edges that only existed through clipping; the
     # value adds up in row order with +=, since the builtin sum of floats is
     # compensated from Python 3.12 on
@@ -176,7 +181,7 @@ def best_matching(g) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
             row_match[i] = -1
         else:
             value += row[j]
-    return np.array(row_match, dtype=int), value, beta, sigma
+    return row_match, value, u, v
 
 
 def max_weight_assignment(g) -> AssignmentResult:
@@ -188,8 +193,20 @@ def max_weight_assignment(g) -> AssignmentResult:
     g = np.asarray(g, dtype=float)
     if not np.isfinite(g).all():
         raise MarketError("assignment weights must be finite")
-    row_match, value, beta, sigma = best_matching(g)
-    return AssignmentResult(row_match=row_match, value=value, beta=beta, sigma=sigma)
+    row_match, value, u, v = best_matching(g)
+    # Invariant: every column with v < 0 was reached by some search, so it is
+    # matched. The column j* matched last was free before the last search, so
+    # it was never lowered: v[j*] = 0, and feasibility gives
+    # u_i <= -clipped[i, j*] <= 0 for every row. Hence beta = -u >= 0 and
+    # sigma = -v >= 0. A row whose edge ``best_matching`` dropped (slack
+    # column or clipped weight) has beta_i + sigma_j = clipped[i, j] = 0 with
+    # both terms >= 0, so both are 0; unmatched columns keep sigma = 0. The
+    # clip at 0 only removes rounding; ``0.0 if x >= 0.0 else -x`` is
+    # ``np.maximum(-x, 0.0)``, bit for bit.
+    beta = np.array([0.0 if x >= 0.0 else -x for x in u])
+    sigma = np.array([0.0 if x >= 0.0 else -x for x in v[:g.shape[1]]])
+    return AssignmentResult(row_match=np.array(row_match, dtype=int), value=value,
+                            beta=beta, sigma=sigma)
 
 
 def solve_fair(inst: MarketInstance) -> FairSolution:

@@ -268,7 +268,7 @@ def _afw(inst: MarketInstance, ev: Evaluator, gap_tol: float, start):
         gap = float(s_value - (grad * x).sum())
         if gap <= gap_tol:
             break
-        s_key = tuple(row_match.tolist())
+        s_key = tuple(row_match)
         if s_key not in util:
             util[s_key] = utility_row(s_key)
         active.setdefault(s_key, 0.0)

@@ -16,7 +16,6 @@ from matchmarket.experiment import (
     BehaviorModel,
     RoundRecord,
     StudyConfig,
-    agent_step,
     assign_round,
     generate_market,
 )
@@ -370,8 +369,9 @@ def correct_weights_reference(ev: Evaluator, peaks, UV: np.ndarray, lam: np.ndar
 # ---- reference behavioral-study arm ----------------------------------------
 # One arm of a sim game as it was before its set-up moved to once per game:
 # every arm seeds its own generators with default_rng, builds the prior and
-# the assignment sub-matrix with numpy, learns on numpy arrays and copies each
-# snapshot. ``experiment.run_study`` must return the same ArmLogs, bit for bit.
+# the assignment sub-matrix with numpy, calls ``BehaviorModel``'s methods for
+# every decision, learns on numpy arrays and copies each snapshot.
+# ``experiment.run_study`` must return the same ArmLogs, bit for bit.
 
 
 def _prior_q_reference() -> ReturnModel:
@@ -392,6 +392,14 @@ def _q_update_reference(q_round: ReturnModel, f_round: np.ndarray,
     new[observed] = alpha_learn * old[observed] \
         + (1.0 - alpha_learn) * np.clip(f_round[observed], 0.0, 1.0)
     return returns.grid(new)
+
+
+def _action_reference(payoff_cents: float, round_index: int,
+                      behavior: BehaviorModel, rng: np.random.Generator) -> str:
+    """Action of a matched player who stayed past this round's drop decision."""
+    if rng.random() < behavior.switch_prob(payoff_cents, round_index):
+        return "Rematch"
+    return "Continue"
 
 
 def _random_assign_reference(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -471,7 +479,7 @@ def run_arm_reference(condition: str, config: StudyConfig, behavior: BehaviorMod
             log.matched_payoffs.append(p)
             round_total += p
             matched += 1
-            action = agent_step(True, p, r, behavior, player_rng[i])
+            action = _action_reference(p, r, behavior, player_rng[i])
             if action == "Rematch":
                 rematches += 1
                 forbidden[i].add(j)

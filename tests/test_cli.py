@@ -153,6 +153,13 @@ class TestPoaAndSweep:
         '{"rounds": true}',
         '{"payoff_scale": 0}',
         '{"seed": -1}',
+        '{"behavior": {"switch_slope": "0.1"}}',
+        '{"behavior": {"switch_slope": NaN}}',
+        '{"behavior": {"switch_slope": -0.1}}',
+        '{"behavior": {"switch_hi": true}}',
+        '{"behavior": {"drop_base": Infinity}}',
+        '{"noise_sd": 1e308}',
+        '{"payoff_scale": 1e308, "noise_sd": 0}',
     )),
 ], ids=" ".join)
 def test_invalid_input_exit_1_without_traceback(tmp_path, instance_csv, argv):

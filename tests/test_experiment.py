@@ -3,10 +3,12 @@ import pytest
 from helpers_oracles import run_study_arms_reference, solve_selfish_integral
 
 from matchmarket.experiment import (
+    PAYOFF_BINS,
     STUDY_BETA,
     BehaviorModel,
     ExperimentError,
     StudyConfig,
+    _learn,
     assign_round,
     bins_to_grid,
     generate_market,
@@ -56,6 +58,23 @@ class TestConfigs:
             BehaviorModel(risk_decay=0.0)
         with pytest.raises(ExperimentError):
             BehaviorModel(drop_base=0.5, drop_low_bonus=0.6)
+        for bad in ({"switch_slope": "0.1"}, {"switch_slope": float("nan")},
+                    {"switch_slope": -0.1}, {"switch_hi": True},
+                    {"drop_base": float("nan")}, {"risk_decay": float("inf")}):
+            with pytest.raises(ExperimentError):
+                BehaviorModel(**bad)
+
+    def test_behavior_numpy_scalars_accepted(self):
+        assert BehaviorModel(switch_slope=np.float64(0.0), switch_hi=np.int64(1)).switch_hi == 1
+
+    @pytest.mark.parametrize("bad", [{"noise_sd": 1e308},
+                                     {"payoff_scale": 1e308, "noise_sd": 0.0},
+                                     {"payoff_scale": 1e306, "noise_sd": 0.0}])
+    def test_payoff_overflow_rejected(self, bad):
+        """Payoff sums that overflow, in one game or only summed over the
+        batch (1e306 cents a slot), raise instead of giving inf metrics."""
+        with pytest.raises(ExperimentError, match="overflow"):
+            run_batch(StudyConfig(**bad), pairs=200)
 
     def test_behavior_probabilities(self):
         b = BehaviorModel()
@@ -115,6 +134,36 @@ class TestLearning:
         assert eval_q(q1, 0.5) == pytest.approx(0.5)
         # unobserved nodes keep the prior
         assert q1.values[5] == pytest.approx(q0.values[5])
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7, 1.0])
+    def test_sparse_learning_matches_q_update(self, alpha):
+        """The Selfish arm's learning step mixes only the nodes of the bins it
+        observed; on random observations, chained over 300 rounds from the
+        prior and from random grids, its node values are the bits of
+        ``q_update`` on the dense vector with NaN for the unobserved bins."""
+        rng = np.random.default_rng(17)
+        scale, width = 20.0, 20.0 / PAYOFF_BINS
+        for start in range(3):
+            q = prior_q() if start == 0 else grid(rng.random(GRID_NODES))
+            for _ in range(100):
+                size = int(rng.integers(1, 6))
+                payoffs = rng.choice([0.0, 0.5, width, scale, 30.0, *rng.uniform(0.0, 25.0, 4)],
+                                     size)
+                obs = [(float(p), bool(s)) for p, s in zip(payoffs, rng.random(size) < 0.5)]
+                counts = [0] * PAYOFF_BINS
+                hits = [0] * PAYOFF_BINS
+                for p, switched in obs:
+                    b = min(int(min(p, scale) / width), PAYOFF_BINS - 1)
+                    counts[b] += 1
+                    hits[b] += switched
+                bins = [h / c if c else np.nan for h, c in zip(hits, counts)]
+                dense = q_update(q, bins_to_grid(bins), alpha)
+                values = q.values.tolist()
+                _learn(values, obs, scale, alpha)
+                changed = sum(new != old for new, old in zip(values, q.values.tolist()))
+                assert changed <= 2 * len(obs)
+                assert grid(values).values.tobytes() == dense.values.tobytes()
+                q = dense
 
     def test_q_update_alpha_one_is_identity(self):
         q0 = prior_q()

@@ -67,8 +67,8 @@ class TestSolveFair:
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_ties_resolve_to_lowest_column(self):
-        assert best_matching(np.ones((3, 5)))[0].tolist() == [0, 1, 2]
-        assert best_matching(np.ones((5, 3)))[0].tolist() == [0, 1, 2, -1, -1]
+        assert best_matching(np.ones((3, 5)))[0] == [0, 1, 2]
+        assert best_matching(np.ones((5, 3)))[0] == [0, 1, 2, -1, -1]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weights_rejected(self, bad):
@@ -111,8 +111,9 @@ class TestDuals:
         """Value against scipy, and duals that certify it within 1e-9:
         feasible, complementary, with dual objective equal to the value; the
         assignment loop returns the reference numpy loop's (row_match, u, v)
-        bit for bit, so ties go to the lowest column as there, and
-        ``best_matching``'s duals are that loop's potentials clipped by numpy."""
+        bit for bit, so ties go to the lowest column as there;
+        ``best_matching`` returns those potentials as they are, and
+        ``max_weight_assignment``'s duals are them clipped as numpy would."""
         res = max_weight_assignment(g)
         clipped = np.maximum(g, 0.0)
         rows, cols = linear_sum_assignment(clipped, maximize=True)
@@ -132,9 +133,41 @@ class TestDuals:
         ref = jv_assign_numpy(cost)
         assert [np.asarray(a).tobytes() for a in _jv_assign(cost.tolist(), cost.shape[1])] == \
             [a.tobytes() for a in ref]
-        # best_matching builds the same cost on lists and clips the same duals
+        # best_matching builds the same cost on lists, and max_weight_assignment
+        # clips its potentials into the duals
+        row_match, _, u, v = best_matching(g)
+        assert np.array(row_match).tobytes() == res.row_match.tobytes()
+        assert [np.array(u).tobytes(), np.array(v).tobytes()] == \
+            [ref[1].tobytes(), ref[2].tobytes()]
         assert res.beta.tobytes() == np.maximum(-ref[1], 0.0).tobytes()
         assert res.sigma.tobytes() == np.maximum(-ref[2][:g.shape[1]], 0.0).tobytes()
+
+    @pytest.mark.parametrize("row", [
+        [0.7],
+        [0.5, 0.5, 0.5],
+        [1.0, -0.5, -0.5, 2.0, -0.5],
+        [-0.0, -0.0, -0.0, -0.0],
+        [0.0, -0.0],
+        [-0.0, 0.0],
+        [-0.25, -1.0, -3.0, -1.0],
+        [0.0, -np.inf, -np.inf],
+        [-np.inf],
+        [np.inf, np.inf],
+        [np.inf, 1.0],
+        [0.3, np.nan, -0.2],
+        [np.nan, 0.3, -0.2],
+        [np.nan, np.nan],
+        [np.nan, -np.inf, -0.0],
+    ])
+    def test_one_row_matches_reference(self, row):
+        """A 1 x k cost (``_jv_assign``'s one-row shortcut, or the loop when
+        the row starts with NaN) gives the reference loop's (row_match, u, v)
+        bit for bit: ties to the lowest column, signed zeros, negative and
+        infinite entries, and NaN entries, which lose every comparison."""
+        with np.errstate(invalid="ignore"):  # the reference's inf - inf
+            ref = jv_assign_numpy(np.array([row]))
+        got = _jv_assign([list(row)], len(row))
+        assert [np.asarray(a).tobytes() for a in got] == [a.tobytes() for a in ref]
 
     def test_negative_edges_never_used(self):
         res = max_weight_assignment(np.array([[-0.5, -0.2]]))
