@@ -34,6 +34,13 @@ class CliError(Exception):
         self.code = code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ``CliError``, not as argparse's exit 2."""
+
+    def error(self, message: str):
+        raise CliError(message)
+
+
 class _Run:
     """Collects output files and writes the manifest last."""
 
@@ -205,16 +212,6 @@ def cmd_online(args) -> int:
     return 0
 
 
-_SIM_CONFIG_KEYS = {
-    "study", "players_per_condition", "slots", "rounds", "outside_per_round",
-    "payoff_scale", "noise_sd", "alpha_learn", "seed", "selfish_objective",
-}
-_SIM_BEHAVIOR_KEYS = {
-    "switch_hi", "switch_slope", "switch_lo", "risk_decay",
-    "drop_base", "drop_low_bonus",
-}
-
-
 def _sim_setup(args):
     cfg_kwargs = {"study": args.study, "seed": args.seed}
     beh_kwargs: dict = {}
@@ -228,18 +225,12 @@ def _sim_setup(args):
         behavior_part = data.pop("behavior", {})
         if not isinstance(behavior_part, dict):
             raise CliError("config key 'behavior' must be an object")
-        for key in data:
-            if key not in _SIM_CONFIG_KEYS:
-                raise CliError(f"unknown config key {key!r}")
-        for key in behavior_part:
-            if key not in _SIM_BEHAVIOR_KEYS:
-                raise CliError(f"unknown behavior config key {key!r}")
         cfg_kwargs.update(data)
         beh_kwargs = behavior_part
     try:
         config = experiment.StudyConfig(**cfg_kwargs)
         behavior = experiment.BehaviorModel(**beh_kwargs)
-    except (experiment.ExperimentError, TypeError) as exc:
+    except (experiment.ExperimentError, TypeError) as exc:  # TypeError names an unknown key
         raise CliError(f"invalid config: {exc}") from exc
     return config, behavior
 
@@ -289,7 +280,7 @@ def cmd_sim(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="matchmarket",
         description="Fair vs. selfish matching: bounds, solvers, simulations.")
     parser.add_argument("--version", action="version", version=__version__)
@@ -357,23 +348,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.seed < 0:
             raise CliError(f"invalid --seed {args.seed}: must be at least 0")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (MarketError, experiment.ExperimentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ReturnModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTIONS
-    except OSError as exc:
+    except (MarketError, experiment.ExperimentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""  # numpy's message gives the size
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_USAGE
 
 

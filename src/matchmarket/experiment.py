@@ -526,6 +526,8 @@ def run_batch(config: StudyConfig, behavior: BehaviorModel | None = None,
     With ``carry_learning`` the Selfish matcher keeps its learned return
     model across the games of the batch, modeling a platform that serves many
     player groups in sequence; disable it to reset learning every game.
+    A batch in which no game has positive Fair welfare has no welfare ratio
+    to aggregate and raises ``ExperimentError``.
     """
     if pairs < 1:
         raise ExperimentError("pairs must be at least 1")
@@ -541,6 +543,8 @@ def run_batch(config: StudyConfig, behavior: BehaviorModel | None = None,
     _check_payoff_sum(config.players_per_condition * sum(
         res.metrics[k] for res in results
         for k in ("fair_mean_total", "selfish_mean_total", "random_mean_total")))
+    if not any(res.metrics["fair_mean_total"] > 0 for res in results):
+        raise ExperimentError("all games degenerate: no game had positive Fair welfare")
     keys = results[0].metrics.keys()
     agg = {k: float(np.nanmean([res.metrics[k] for res in results])) for k in keys}
     agg["poa_min"] = float(np.nanmin([res.metrics["poa_pair"] for res in results]))

@@ -75,7 +75,7 @@ def greedy_online(
             budget -= take
             achieved += take * row[j]
     matching = FractionalMatching.from_x(inst, np.array(x))
-    value = float(ev.objective(matching.u))
+    value = ev.objective(matching.u)
     return OnlineSolution(matching=matching, value=value)
 
 

@@ -12,11 +12,12 @@ powers (and the clip of a central difference) supplied by the caller: numpy's
 ``**`` on arrays, ``_pow`` on floats. The kernels take trusted utilities;
 ``eval_q``, ``eval_q_prime``, ``pi_monopoly``, ``pi_monopoly_second`` and
 ``pi_competition`` check the domain first, and ``Evaluator`` applies the
-kernels to a batch of users. A market of at most ``ELEMENT_MAX_USERS`` users,
-all parametric, is evaluated user by user on Python floats (the element
-path), which spares numpy's per-call cost on the paper's 5-user markets;
-every other market is evaluated on arrays, in one call when its users share
-a model, else once per group of users with the same model.
+kernels to one utility vector, one entry per user. A market of at most
+``ELEMENT_MAX_USERS`` users, all parametric, is evaluated user by user on
+Python floats (the element path), which spares numpy's per-call cost on the
+paper's 5-user markets; every other market is evaluated on arrays, in one
+call when its users share a model, else once per group of users with the
+same model.
 
 The element path gives the bits of the array path wherever numpy's ``**``
 calls the C library's ``pow``, as ``_pow`` does. numpy's AVX-512 (SVML) power
@@ -34,7 +35,6 @@ user and the slopes of the objective clamped there, sum_i pi_i(min(u_i, peak_i))
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -87,18 +87,6 @@ class ReturnModel:
         if self.kind == "parametric-alpha":
             return ("parametric-alpha", self.alpha)
         return ("grid", self.values.tobytes())
-
-    def to_json(self) -> str:
-        if self.kind == "parametric-alpha":
-            return json.dumps({"alpha": self.alpha})
-        return json.dumps(list(self.values))
-
-    @classmethod
-    def from_json(cls, text: str) -> "ReturnModel":
-        data = json.loads(text)
-        if isinstance(data, dict):
-            return parametric(float(data["alpha"]))
-        return grid(data)
 
 
 def parametric(alpha: float) -> ReturnModel:
@@ -221,7 +209,7 @@ def _pi_prime(q, qp, u, eps):
     return (qp + q * q / eps) / (t * t)
 
 
-def _pi_derivs(model: ReturnModel, u, pw=operator.pow) -> list:
+def _pi_prime_second(model: ReturnModel, u, pw=operator.pow) -> list:
     """[pi'(u), pi''(u)] of the two-state chain from one kernel pass at u,
     with pw(x, y) for x ** y.
 
@@ -276,7 +264,7 @@ def pi_monopoly(model: ReturnModel, u):
 
 def pi_monopoly_second(model: ReturnModel, u):
     """d^2/du^2 of the two-state stationary probability; diverges at u = 1 for alpha > 0."""
-    return _pi_derivs(model, _check_domain(u))[1]
+    return _pi_prime_second(model, _check_domain(u))[1]
 
 
 def pi_competition(model: ReturnModel, u, eps: float):
@@ -317,29 +305,29 @@ def _element_kernels(model: ReturnModel, eps):
 
     def derivs(u):
         if eps is None:
-            return _pi_derivs(model, u, pw)
+            return _pi_prime_second(model, u, pw)
         return prime(u), _central(clamped_prime, u, _clip)
 
     return pi, prime, derivs
 
 
 class Evaluator:
-    """Batch pi_i, pi_i' and pi_i'' for users on the last axis.
+    """sum_i pi_i(u_i), pi_i'(u_i) and the clamped objective's slopes at one
+    utility vector u of shape (m,), one entry per user.
 
     A market of at most ``ELEMENT_MAX_USERS`` users whose models are all
     parametric takes the element path: ``element_pi``, ``element_prime``
     and ``element_derivs`` hold one function of a float per user, and every
-    quantity is evaluated user by user on Python floats. The choice is made
-    once, from the market, so a result never depends on the batch shape.
-    Other markets keep them None and take the array path: when every user
-    shares one model, each quantity is one kernel call on the whole array;
-    otherwise users are grouped by model, and each group's kernel results
-    are scattered into full-width arrays. ``pi_prime`` takes q and q' from
-    one kernel pass, and ``pi_derivs`` returns pi' and pi'' together, for
-    the two-state chain from one pass of q, q' and q''. ``clamped_prime`` and
-    ``clamped_derivs`` give the slope and curvature of the objective clamped
-    at each user's ``peak_utility`` (``peaks``). Utilities are not checked:
-    they come from matchings the program built.
+    quantity is evaluated user by user on Python floats. Other markets keep
+    them None and take the array path: when every user shares one model,
+    each quantity is one kernel call on the whole vector; otherwise users
+    are grouped by model, and each group's kernel results are scattered
+    into full-width arrays. ``pi_prime`` takes q and q' from one kernel
+    pass. ``clamped_prime`` and ``clamped_derivs`` give the slope and
+    curvature of the objective clamped at each user's ``peak_utility``
+    (``peaks``); the curvature comes with the slope from one derivative
+    pass, for the two-state chain from one pass of q, q' and q''. Utilities
+    are not checked: they come from matchings the program built.
     """
 
     def __init__(self, models, stat: Stationary = MONOPOLY):
@@ -364,75 +352,54 @@ class Evaluator:
         self.peaks = np.array([peak_utility(mod, stat) for mod in models])
         self.cap = np.minimum(self.peaks, U_CLAMP)
 
-    def _by_group(self, kernel, U: np.ndarray, *args):
-        """kernel(model, U[..., users], *args) for every group of users; the
+    def _by_group(self, kernel, u: np.ndarray, *args):
+        """kernel(model, u[users], *args) for every group of users; the
         kernel returns a list of arrays shaped like its input."""
         if self.model is not None:
-            return kernel(self.model, U, *args)
+            return kernel(self.model, u, *args)
         outs = None
         for mod, ix in self.groups:
-            parts = kernel(mod, U[..., ix], *args)
+            parts = kernel(mod, u[ix], *args)
             if outs is None:
-                outs = [np.empty(U.shape) for _ in parts]
+                outs = [np.empty(self.m) for _ in parts]
             for out, part in zip(outs, parts):
-                out[..., ix] = part
+                out[ix] = part
         return outs
 
-    def _each(self, kernels, U: np.ndarray) -> np.ndarray:
-        """kernels[i](U[..., i]) for every user on Python floats, as an
-        array of U's shape, followed by the kernels' own output axis if
-        they return pairs."""
-        if U.shape == (self.m,):
-            return np.array([f(v) for f, v in zip(kernels, U.tolist())])
-        rows = U.reshape(-1, self.m).tolist()
-        out = np.array([[f(v) for f, v in zip(kernels, row)] for row in rows])
-        return out.reshape(U.shape + out.shape[2:])
-
-    def pi(self, U) -> np.ndarray:
-        """pi_i(U[..., i])."""
-        U = np.asarray(U, dtype=float)
+    def objective(self, u) -> float:
+        """sum_i pi_i(u_i)."""
+        u = np.asarray(u, dtype=float)
         if self.element_pi is not None:
-            return self._each(self.element_pi, U)
-        return _pi(self._by_group(_q_terms, U, 0)[0], U, self.eps)
-
-    def objective(self, U) -> np.ndarray:
-        """Sum_i pi_i(U[..., i]) for a batch of utility vectors."""
-        return self.pi(U).sum(axis=-1)
+            pis = np.array([f(v) for f, v in zip(self.element_pi, u.tolist())])
+        else:
+            pis = _pi(self._by_group(_q_terms, u, 0)[0], u, self.eps)
+        return float(np.add.reduce(pis))
 
     def pi_prime(self, u) -> np.ndarray:
         """pi_i'(u_i), evaluated at min(u_i, ``U_CLAMP``)."""
         return self._prime(np.minimum(u, U_CLAMP))
 
-    def pi_derivs(self, u) -> tuple[np.ndarray, np.ndarray]:
-        """(pi_i'(u_i), pi_i''(u_i)), both evaluated at min(u_i, ``U_CLAMP``).
-
-        The two-state chain takes both from ``_pi_derivs``, one kernel pass
-        per parametric model; the competition chain takes pi'' as central
-        differences of ``pi_prime``.
-        """
-        return self._derivs(np.minimum(u, U_CLAMP))
-
     def _prime(self, u: np.ndarray) -> np.ndarray:
         """``pi_prime`` at utilities already clamped to at most ``U_CLAMP``."""
         if self.element_prime is not None:
-            return self._each(self.element_prime, u)
+            return np.array([f(v) for f, v in zip(self.element_prime, u.tolist())])
         q, qp = self._by_group(_q_terms, u, 1)
         return _pi_prime(q, qp, u, self.eps)
 
     def _derivs(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``pi_derivs`` at utilities already clamped to at most ``U_CLAMP``."""
-        if self.element_derivs is not None:
-            pairs = self._each(self.element_derivs, u)
-            return pairs[..., 0].copy(), pairs[..., 1].copy()
+        """(pi_i'(u_i), pi_i''(u_i)) on the array path, at utilities already
+        clamped to at most ``U_CLAMP``: for the two-state chain both from
+        ``_pi_prime_second``, one kernel pass per model; for the competition
+        chain pi'' as central differences of ``pi_prime``."""
         if self.eps is None:
-            return tuple(self._by_group(_pi_derivs, u))
+            return tuple(self._by_group(_pi_prime_second, u))
         return self._prime(u), _central(self.pi_prime, u)
 
     def clamped_prime(self, u: np.ndarray) -> np.ndarray:
-        """Per-user slope of the clamped objective at one utility vector:
-        pi_i'(u_i) below the peak, 0 from it on, taken at min(u_i, cap_i).
-        On the element path the clamp and the zeroing run in the same loop,
-        with the bits of np.minimum and of the masked store."""
+        """Per-user slope of the clamped objective: pi_i'(u_i) below the
+        peak, 0 from it on, taken at min(u_i, cap_i). On the element path
+        the clamp and the zeroing run in the same loop, with the bits of
+        np.minimum and of the masked store."""
         if self.element_prime is not None:
             return np.array([0.0 if v >= p else f(v if v < c else c) for f, v, p, c in zip(
                 self.element_prime, u.tolist(), self.peaks.tolist(), self.cap.tolist())])

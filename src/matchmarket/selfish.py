@@ -10,9 +10,8 @@ Newton step takes the gradient and curvature at its new weights from one
 derivative pass (``Evaluator.clamped_derivs``); line-search trial points
 evaluate pi' only (``Evaluator.clamped_prime``). A weight solve whose Newton
 direction does not ascend stops there and is counted in the solution's
-``weight_solves_short``. The Newton system goes to LAPACK without numpy's
-wrapper and the ratio test runs on Python floats, each with the bits of the
-plain numpy form.
+``weight_solves_short``. The Newton system is solved by ``np.linalg.solve``,
+and the ratio test runs on Python floats with the pick ``np.argmin`` makes.
 
 The objective is clamped at each user's peak utility, the global maximizer
 of pi_i; this leaves the optimum unchanged (rows can always be scaled down)
@@ -36,11 +35,9 @@ and re-exported here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg._umath_linalg import solve1 as _lapack_solve
 
 from . import returns
 from .fair import best_matching, max_weight_assignment, solve_fair, vertex_matrix
@@ -108,10 +105,8 @@ def _newton_direction(UV: np.ndarray, g: np.ndarray, curv: np.ndarray,
     sum(d) = 0, where H = UV diag(curv) UV^T. H has rank at most m, so the
     (k+1)x(k+1) KKT system gets a tiny ridge on its diagonal; the gradient
     vanishes along H's null space, so the ridge only picks the shortest of
-    the equal steps. The system goes straight to the LAPACK gufunc behind
-    ``np.linalg.solve``, the same bits without the wrapper; a non-finite
-    result is solved again through ``np.linalg.solve``, which raises its
-    ``LinAlgError`` for a singular system.
+    the equal steps. ``np.linalg.solve`` raises its ``LinAlgError``, and
+    emits no warning, for a singular system.
     """
     A = UV[face]
     p = len(A)
@@ -122,12 +117,8 @@ def _newton_direction(UV: np.ndarray, g: np.ndarray, curv: np.ndarray,
     diag -= WEIGHT_RIDGE * (1.0 + np.maximum.reduce(np.abs(diag)))
     rhs = np.zeros(p + 1)
     np.negative(g[face], out=rhs[:p])
-    with np.errstate(all="ignore"):  # a singular K raises below, not as a warning here
-        sol = _lapack_solve(K, rhs, signature="dd->d")
-    if not math.isfinite(np.add.reduce(sol)):
-        sol = np.linalg.solve(K, rhs)
     d = np.zeros(len(g))
-    d[face] = sol[:p]
+    d[face] = np.linalg.solve(K, rhs)[:p]
     return d
 
 
@@ -332,7 +323,7 @@ def solve_selfish(
         weight_short += short
         capped += gap > gap_tol
         x = _shrink_to_peaks(inst, x, ev.peaks)
-        val = float(ev.objective((inst.w * x).sum(axis=1)))
+        val = ev.objective((inst.w * x).sum(axis=1))
         if best is None or val > best[0] + 1e-12 or (
             abs(val - best[0]) <= 1e-12 and tuple(x.ravel()) < tuple(best[1].ravel())
         ):
@@ -341,7 +332,7 @@ def solve_selfish(
 
     x = np.clip(x, 0.0, None)
     matching = FractionalMatching.from_x(inst, x)
-    value = float(ev.objective(matching.u))
+    value = ev.objective(matching.u)
     grow = ev.pi_prime(matching.u)
     grow = np.where(matching.u >= ev.peaks - 1e-15, 0.0, grow)
     final = max_weight_assignment(grow[:, None] * inst.w)

@@ -1,7 +1,6 @@
 """Brute-force and reference oracles shared by the unit and acceptance tests."""
 
 import ctypes
-import operator
 import os
 from itertools import permutations
 from math import perm as n_perm
@@ -127,26 +126,32 @@ def jv_assign_numpy(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 # ---- reference pi'' --------------------------------------------------------
-# ``Evaluator.pi_second`` as it was before pi' and pi'' came from one pass
-# (``Evaluator.pi_derivs``): the two-state chain per group of users with one
-# model, analytic for the parametric family and central differences of pi'
-# for grid models; the competition chain as central differences of
-# ``Evaluator.pi_prime``. ``pi_derivs`` must give the same bits. On the
-# evaluator's element path the analytic formula runs on each float with
-# ``returns._pow``, as the library's element kernels do, so the two are
-# compared on the same powers whatever numpy's SIMD dispatch.
+# ``Evaluator.pi_second`` as it was before pi' and pi'' came from one pass:
+# the two-state chain per group of users with one model, analytic for the
+# parametric family and central differences of pi' for grid models; the
+# competition chain as central differences of ``Evaluator.pi_prime``. On the
+# array path, ``Evaluator._derivs`` must give the same bits. On the element
+# path pi'' is taken from the element kernels themselves, whose one-pass bits
+# ``test_shared_terms_round_as_separate_formulas`` checks against the
+# separate formulas on floats.
 
-def _pi_second_two_state(model: ReturnModel, u, pw=operator.pow):
+def _pi_second_two_state(model: ReturnModel, u):
     if model.kind == "parametric-alpha":
-        q, qp, qpp = _q_terms(model, u, 2, pw)
+        q, qp, qpp = _q_terms(model, u, 2)
         t = 1.0 + q
-        return qpp / pw(t, 2.0) - 2.0 * qp * qp / pw(t, 3.0)
+        return qpp / t ** 2.0 - 2.0 * qp * qp / t ** 3.0
     return _central(lambda v: _pi_prime(*_q_terms(model, v, 1), v, None), u)
 
 
-def _floatwise(f, u: np.ndarray) -> np.ndarray:
-    """f on every element of u as a Python float."""
-    return np.array([f(v) for v in u.ravel().tolist()]).reshape(u.shape)
+def pi_derivs(ev: Evaluator, u) -> tuple[np.ndarray, np.ndarray]:
+    """(pi_i'(u_i), pi_i''(u_i)) at min(u_i, ``U_CLAMP``) for one utility
+    vector: ``Evaluator._derivs`` on the array path, the ``element_derivs``
+    kernels on the element path."""
+    u = np.minimum(u, returns.U_CLAMP)
+    if ev.element_derivs is None:
+        return ev._derivs(u)
+    pairs = np.array([f(v) for f, v in zip(ev.element_derivs, u.tolist())])
+    return pairs[:, 0].copy(), pairs[:, 1].copy()
 
 
 def pi_second_reference(ev: Evaluator, u) -> np.ndarray:
@@ -154,9 +159,8 @@ def pi_second_reference(ev: Evaluator, u) -> np.ndarray:
     u = np.minimum(u, 1.0 - 1e-9)
     if ev.eps is not None:
         return _central(ev.pi_prime, u)
-    if ev.element_prime is not None:
-        return ev._by_group(lambda mod, v: [_floatwise(
-            lambda x: _pi_second_two_state(mod, x, returns._pow), v)], u)[0]
+    if ev.element_derivs is not None:
+        return pi_derivs(ev, u)[1]
     return ev._by_group(lambda mod, v: [_pi_second_two_state(mod, v)], u)[0]
 
 
@@ -200,17 +204,10 @@ def element_path_cases():
 
 
 def _outputs(ev: Evaluator, U: np.ndarray) -> dict:
-    """Every evaluator quantity on the batch U and on each row, and the clamped
-    objective's gradient and curvature on each row."""
-    out = {}
-    for name in ("pi", "pi_prime", "pi_derivs"):
-        out[name] = getattr(ev, name)(U)
-        for k, u in enumerate(U):
-            out[f"{name} row {k}"] = getattr(ev, name)(u)
-    for k, u in enumerate(U):
-        out[f"clamped_prime row {k}"] = ev.clamped_prime(u)
-        out[f"clamped_derivs row {k}"] = ev.clamped_derivs(u)
-    return {name: np.asarray(v).tobytes() for name, v in out.items()}
+    """Every public evaluator quantity on each row of U."""
+    return {f"{name} row {k}": np.asarray(getattr(ev, name)(u)).tobytes()
+            for name in ("objective", "pi_prime", "clamped_prime", "clamped_derivs")
+            for k, u in enumerate(U)}
 
 
 def element_path_mismatches() -> list[str]:
@@ -531,9 +528,12 @@ def solve_selfish_integral(
     stationary: Stationary = MONOPOLY,
 ) -> SelfishSolution:
     """Best integral matching: per-edge objective pi_i(w_ij) reduces to assignment."""
-    ev = Evaluator(_check_models(inst, models), stationary)
-    # users on the last axis: column j of w.T holds user j's edge utilities
-    res = max_weight_assignment(ev.pi(inst.w.T).T)
+    models = _check_models(inst, models)
+    ev = Evaluator(models, stationary)
+    # pi_i(w_ij) from a one-user evaluator per row
+    res = max_weight_assignment(np.array([
+        [one.objective([wij]) for wij in row.tolist()]
+        for one, row in zip((Evaluator([mod], stationary) for mod in models), inst.w)]))
     x = res.x_matrix(inst.w.shape)
     matching = FractionalMatching.from_x(inst, x)
     grow = ev.pi_prime(matching.u)
@@ -586,7 +586,7 @@ def greedy_online_reference(seq: ArrivalSequence, models,
             budget -= take
             achieved += take * w[i, j]
     matching = FractionalMatching.from_x(inst, x)
-    value = float(Evaluator(models, stationary).objective(matching.u))
+    value = Evaluator(models, stationary).objective(matching.u)
     return OnlineSolution(matching=matching, value=value)
 
 

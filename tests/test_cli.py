@@ -43,6 +43,24 @@ class TestBound:
         assert "alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["poa", "--help"]], ids=" ".join)
+def test_help_and_version_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+def test_out_of_memory_exit_1(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(matchmarket.poa, "empirical_poa", exhausted)
+    assert main(["poa", "--trials", "1", "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and len(err.splitlines()) == 1
+
+
 class TestMatch:
     def test_fair_outputs(self, tmp_path, instance_csv):
         out = tmp_path / "fair"
@@ -124,7 +142,13 @@ class TestPoaAndSweep:
         assert header == "trial,order_seed,online_value,fair_value,ratio"
 
 
+MISSING_INSTANCE = ["match", "--mode", "fair"]
+
+
 @pytest.mark.parametrize("argv", [
+    ["poa", "--trials", "abc"],
+    MISSING_INSTANCE,
+    ["bound"],
     ["poa", "--trials", "0"],
     ["online", "--trials", "0"],
     ["sweep", "--trials", "0"],
@@ -160,10 +184,12 @@ class TestPoaAndSweep:
         '{"behavior": {"drop_base": Infinity}}',
         '{"noise_sd": 1e308}',
         '{"payoff_scale": 1e308, "noise_sd": 0}',
+        '{"noise_sd": 0, "outside_per_round": 0, '
+        '"behavior": {"drop_base": 1.0, "drop_low_bonus": 0.0}}',
     )),
 ], ids=" ".join)
 def test_invalid_input_exit_1_without_traceback(tmp_path, instance_csv, argv):
-    if argv[0] == "match":
+    if argv[0] == "match" and argv != MISSING_INSTANCE:
         argv = argv + ["--instance", str(instance_csv)]
     if argv[0] == "sim":
         cfg = tmp_path / "cfg.json"

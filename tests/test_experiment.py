@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from helpers_oracles import run_study_arms_reference, solve_selfish_integral
@@ -333,6 +335,16 @@ class TestBatchAndOutputs:
     def test_batch_validation(self):
         with pytest.raises(ExperimentError):
             run_batch(StudyConfig(), pairs=0)
+
+    def test_all_degenerate_batch_raises_without_warning(self):
+        # every player drops before the first assignment and earns nothing
+        # outside, so no game has a Fair welfare to divide by
+        cfg = StudyConfig(noise_sd=0.0, outside_per_round=0.0)
+        behavior = BehaviorModel(drop_base=1.0, drop_low_bonus=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ExperimentError, match="all games degenerate"):
+                run_batch(cfg, behavior, pairs=3)
 
     def test_carry_learning_changes_later_games(self):
         cfg = StudyConfig(seed=11)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers_oracles import NPY_AVX512_OFF, element_path_cases, pi_second_reference
+from helpers_oracles import NPY_AVX512_OFF, element_path_cases, pi_derivs, pi_second_reference
 
 import matchmarket
 from matchmarket import returns
@@ -17,7 +17,6 @@ from matchmarket.returns import (
     MONOPOLY,
     U_CLAMP,
     Evaluator,
-    ReturnModel,
     ReturnModelError,
     argmax_pi,
     argmax_pi_competition,
@@ -36,6 +35,11 @@ from matchmarket.returns import (
 )
 
 ALPHAS = [0.0, 0.25, 0.5, 0.75]
+
+
+def _rows(f, U) -> np.ndarray:
+    """f on each row of U, one utility vector per call, stacked."""
+    return np.array([f(u) for u in U])
 
 
 class TestModels:
@@ -70,11 +74,6 @@ class TestModels:
             assert g.values[-1] == 0.0
             assert not g.values.flags.writeable
         assert source[0] == 0.5  # the model keeps its own copy
-
-    def test_json_round_trip(self):
-        for model in (parametric(0.3), grid(np.linspace(0, 1, GRID_NODES) * (1 - np.linspace(0, 1, GRID_NODES)))):
-            back = ReturnModel.from_json(model.to_json())
-            assert back.cache_key() == model.cache_key()
 
 
 class TestEvalQ:
@@ -145,7 +144,8 @@ class TestStationary:
         us = np.linspace(0.01, 0.9, 50)
         h = 1e-6
         numeric = (pi_monopoly(m, us + h) - pi_monopoly(m, us - h)) / (2 * h)
-        np.testing.assert_allclose(Evaluator([m]).pi_prime(us[:, None])[:, 0], numeric, atol=1e-5)
+        np.testing.assert_allclose(_rows(Evaluator([m]).pi_prime, us[:, None])[:, 0], numeric,
+                                   atol=1e-5)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_pi_monopoly_second_matches_differences(self, alpha):
@@ -153,7 +153,8 @@ class TestStationary:
         us = np.linspace(0.005, 0.95, 99)
         h = 1e-6
         pi_prime = Evaluator([m]).pi_prime
-        numeric = (pi_prime((us + h)[:, None]) - pi_prime((us - h)[:, None]))[:, 0] / (2 * h)
+        numeric = (_rows(pi_prime, (us + h)[:, None])
+                   - _rows(pi_prime, (us - h)[:, None]))[:, 0] / (2 * h)
         np.testing.assert_allclose(pi_monopoly_second(m, us), numeric, atol=1e-5)
         assert pi_monopoly_second(m, us).max() < 0.0
 
@@ -178,8 +179,8 @@ class TestStationary:
 
 
 class TestEvaluator:
-    """The batch evaluator agrees with the checked per-model functions on a
-    market whose users have different models."""
+    """The evaluator agrees with the checked per-model functions on a market
+    whose users have different models."""
 
     @staticmethod
     def _mixed():
@@ -203,15 +204,19 @@ class TestEvaluator:
 
         h = 1e-6
         for i, model in enumerate(models):
-            np.testing.assert_allclose(ev.pi(U)[:, i], pi(model, U[:, i]), rtol=1e-12)
+            one = Evaluator([model], stat)  # its objective is pi_i alone
+            np.testing.assert_allclose(_rows(one.objective, U[:, [i]]), pi(model, U[:, i]),
+                                       rtol=1e-12)
             numeric = (pi(model, U[:, i] + h) - pi(model, U[:, i] - h)) / (2 * h)
-            np.testing.assert_allclose(ev.pi_prime(U)[:, i], numeric, atol=1e-5)
+            np.testing.assert_allclose(_rows(ev.pi_prime, U)[:, i], numeric, atol=1e-5)
+        checked = sum(pi(model, U[:, i]) for i, model in enumerate(models))
+        np.testing.assert_allclose(_rows(ev.objective, U), checked, rtol=1e-12)
 
     def test_pi_second_matches_checked_function(self):
         models, U = self._mixed()
         ev = Evaluator(models)
         for i, model in enumerate(models):
-            np.testing.assert_allclose(ev.pi_derivs(U)[1][:, i],
+            np.testing.assert_allclose(_rows(lambda u: pi_derivs(ev, u)[1], U)[:, i],
                                        pi_monopoly_second(model, U[:, i]), rtol=1e-12)
         # the competition chain has no checked pi'', so second differences
         # of the checked pi stand in for it
@@ -220,13 +225,14 @@ class TestEvaluator:
         for i, model in enumerate(models):
             pis = [pi_competition(model, U[:, i] + k * h, eps) for k in (-1, 0, 1)]
             numeric = (pis[0] - 2 * pis[1] + pis[2]) / h**2
-            np.testing.assert_allclose(ev.pi_derivs(U)[1][:, i], numeric, atol=1e-5)
-
+            np.testing.assert_allclose(_rows(lambda u: pi_derivs(ev, u)[1], U)[:, i], numeric,
+                                       atol=1e-5)
 
     @pytest.mark.parametrize("eps", [None, 0.1])
     def test_pi_derivs_matches_pi_prime_and_pi_second(self, eps):
         # one derivative pass gives the bits of pi_prime and of the separate
-        # pi'' pass, below, at and above each user's peak and at the clamp
+        # pi'' pass, below, at and above each user's peak and at the clamp;
+        # the one-user evaluators of parametric models take the element path
         models, U = self._mixed()
         stat = MONOPOLY if eps is None else competition(eps)
         peaks = np.array([peak_utility(mod, stat) for mod in models])
@@ -237,8 +243,8 @@ class TestEvaluator:
         evaluators = [(Evaluator(models, stat), V, peaks)] + [
             (Evaluator([mod], stat), V[:, [i]], peaks[[i]]) for i, mod in enumerate(models)]
         for ev, W, pk in evaluators:
-            for u in (W, W[0]):  # a batch, and one utility vector
-                prime, second = ev.pi_derivs(u)
+            for u in W:
+                prime, second = pi_derivs(ev, u)
                 assert prime.tobytes() == ev.pi_prime(u).tobytes()
                 assert second.tobytes() == pi_second_reference(ev, u).tobytes()
                 # the clamped objective's one clamp: the unclamped path at
@@ -248,7 +254,7 @@ class TestEvaluator:
                     at_cap = np.minimum(u, np.minimum(p, U_CLAMP))
                     at_peak = np.minimum(u, p)
                     assert ev._prime(at_cap).tobytes() == ev.pi_prime(at_peak).tobytes()
-                    for a, b in zip(ev._derivs(at_cap), ev.pi_derivs(at_peak), strict=True):
+                    for a, b in zip(pi_derivs(ev, at_cap), pi_derivs(ev, at_peak), strict=True):
                         assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("eps", [None, 0.1])
@@ -265,15 +271,17 @@ class TestEvaluator:
             reps = ELEMENT_MAX_USERS // len(ix) + 1
             one = Evaluator([model] * (len(ix) * reps), stat)
             assert one.element_prime is None
-            for quantity in ("pi", "pi_prime", "pi_derivs"):
-                np.testing.assert_array_equal(
-                    getattr(one, quantity)(np.tile(U[:, ix], reps)),
-                    np.tile(np.asarray(getattr(grouped, quantity)(U))[..., ix], reps))
+            for u in U:
+                for f in (Evaluator.pi_prime, pi_derivs):
+                    np.testing.assert_array_equal(
+                        f(one, np.tile(u[ix], reps)),
+                        np.tile(np.asarray(f(grouped, u))[..., ix], reps))
 
     def test_no_users(self):
         ev = Evaluator([])
-        np.testing.assert_array_equal(ev.objective(np.zeros((3, 0))), np.zeros(3))
-        assert ev.pi_prime(np.zeros(0)).shape == ev.pi_derivs(np.zeros(0))[1].shape == (0,)
+        assert ev.objective(np.zeros(0)) == 0.0
+        assert ev.pi_prime(np.zeros(0)).shape == pi_derivs(ev, np.zeros(0))[1].shape == (0,)
+        assert ev.clamped_prime(np.zeros(0)).shape == ev.clamped_derivs(np.zeros(0))[1].shape
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_shared_terms_round_as_separate_formulas(self, alpha):
@@ -297,8 +305,8 @@ class TestEvaluator:
         on_floats = np.array([formulas(v, _pow) for v in u.tolist()]).T
         for ev, V, (prime, second) in ((wide, U, formulas(U, operator.pow)),
                                        (one, u[:, None], on_floats[:, :, None])):
-            np.testing.assert_array_equal(ev.pi_prime(V), prime)
-            np.testing.assert_array_equal(ev.pi_derivs(V)[1], second)
+            np.testing.assert_array_equal(_rows(ev.pi_prime, V), prime)
+            np.testing.assert_array_equal(_rows(lambda v: pi_derivs(ev, v)[1], V), second)
 
 
 class TestElementPath:
@@ -321,25 +329,19 @@ class TestElementPath:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout.splitlines()[0] == "0"
 
-    def test_batch_equals_rows(self):
-        # a result never depends on the batch shape: a 2-D batch gives the
-        # bits of evaluating each row on its own, and the clamped objective's
-        # clamps in the element loop give the bits of np.minimum and the
-        # masked store on the same kernels
+    def test_clamps_match_minimum_and_masked_store(self):
+        # the clamped objective's clamps in the element loop give the bits of
+        # np.minimum and the masked store on the same kernels
         for label, models, stat, U, peaks in element_path_cases():
             ev = Evaluator(models, stat)
             assert ev.element_prime is not None, label
             assert ev.peaks.tobytes() == peaks.tobytes(), label
-            for name in ("pi", "pi_prime", "pi_derivs"):
-                batch = np.asarray(getattr(ev, name)(U))
-                rows = np.stack([np.asarray(getattr(ev, name)(u)) for u in U], axis=-2)
-                assert batch.tobytes() == rows.tobytes(), (label, name)
             cap = np.minimum(peaks, U_CLAMP)
             for u in U:
                 grad = ev._prime(np.minimum(u, cap))
                 grad[u >= peaks] = 0.0
                 assert ev.clamped_prime(u).tobytes() == grad.tobytes()
-                grad, curv = ev._derivs(np.minimum(u, cap))
+                grad, curv = pi_derivs(ev, np.minimum(u, cap))
                 grad[u >= peaks] = 0.0
                 curv = np.where(u >= peaks, 0.0, np.minimum(curv, 0.0))
                 for a, b in zip(ev.clamped_derivs(u), (grad, curv), strict=True):

@@ -234,6 +234,9 @@ class TestWeightSolve:
     FW_ITERATIONS = {
         "SkylakeX": {0.0: (205, 10), 0.25: (291, 14), 0.5: (405, 17), 0.75: (266, 10)},
         "Haswell": {0.0: (206, 10), 0.25: (295, 14), 0.5: (402, 17), 0.75: (266, 10)},
+        "Sandybridge": {0.0: (207, 10), 0.25: (287, 14), 0.5: (407, 17), 0.75: (266, 10)},
+        # OPENBLAS_CORETYPE=Prescott loads the core that reports itself as Katmai
+        "Katmai": {0.0: (206, 10), 0.25: (293, 13), 0.5: (409, 18), 0.75: (266, 10)},
     }
 
     @classmethod
