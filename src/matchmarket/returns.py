@@ -45,10 +45,11 @@ GRID_NODES = 21
 GRID_DERIV_STEP = 1e-5  # central-difference step for grid-model derivatives
 PEAK_SAMPLES = 2001  # uniform samples of pi that bracket its global maximizer
 U_CLAMP = 1.0 - 1e-9  # pi' diverges at u = 1 for alpha > 0, so it is taken at min(u, U_CLAMP)
-# markets of at most this many users, all parametric, take the element path;
-# on whole selfish solves it is faster than the array path up to 10 users, at
-# parity at 11 and 12 and slower from 14 (measured in BENCH_13.json)
-ELEMENT_MAX_USERS = 10
+# markets of at most this many users, all parametric, take the element path,
+# and the selfish engine solves them on Python floats too; there whole selfish
+# solves are faster than on arrays up to 8 users and slower from 9, where the
+# Python Newton solve falls behind LAPACK (the table is in CHANGES.md)
+ELEMENT_MAX_USERS = 8
 
 
 class ReturnModelError(ValueError):
@@ -317,17 +318,20 @@ class Evaluator:
 
     A market of at most ``ELEMENT_MAX_USERS`` users whose models are all
     parametric takes the element path: ``element_pi``, ``element_prime``
-    and ``element_derivs`` hold one function of a float per user, and every
-    quantity is evaluated user by user on Python floats. Other markets keep
-    them None and take the array path: when every user shares one model,
-    each quantity is one kernel call on the whole vector; otherwise users
-    are grouped by model, and each group's kernel results are scattered
-    into full-width arrays. ``pi_prime`` takes q and q' from one kernel
-    pass. ``clamped_prime`` and ``clamped_derivs`` give the slope and
-    curvature of the objective clamped at each user's ``peak_utility``
-    (``peaks``); the curvature comes with the slope from one derivative
-    pass, for the two-state chain from one pass of q, q' and q''. Utilities
-    are not checked: they come from matchings the program built.
+    and ``element_derivs`` hold one function of a float per user, every
+    quantity is evaluated user by user on Python floats, and ``floats`` is
+    True. There ``clamped_prime_list`` and ``clamped_derivs_list`` take and
+    return lists, for callers that keep their vectors on Python floats.
+    Other markets keep the functions None and take the array path: when
+    every user shares one model, each quantity is one kernel call on the
+    whole vector; otherwise users are grouped by model, and each group's
+    kernel results are scattered into full-width arrays. ``pi_prime`` takes
+    q and q' from one kernel pass. ``clamped_prime`` and ``clamped_derivs``
+    give the slope and curvature of the objective clamped at each user's
+    ``peak_utility`` (``peaks``); the curvature comes with the slope from
+    one derivative pass, for the two-state chain from one pass of q, q' and
+    q''. Utilities are not checked: they come from matchings the program
+    built.
     """
 
     def __init__(self, models, stat: Stationary = MONOPOLY):
@@ -349,8 +353,10 @@ class Evaluator:
                        for key, (mod, _) in grouped.items()}
             self.element_pi, self.element_prime, self.element_derivs = zip(
                 *(kernels[mod.cache_key()] for mod in models))
+        self.floats = self.element_prime is not None
         self.peaks = np.array([peak_utility(mod, stat) for mod in models])
         self.cap = np.minimum(self.peaks, U_CLAMP)
+        self._peak_cap = list(zip(self.peaks.tolist(), self.cap.tolist()))
 
     def _by_group(self, kernel, u: np.ndarray, *args):
         """kernel(model, u[users], *args) for every group of users; the
@@ -369,7 +375,7 @@ class Evaluator:
     def objective(self, u) -> float:
         """sum_i pi_i(u_i)."""
         u = np.asarray(u, dtype=float)
-        if self.element_pi is not None:
+        if self.floats:
             pis = np.array([f(v) for f, v in zip(self.element_pi, u.tolist())])
         else:
             pis = _pi(self._by_group(_q_terms, u, 0)[0], u, self.eps)
@@ -381,7 +387,7 @@ class Evaluator:
 
     def _prime(self, u: np.ndarray) -> np.ndarray:
         """``pi_prime`` at utilities already clamped to at most ``U_CLAMP``."""
-        if self.element_prime is not None:
+        if self.floats:
             return np.array([f(v) for f, v in zip(self.element_prime, u.tolist())])
         q, qp = self._by_group(_q_terms, u, 1)
         return _pi_prime(q, qp, u, self.eps)
@@ -397,32 +403,40 @@ class Evaluator:
 
     def clamped_prime(self, u: np.ndarray) -> np.ndarray:
         """Per-user slope of the clamped objective: pi_i'(u_i) below the
-        peak, 0 from it on, taken at min(u_i, cap_i). On the element path
-        the clamp and the zeroing run in the same loop, with the bits of
-        np.minimum and of the masked store."""
-        if self.element_prime is not None:
-            return np.array([0.0 if v >= p else f(v if v < c else c) for f, v, p, c in zip(
-                self.element_prime, u.tolist(), self.peaks.tolist(), self.cap.tolist())])
+        peak, 0 from it on, taken at min(u_i, cap_i)."""
+        if self.floats:
+            return np.array(self.clamped_prime_list(u.tolist()))
         grad = self._prime(np.minimum(u, self.cap))
         grad[u >= self.peaks] = 0.0
         return grad
+
+    def clamped_prime_list(self, u: list[float]) -> list[float]:
+        """``clamped_prime`` of a list of utilities, as a list, on the element
+        path only (``floats``). The clamp and the zeroing run in one loop,
+        with the bits of np.minimum and of the masked store."""
+        return [0.0 if v >= p else f(v if v < c else c)
+                for f, v, (p, c) in zip(self.element_prime, u, self._peak_cap)]
 
     def clamped_derivs(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-user slope and curvature of the clamped objective from one
         derivative pass: pi_i'(u_i) and min(pi_i''(u_i), 0) below the peak,
         0 from the peak on, at min(u_i, cap_i) as in ``clamped_prime``. The
         curvature is that of a Newton model, so it stays concave."""
-        if self.element_derivs is not None:
-            pairs = [(0.0, 0.0) if v >= p else f(v if v < c else c) for f, v, p, c in zip(
-                self.element_derivs, u.tolist(), self.peaks.tolist(), self.cap.tolist())]
-            return (np.array([g for g, _ in pairs]),
-                    np.array([h if h < 0.0 else 0.0 for _, h in pairs]))
+        if self.floats:
+            return tuple(map(np.array, self.clamped_derivs_list(u.tolist())))
         grad, curv = self._derivs(np.minimum(u, self.cap))
         past = u >= self.peaks
         grad[past] = 0.0
         np.minimum(curv, 0.0, out=curv)
         curv[past] = 0.0
         return grad, curv
+
+    def clamped_derivs_list(self, u: list[float]) -> tuple[list[float], list[float]]:
+        """``clamped_derivs`` of a list of utilities, as two lists, on the
+        element path only (``floats``)."""
+        pairs = [(0.0, 0.0) if v >= p else f(v if v < c else c)
+                 for f, v, (p, c) in zip(self.element_derivs, u, self._peak_cap)]
+        return [g for g, _ in pairs], [h if h < 0.0 else 0.0 for _, h in pairs]
 
 
 def strictly_concave(model: ReturnModel) -> bool:

@@ -10,8 +10,14 @@ Newton step takes the gradient and curvature at its new weights from one
 derivative pass (``Evaluator.clamped_derivs``); line-search trial points
 evaluate pi' only (``Evaluator.clamped_prime``). A weight solve whose Newton
 direction does not ascend stops there and is counted in the solution's
-``weight_solves_short``. The Newton system is solved by ``np.linalg.solve``,
-and the ratio test runs on Python floats with the pick ``np.argmin`` makes.
+``weight_solves_short``. The weights, gains and directions of the weight
+solve are lists of Python floats. On a market of at most
+``returns.ELEMENT_MAX_USERS`` parametric users (``Evaluator.floats``) so is
+everything else: every product is an exactly rounded ``math.fsum`` and the
+Newton system is eliminated in Python, so the solution does not depend on
+the host's BLAS or SIMD dispatch. Other markets keep utilities and slopes in
+numpy arrays, with numpy's products and LAPACK's solve. The two differ only
+in their arithmetic (``_Floats``, ``_Arrays``); the engine is written once.
 
 The objective is clamped at each user's peak utility, the global maximizer
 of pi_i; this leaves the optimum unchanged (rows can always be scaled down)
@@ -36,11 +42,14 @@ and re-exported here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from math import fsum
+from operator import mul, neg, sub, truediv
 
 import numpy as np
 
 from . import returns
-from .fair import best_matching, max_weight_assignment, solve_fair, vertex_matrix
+from .fair import best_matching, max_weight_assignment, solve_fair
 from .market import FractionalMatching, MarketInstance
 from .returns import MONOPOLY, Evaluator, ReturnModel, Stationary, competition  # noqa: F401
 
@@ -97,59 +106,188 @@ def _shrink_to_peaks(inst: MarketInstance, x: np.ndarray, peaks) -> np.ndarray:
     return x
 
 
-def _newton_direction(UV: np.ndarray, g: np.ndarray, curv: np.ndarray,
-                      face: np.ndarray) -> np.ndarray:
+def _newton_direction(ar, UV, g, curv, face) -> list[float]:
     """Newton ascent direction of the weight problem on the face ``face``.
 
     Maximizes g.d + d.H.d / 2 over directions d supported on the face with
-    sum(d) = 0, where H = UV diag(curv) UV^T. H has rank at most m, so the
-    (k+1)x(k+1) KKT system gets a tiny ridge on its diagonal; the gradient
-    vanishes along H's null space, so the ridge only picks the shortest of
-    the equal steps. ``np.linalg.solve`` raises its ``LinAlgError``, and
-    emits no warning, for a singular system.
+    sum(d) = 0, where H = UV diag(curv) UV^T is negative semidefinite. With
+    d = Z e for Z = [I; -1^T], the face's last vertex takes minus the sum of
+    the others, and e solves (Z^T N Z) e = Z^T g for N = -H + r I. With B
+    the face's other rows less its last row and G = -B diag(curv) B^T,
+    that is (G + r (I + 1 1^T)) e = Z^T g, positive definite for a ridge
+    r = ``WEIGHT_RIDGE`` (1 + max diag G). G has rank at most m, and Z^T g
+    vanishes along its null space, so the ridge only picks the shortest of
+    the equal steps. ``ar.solve`` builds and solves the system; one it
+    cannot solve raises ``LinAlgError``, with no warning first.
     """
-    A = UV[face]
-    p = len(A)
-    K = np.ones((p + 1, p + 1))
-    K[:p, :p] = (A * curv) @ A.T
-    K[p, p] = 0.0
-    diag = K.ravel()[:p * (p + 2):p + 2]  # a view of H's diagonal
-    diag -= WEIGHT_RIDGE * (1.0 + np.maximum.reduce(np.abs(diag)))
-    rhs = np.zeros(p + 1)
-    np.negative(g[face], out=rhs[:p])
-    d = np.zeros(len(g))
-    d[face] = np.linalg.solve(K, rhs)[:p]
+    idx = [k for k, f in enumerate(face) if f]
+    d = [0.0] * len(g)
+    if len(idx) < 2:
+        return d
+    last = idx.pop()
+    e = ar.solve(UV, idx, last, curv, [g[k] - g[last] for k in idx])
+    for k, v in zip(idx, e):
+        d[k] = v
+    d[last] = e[-1]
     return d
 
 
-def _ascent_step(ev: Evaluator, UV, lam, u0, grow, d):
+class _Floats:
+    """The engine's arithmetic for an element-path market (``Evaluator.floats``).
+
+    Utilities, slopes and curvatures are lists of Python floats, the weight
+    problem's matrix is a list of rows, and every product is
+    ``math.fsum(map(operator.mul, a, b))``, exactly rounded, so no result
+    depends on the host's BLAS, its SIMD dispatch or the Python version.
+    """
+
+    def __init__(self, ev: Evaluator, w: list[list[float]]):
+        self.prime = ev.clamped_prime_list
+        self.derivs = ev.clamped_derivs_list
+        self.w = w
+
+    vector = matrix = staticmethod(list)
+
+    @staticmethod
+    def dot(a, b) -> float:
+        return fsum(map(mul, a, b))
+
+    @staticmethod
+    def combine(lam, UV) -> list[float]:
+        """lam @ UV."""
+        return [fsum(map(mul, lam, col)) for col in zip(*UV)]
+
+    @staticmethod
+    def gains(UV, v) -> list[float]:
+        """UV @ v, a list."""
+        return [fsum(map(mul, row, v)) for row in UV]
+
+    @staticmethod
+    def along(u, t, du) -> list[float]:
+        """u + t du."""
+        return [a + t * b for a, b in zip(u, du)]
+
+    def scaled(self, grow):
+        """The per-edge gradient grow_i w_ij."""
+        return [[a * b for b in row] for a, row in zip(grow, self.w)]
+
+    @staticmethod
+    def solve(UV, idx, last, curv, rhs) -> list[float]:
+        """e of ``_newton_direction`` for the face rows ``idx`` and ``last``,
+        then -sum(e).
+
+        Elimination without pivoting, in the LDL^T order that reads the
+        symmetric system once: with Gamma = -diag(curv), row i of W = L D
+        is W_ij = M_ij - sum_k L_ik W_jk, and each such entry, from the
+        products in M_ij = (B Gamma B^T)_ij + r (1 + [i = j]) on, is one
+        exactly rounded ``fsum``. A pivot D_i that is not positive (NaN
+        included) raises ``LinAlgError``, as do infinite products
+        (``fsum``'s inf - inf).
+        """
+        base = UV[last]
+        B = [list(map(sub, UV[k], base)) for k in idx]
+        GB = [list(map(mul, map(neg, curv), b)) for b in B]
+        try:
+            diag = [fsum(map(mul, gb, b)) for gb, b in zip(GB, B)]
+            ridge = WEIGHT_RIDGE * (1.0 + max(diag))
+            L, NW, D = [], [], []  # L's rows, -W's rows and the pivots
+            for i, gb in enumerate(GB):
+                Li, NWi = [], []
+                for j, Dj in enumerate(D):
+                    wij = fsum(chain(map(mul, gb, B[j]), (ridge,), map(mul, Li, NW[j])))
+                    NWi.append(-wij)
+                    Li.append(wij / Dj)
+                pivot = fsum(chain((diag[i], 2.0 * ridge), map(mul, Li, NWi)))
+                if not pivot > 0.0:
+                    raise np.linalg.LinAlgError("Newton system is not positive definite")
+                L.append(Li)
+                NW.append(NWi)
+                D.append(pivot)
+            y = []
+            for Li, b in zip(L, rhs):
+                y.append(b - fsum(map(mul, Li, y)))
+            e = list(map(truediv, y, D))
+            for k in range(len(e) - 1, 0, -1):
+                ek = e[k]
+                e[:k] = [a - b * ek for a, b in zip(e, L[k])]
+            e.append(-fsum(e))
+        except (ValueError, OverflowError) as err:
+            raise np.linalg.LinAlgError(f"Newton system is not finite: {err}") from None
+        return e
+
+
+class _Arrays:
+    """The engine's arithmetic for every other market: utilities, slopes
+    and curvatures are numpy arrays, with numpy's products and LAPACK's
+    solve. The engine's weights, gains and directions stay lists."""
+
+    def __init__(self, ev: Evaluator, w: np.ndarray):
+        self.prime = ev.clamped_prime
+        self.derivs = ev.clamped_derivs
+        self.w = w
+
+    vector = matrix = staticmethod(np.array)
+
+    @staticmethod
+    def dot(a, b) -> float:
+        return float(a @ b)
+
+    @staticmethod
+    def combine(lam, UV) -> np.ndarray:
+        return np.array(lam) @ UV
+
+    @staticmethod
+    def gains(UV, v) -> list[float]:
+        return (UV @ v).tolist()
+
+    @staticmethod
+    def along(u, t, du) -> np.ndarray:
+        return u + t * du
+
+    def scaled(self, grow) -> np.ndarray:
+        return grow[:, None] * self.w
+
+    @staticmethod
+    def solve(UV, idx, last, curv, rhs) -> list[float]:
+        B = UV[idx] - UV[last]
+        M = (B * curv) @ B.T
+        np.negative(M, out=M)
+        diag = M.ravel()[::len(M) + 1]  # a view of M's diagonal
+        ridge = WEIGHT_RIDGE * (1.0 + np.maximum.reduce(diag))
+        M += ridge
+        diag += ridge
+        e = np.linalg.solve(M, rhs).tolist()
+        e.append(-fsum(e))
+        return e
+
+
+def _ascent_step(ar, UV, lam, state, d):
     """Move the weights along d to near the maximum of the clamped objective.
 
-    ``u0`` is lam @ UV and ``grow`` the clamped gradient there
-    (``Evaluator.clamped_prime``). A ratio test on Python floats caps the step at
-    tmax <= 1, where the first weight reaches zero; of equal smallest ratios
-    the first index is that weight, as ``np.argmin`` would pick. Where
-    the objective is concave along the line, a step at which its slope is
-    still non-negative lies short of the line's maximizer and cannot lower
-    the objective. The step is tmax if the slope there is non-negative;
-    otherwise a safeguarded secant search on the slope brackets its root and
-    stops at a step whose slope is non-negative and at most a tenth of the
-    initial one. Trial steps evaluate pi' only. Returns (lam, u, grow, curv)
-    at the new weights, the clamped gradient and curvature from one
-    ``Evaluator.clamped_derivs`` pass, or None when d does not ascend.
+    ``state`` is (u, grow, curv) at lam: u = lam @ UV and the clamped
+    gradient and curvature there. A ratio test caps the step at tmax <= 1,
+    where the first weight reaches zero; of equal smallest ratios the first
+    index is that weight. Where the objective is concave along the line, a
+    step at which its slope is still non-negative lies short of the line's
+    maximizer and cannot lower the objective. The step is tmax if the slope
+    there is non-negative; otherwise a safeguarded secant search on the
+    slope brackets its root and stops at a step whose slope is non-negative
+    and at most a tenth of the initial one. Trial steps evaluate pi' only.
+    Returns (lam, state) at the new weights, the clamped gradient and
+    curvature from one derivative pass, or None when d does not ascend.
     """
     # near the optimum g is nearly constant, so sum(d) must vanish to the
     # rounding of d, not of lam, for the slopes below to keep their sign
-    still = d == 0.0
-    dm = d[~still]
-    if not dm.size:
+    moved = [b for b in d if b != 0.0]
+    if not moved:
         return None
-    d = d - np.add.reduce(dm) / dm.size
-    d[still] = 0.0
-    du = d @ UV
-    s0 = float(grow @ du)
+    mean = fsum(moved) / len(moved)
+    d = [b - mean if b != 0.0 else 0.0 for b in d]
+    u0, grow, _ = state
+    du = ar.combine(d, UV)
+    s0 = ar.dot(grow, du)
     tmax, first = 1.0, -1
-    for k, (a, b) in enumerate(zip(lam.tolist(), d.tolist())):
+    for k, (a, b) in enumerate(zip(lam, d)):
         if b < 0.0 and a / -b < tmax:
             tmax, first = a / -b, k
     if not (s0 > 0.0 and tmax > 0.0):
@@ -157,7 +295,7 @@ def _ascent_step(ev: Evaluator, UV, lam, u0, grow, d):
     lo, s_lo, hi, s_hi = 0.0, s0, tmax, 0.0
     t, found = tmax, False
     for _ in range(LINE_MAX_ITERS):
-        s = float(ev.clamped_prime(u0 + t * du) @ du)
+        s = ar.dot(ar.prime(ar.along(u0, t, du)), du)
         if s >= 0.0:
             lo, s_lo, found = t, s, True
             if t == tmax or s <= 0.1 * s0:
@@ -169,15 +307,15 @@ def _ascent_step(ev: Evaluator, UV, lam, u0, grow, d):
         t = min(max(secant, lo + 0.1 * width), hi - 0.1 * width)
     if not found:
         return None
-    new = np.maximum(lam + lo * d, 0.0)
+    new = [a + lo * b for a, b in zip(lam, d)]
+    new = [v if v > 0.0 else 0.0 for v in new]
     if lo == tmax and tmax < 1.0:
         new[first] = 0.0
-    u = new @ UV
-    return (new, u, *ev.clamped_derivs(u))
+    u = ar.combine(new, UV)
+    return new, (u, *ar.derivs(u))
 
 
-def _correct_weights(ev: Evaluator, UV: np.ndarray, lam: np.ndarray,
-                     tol: float) -> tuple[np.ndarray, bool]:
+def _correct_weights(ar, UV, lam: list[float], state, tol: float):
     """Maximize the clamped objective over convex weights of the active set.
 
     ``UV[k]`` is the per-user utility vector of active vertex k, so the
@@ -188,36 +326,34 @@ def _correct_weights(ev: Evaluator, UV: np.ndarray, lam: np.ndarray,
     negative, the vertex leaves the face and the step is taken again. The
     Hessian uses min(pi'', 0) below each user's peak and 0 from the peak on,
     where the clamped objective is flat, so it stays negative semidefinite
-    and the step ascends even where a non-concave pi_i is convex. The
-    utilities u = lam @ UV and the clamped gradient and curvature there come
-    from one ``Evaluator.clamped_derivs`` pass at entry and one at each accepted
-    step, and are carried into the next iteration, not computed again.
+    and the step ascends even where a non-concave pi_i is convex. ``state``
+    is (u, grow, curv) at lam: the utilities u = lam @ UV and the clamped
+    gradient and curvature there, from one ``Evaluator`` derivative pass at
+    each accepted step.
 
     Stops when the weight problem's own Frank-Wolfe gap max(g) - lam.g is at
-    most ``tol`` and returns (lam, True); returns (lam, False) when the
-    Newton direction does not ascend, or when ``WEIGHT_MAX_ITERS`` steps
-    leave the gap above ``tol``. ``_afw`` counts such solves, and
+    most ``tol`` and returns (lam, True, state); returns (lam, False, state)
+    when the Newton direction does not ascend, or when ``WEIGHT_MAX_ITERS``
+    steps leave the gap above ``tol``. ``_afw`` counts such solves, and
     ``solve_selfish`` reports them as ``weight_solves_short``.
     """
-    u = lam @ UV
-    grow, curv = ev.clamped_derivs(u)
     for _ in range(WEIGHT_MAX_ITERS):
-        g = UV @ grow
-        j = int(g.argmax())
-        if g[j] - lam @ g <= tol:
-            return lam, True
-        face = lam > 0.0
+        g = ar.gains(UV, state[1])
+        j = g.index(max(g))  # the first largest
+        if g[j] - fsum(map(mul, lam, g)) <= tol:
+            return lam, True, state
+        face = [a > 0.0 for a in lam]
         face[j] = True
-        d = _newton_direction(UV, g, curv, face)
+        d = _newton_direction(ar, UV, g, state[2], face)
         if lam[j] <= 0.0 and d[j] < 0.0:  # j is the face's one vertex at zero weight
             face[j] = False
-            d = _newton_direction(UV, g, curv, face)
-        step = _ascent_step(ev, UV, lam, u, grow, d)
+            d = _newton_direction(ar, UV, g, state[2], face)
+        step = _ascent_step(ar, UV, lam, state, d)
         if step is None:
-            return lam, False
-        lam, u, grow, curv = step
-    g = UV @ grow
-    return lam, bool(g.max() - lam @ g <= tol)
+            return lam, False, state
+        lam, state = step
+    g = ar.gains(UV, state[1])
+    return lam, max(g) - fsum(map(mul, lam, g)) <= tol, state
 
 
 def _afw(inst: MarketInstance, ev: Evaluator, gap_tol: float, start):
@@ -231,15 +367,21 @@ def _afw(inst: MarketInstance, ev: Evaluator, gap_tol: float, start):
     (the fully-corrective variant of Lacoste-Julien and Jaggi, NeurIPS 2015).
     Each active vertex, keyed by its column per row, keeps its weight and
     its per-user utility row, so the weight problem's matrix is stacked
-    from stored rows; x adds each weight into its vertex's cells in key order.
-    The empty matching stays in the active set so total mass may stay below
-    1. Stops when the FW gap is at most ``gap_tol`` or after ``MAX_ITERS``
-    iterations; returns (x, gap, iterations, number of weight solves that
-    stopped short of their tolerance).
+    from stored rows. The utilities u = lam @ UV and the clamped gradient
+    and curvature there come out of each weight solve and into the next
+    iteration: the oracle's weights are the gradient's, and the FW gap is
+    the oracle value less grow.u. On an element-path market every vector
+    is a list of Python floats (``_Floats``), else a numpy array
+    (``_Arrays``); the control flow is the same. The empty matching stays
+    in the active set so total mass may stay below 1. Stops when the FW gap
+    is at most ``gap_tol`` or after ``MAX_ITERS`` iterations; returns (x,
+    gap, iterations, number of weight solves that stopped short of their
+    tolerance), x adding each weight into its vertex's cells in key order.
     """
     w = inst.w
     m, n = w.shape
     w_rows = w.tolist()
+    ar = _Floats(ev, w_rows) if ev.floats else _Arrays(ev, w)
 
     def utility_row(key):
         return [w_rows[i][j] if j >= 0 else 0.0 for i, j in enumerate(key)]
@@ -248,15 +390,15 @@ def _afw(inst: MarketInstance, ev: Evaluator, gap_tol: float, start):
     first = tuple(int(j) for j in start)
     active = {empty: 0.0} | {first: 1.0}
     util = {k: utility_row(k) for k in active}
-    x = vertex_matrix(first, (m, n))
+    u = ar.vector(util[first])
+    state = (u, *ar.derivs(u))
     gap = np.inf
     short = 0
     it = 0
     for it in range(1, MAX_ITERS + 1):
-        u = (w * x).sum(axis=1)
-        grad = ev.clamped_prime(u)[:, None] * w
-        row_match, s_value, _, _ = best_matching(grad)
-        gap = float(s_value - (grad * x).sum())
+        u, grow, _ = state
+        row_match, s_value, _, _ = best_matching(ar.scaled(grow))
+        gap = s_value - ar.dot(grow, u)
         if gap <= gap_tol:
             break
         s_key = tuple(row_match)
@@ -264,20 +406,19 @@ def _afw(inst: MarketInstance, ev: Evaluator, gap_tol: float, start):
             util[s_key] = utility_row(s_key)
         active.setdefault(s_key, 0.0)
         keys = sorted(active)
-        lam, converged = _correct_weights(ev, np.array([util[k] for k in keys]),
-                                          np.array([active[k] for k in keys]),
-                                          WEIGHT_GAP_FRACTION * gap_tol)
+        lam, converged, state = _correct_weights(
+            ar, ar.matrix([util[k] for k in keys]), [active[k] for k in keys], state,
+            WEIGHT_GAP_FRACTION * gap_tol)
         short += not converged
-        active = {k: a for k, a in zip(keys, lam.tolist()) if a > 0.0}
+        active = {k: a for k, a in zip(keys, lam) if a > 0.0}
         active.setdefault(empty, 0.0)
         util = {k: util[k] for k in active}
-        cells = [[0.0] * n for _ in range(m)]
-        for k, a in active.items():
-            for i, j in enumerate(k):
-                if j >= 0:
-                    cells[i][j] += a
-        x = np.array(cells)
-    return x, gap, it, short
+    cells = [[0.0] * n for _ in range(m)]
+    for k, a in active.items():
+        for i, j in enumerate(k):
+            if j >= 0:
+                cells[i][j] += a
+    return np.array(cells), gap, it, short
 
 
 def _random_start(m: int, n: int, rng: np.random.Generator) -> np.ndarray:

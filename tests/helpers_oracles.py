@@ -1,7 +1,5 @@
 """Brute-force and reference oracles shared by the unit and acceptance tests."""
 
-import ctypes
-import os
 from itertools import permutations
 from math import perm as n_perm
 from unittest import mock
@@ -40,27 +38,6 @@ from matchmarket.selfish import (
     Stationary,
     _check_models,
 )
-
-
-def openblas_core() -> str:
-    """Core name of the OpenBLAS library numpy loaded, such as "SkylakeX" or
-    "Haswell" (``OPENBLAS_CORETYPE`` picks it), read through the library's
-    get_corename symbol; "unknown" where none can be read."""
-    numpy_dir = os.path.realpath(os.path.dirname(np.__file__))  # also prefixes numpy.libs
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = {line.split()[-1] for line in maps if "openblas" in line}
-    except OSError:
-        return "unknown"
-    for path in sorted(paths, key=lambda p: not p.startswith(numpy_dir)):  # numpy's first
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
-                     "openblas_get_corename"):
-            corename = getattr(lib, name, None)
-            if corename is not None:
-                corename.restype = ctypes.c_char_p
-                return corename().decode()
-    return "unknown"
 
 
 def brute_force_fair(inst: MarketInstance) -> float:
@@ -225,12 +202,13 @@ def element_path_mismatches() -> list[str]:
 
 
 # ---- reference weight solve ------------------------------------------------
-# The selfish weight solve as it was before its numpy calls were trimmed: it
-# rebuilds u = lam @ UV in every step, builds the KKT system with np.eye,
-# np.diag and np.append, clamps with np.where, takes pi'' in a pass of its
-# own, and keeps the projected-gradient fallback that the library dropped.
-# ``selfish._correct_weights`` must return the same (lam, converged), bit for
-# bit, on every weight solve where that fallback does not run.
+# The selfish weight solve on numpy arrays, as it was before its numpy calls
+# were trimmed: it rebuilds u = lam @ UV in every step, solves the full KKT
+# system (built with np.eye, np.diag and np.append) with LAPACK, clamps with
+# np.where, takes pi'' in a pass of its own, and keeps the projected-gradient
+# fallback that the library dropped. ``selfish._correct_weights``, which
+# solves small markets on Python floats, must reach the same converged flag
+# and a weight-problem objective within the solve's tolerance of this one's.
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex."""

@@ -13,6 +13,10 @@ from matchmarket.cli import main
 from matchmarket.market import make_instance, write_instance
 
 
+POA_PINNED_ARGS = ["poa", "--alpha", "0.5", "--trials", "20", "--seed", "42"]
+POA_PINNED_DIGEST = "662bf70bda1a495972e82f884b5077c34b2a35419bab86389b0fd85145b092ad"
+
+
 @pytest.fixture
 def instance_csv(tmp_path):
     path = tmp_path / "inst.csv"
@@ -116,11 +120,23 @@ class TestPoaAndSweep:
         results must update the digest in the same change and say why.
         """
         out = tmp_path / "poa"
-        assert main(["poa", "--alpha", "0.5", "--trials", "20", "--seed", "42",
-                     "--out-dir", str(out)]) == 0
+        assert main([*POA_PINNED_ARGS, "--out-dir", str(out)]) == 0
         digest = hashlib.sha256((out / "poa_trials.csv").read_bytes()).hexdigest()
-        assert digest == \
-            "662bf70bda1a495972e82f884b5077c34b2a35419bab86389b0fd85145b092ad"
+        assert digest == POA_PINNED_DIGEST
+
+    @pytest.mark.parametrize("core", ["Haswell", "Sandybridge", "Prescott"])
+    def test_poa_digest_on_every_openblas_core(self, tmp_path, core):
+        # 5-user markets are solved on Python floats with exactly rounded
+        # products, so the kernels OpenBLAS loads for the CPU do not enter
+        out = tmp_path / "poa"
+        env = dict(os.environ, OPENBLAS_CORETYPE=core,
+                   PYTHONPATH=str(Path(matchmarket.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "matchmarket.cli", *POA_PINNED_ARGS, "--out-dir", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digest = hashlib.sha256((out / "poa_trials.csv").read_bytes()).hexdigest()
+        assert digest == POA_PINNED_DIGEST
 
     def test_sweep_bad_eps_exit_1(self, tmp_path, capsys):
         assert main(["sweep", "--eps", "0.5,zero", "--m", "1", "--n", "1",
