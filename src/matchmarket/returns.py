@@ -6,10 +6,13 @@ interpolation, endpoints pinned to 0) used for learned return behavior.
 
 ``Stationary`` names the Markov chain: the two-state (monopoly) chain with
 pi = q / (1 + q), or the three-state competition chain. This module is the
-only place a formula for q, q', q'', pi, pi' or pi'' is written, once, as
+only place a formula for q, q', q'', pi, pi' or pi'' is written, as
 arithmetic that works on numpy arrays and on Python floats alike, with the
 powers (and the clip of a central difference) supplied by the caller: numpy's
-``**`` on arrays, ``_pow`` on floats. The kernels take trusted utilities;
+``**`` on arrays, ``_pow`` or a power bound per model on floats. A
+parametric model's pi', and its two-state (pi', pi''), are one call of
+``_parametric_prime`` or ``_parametric_derivs``, which repeat q and q' from
+``_q_terms`` in its operation order. The kernels take trusted utilities;
 ``eval_q``, ``eval_q_prime``, ``pi_monopoly``, ``pi_monopoly_second`` and
 ``pi_competition`` check the domain first, and ``Evaluator`` applies the
 kernels to one utility vector, one entry per user. A market of at most
@@ -18,6 +21,15 @@ Python floats (the element path), which spares numpy's per-call cost on the
 paper's 5-user markets; every other market is evaluated on arrays, in one
 call when its users share a model, else once per group of users with the
 same model.
+
+On the element path each model's powers x ** y for y = e, e - 1 and e - 2
+(e = 1 - alpha) and y = 3 are bound once, when its kernels are built
+(``_element_kernels``): numpy's fast path for y where there is one, else
+y's own ``__rpow__``. That gives ``_pow``'s bits for every positive base,
+and pi' and pi'' see only positive bases, as they are taken at utilities
+clamped to ``U_CLAMP``. The objective sees 1 - u = 0 at u = 1, and below 0
+after rounding, where a bound ``__rpow__`` raises or returns a complex, so
+it keeps ``_pow``, which gives numpy's values there.
 
 The element path gives the bits of the array path wherever numpy's ``**``
 calls the C library's ``pow``, as ``_pow`` does. numpy's AVX-512 (SVML) power
@@ -38,6 +50,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -165,12 +178,12 @@ def _central(f, u, clip=np.clip):
 
 
 def _q_terms(model: ReturnModel, u, order: int, pw=operator.pow) -> list:
-    """[q(u), q'(u), q''(u)][:order + 1], with pw(x, y) for x ** y.
+    """[q(u), q'(u)][:order + 1], order 0 or 1, with pw(x, y) for x ** y.
 
-    The parametric family shares r = 1 - u: q = u r^e, q' = r^(e-1) (r - u e)
-    and q'' = e r^(e-2) (u(1+e) - 2), with e = 1 - alpha. Grid models
-    interpolate q linearly and take central differences for q' (order <= 1);
-    they are evaluated on arrays only.
+    The parametric family shares r = 1 - u: q = u r^e and
+    q' = r^(e-1) (r - u e), with e = 1 - alpha. Grid models interpolate q
+    linearly and take central differences for q'; they are evaluated on
+    arrays only.
     """
     if model.kind == "parametric-alpha":
         e = 1.0 - model.alpha
@@ -178,8 +191,6 @@ def _q_terms(model: ReturnModel, u, order: int, pw=operator.pow) -> list:
         terms = [u * pw(r, e)]
         if order >= 1:
             terms.append(pw(r, e - 1.0) * (r - u * e))
-        if order >= 2:
-            terms.append(e * pw(r, e - 2.0) * (u * (1.0 + e) - 2.0))
         return terms
 
     def q(v):
@@ -210,24 +221,67 @@ def _pi_prime(q, qp, u, eps):
     return (qp + q * q / eps) / (t * t)
 
 
-def _pi_prime_second(model: ReturnModel, u, pw=operator.pow) -> list:
-    """[pi'(u), pi''(u)] of the two-state chain from one kernel pass at u,
-    with pw(x, y) for x ** y.
+def _parametric_prime(e, p0, p1, eps, u):
+    """pi'(u) of the parametric model with e = 1 - alpha, in one call:
+    ``_pi_prime(*_q_terms(model, u, 1), u, eps)`` in its operation order,
+    with p0(x) = x ** e and p1(x) = x ** (e - 1) bound once per model."""
+    r = 1.0 - u
+    return _pi_prime(u * p0(r), p1(r) * (r - u * e), u, eps)
 
-    Analytic for the parametric family, with t = 1 + q: pi' = q'/t^2, the
-    bits of ``_pi_prime``, and pi'' = q''/t^2 - 2 q'^2/t^3. Grid models, whose
-    q is piecewise linear, take central differences of pi' for pi''.
+
+def _parametric_derivs(e, p0, p1, p2, p3, u):
+    """(pi'(u), pi''(u)) of the two-state chain for the parametric model
+    with e = 1 - alpha, from one pass of q, q' = r^(e-1) (r - u e) and
+    q'' = e r^(e-2) (u(1+e) - 2) with r = 1 - u; pk(x) = x ** (e - k) for
+    k = 0, 1, 2 and p3(x) = x ** 3, bound once per model.
+
+    With t = 1 + q, pi' = q'/t^2 comes from ``_pi_prime`` and
+    pi'' = q''/t^2 - 2 q'^2/t^3.
+    """
+    r = 1.0 - u
+    q = u * p0(r)
+    qp = p1(r) * (r - u * e)
+    t = 1.0 + q
+    return (_pi_prime(q, qp, u, None),
+            e * p2(r) * (u * (1.0 + e) - 2.0) / (t * t) - 2.0 * qp * qp / p3(t))
+
+
+def _float_power(y: float):
+    """x ** y as a function of a float x > 0, with the bits of ``_pow(x, y)``:
+    numpy's fast path for y where ``_FAST_POWERS`` has one, else y's own
+    ``__rpow__``, Python's ``**``. Zero and negative bases are not served:
+    there ``__rpow__`` raises or returns a complex."""
+    fast = _FAST_POWERS.get(y)
+    return y.__rpow__ if fast is None else fast
+
+
+def _array_power(y: float):
+    """x ** y as a function of an array x: numpy's ``**``, fast paths included."""
+    return lambda x: x ** y
+
+
+def _parametric_powers(model: ReturnModel, power) -> tuple:
+    """(e, x ** e, x ** (e - 1), x ** (e - 2), x ** 3) for the parametric
+    model with e = 1 - alpha, each power bound by ``power``."""
+    e = 1.0 - model.alpha
+    return (e, *map(power, (e, e - 1.0, e - 2.0, 3.0)))
+
+
+def _pi_prime_second(model: ReturnModel, u) -> tuple:
+    """(pi'(u), pi''(u)) of the two-state chain from one kernel pass at u,
+    on arrays or numpy scalars.
+
+    Parametric models take ``_parametric_derivs`` with numpy's ``**``. Grid
+    models, whose q is piecewise linear, take central differences of pi'
+    for pi''.
     """
     if model.kind == "parametric-alpha":
-        q, qp, qpp = _q_terms(model, u, 2, pw)
-        t = 1.0 + q
-        t2 = t * t
-        return [qp / t2, qpp / t2 - 2.0 * qp * qp / pw(t, 3.0)]
+        return _parametric_derivs(*_parametric_powers(model, _array_power), u)
 
     def prime(v):
         return _pi_prime(*_q_terms(model, v, 1), v, None)
 
-    return [prime(u), _central(prime, u)]
+    return prime(u), _central(prime, u)
 
 
 # ---- checked entry points for utilities from outside the program -----------
@@ -281,32 +335,30 @@ def pi_competition(model: ReturnModel, u, eps: float):
 
 
 def _element_kernels(model: ReturnModel, eps):
-    """(pi, pi', (pi', pi'')) of one parametric user as functions of a float:
-    the array kernels' formulas with ``_pow`` and ``_clip``. The competition
-    chain's pi'' is the central difference of pi' at min(u, ``U_CLAMP``).
+    """(pi, pi', (pi', pi'')) of one parametric user as functions of a float.
 
     pi' and pi'' are taken at utilities in [0, ``U_CLAMP``], so every base
-    they raise to a power, 1 - u and 1 + q, is positive. There ``_pow``
-    takes Python's ``**`` for each exponent without a fast path, so when
-    none of the model's exponents e, e - 1 and e - 2 (e = 1 - alpha) has
-    one, they call ``**`` directly and skip ``_pow``'s dispatch; t ** 3
-    never has one.
+    they raise to a power, 1 - u and 1 + q, is positive. Their powers are
+    bound here, once per model, by ``_float_power``, and each is one call of
+    ``_parametric_prime`` or, for the two-state chain, ``_parametric_derivs``:
+    the array path's formulas and bits. The competition chain's pi'' is the
+    central difference of pi' at min(u, ``U_CLAMP``), with ``_clip``. pi
+    serves the objective, which sees 1 - u = 0 at u = 1 and below 0 after
+    rounding, so it keeps ``_pow``, which gives numpy's values there.
     """
-    e = 1.0 - model.alpha
-    pw = _pow if {e, e - 1.0, e - 2.0} & _FAST_POWERS.keys() else operator.pow
+    e, p0, p1, p2, p3 = _parametric_powers(model, _float_power)
+    prime = partial(_parametric_prime, e, p0, p1, eps)
 
     def pi(u):
         return _pi(_q_terms(model, u, 0, _pow)[0], u, eps)
 
-    def prime(u):
-        return _pi_prime(*_q_terms(model, u, 1, pw), u, eps)
+    if eps is None:
+        return pi, prime, partial(_parametric_derivs, e, p0, p1, p2, p3)
 
     def clamped_prime(u):
         return prime(u if u < U_CLAMP else U_CLAMP)  # np.minimum's operand order
 
     def derivs(u):
-        if eps is None:
-            return _pi_prime_second(model, u, pw)
         return prime(u), _central(clamped_prime, u, _clip)
 
     return pi, prime, derivs

@@ -114,7 +114,9 @@ def jv_assign_numpy(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 def _pi_second_two_state(model: ReturnModel, u):
     if model.kind == "parametric-alpha":
-        q, qp, qpp = _q_terms(model, u, 2)
+        q, qp = _q_terms(model, u, 1)
+        e = 1.0 - model.alpha
+        qpp = e * (1.0 - u) ** (e - 2.0) * (u * (1.0 + e) - 2.0)
         t = 1.0 + q
         return qpp / t ** 2.0 - 2.0 * qp * qp / t ** 3.0
     return _central(lambda v: _pi_prime(*_q_terms(model, v, 1), v, None), u)

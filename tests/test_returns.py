@@ -7,7 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers_oracles import NPY_AVX512_OFF, element_path_cases, pi_derivs, pi_second_reference
+from helpers_oracles import (
+    ELEMENT_ALPHAS,
+    NPY_AVX512_OFF,
+    _outputs,
+    element_path_cases,
+    pi_derivs,
+    pi_second_reference,
+)
 
 import matchmarket
 from matchmarket import returns
@@ -313,6 +320,24 @@ class TestElementPath:
     """Markets of at most ELEMENT_MAX_USERS parametric users are evaluated on
     Python floats, user by user, with the array path's formulas."""
 
+    # SHA-256 of every element-path evaluator output (helpers_oracles._outputs)
+    # over element_path_cases, both chains, recorded while pi' and pi'' were
+    # still taken through _q_terms and _pow. The array path's two-state pi'
+    # and pi'' now call the same kernels, so the comparison of the two paths
+    # below would not see a change that moves both; this pin does.
+    ELEMENT_OUTPUTS_SHA256 = "46a1650ef746e6c643857bd2e3dba51f7cac27750378e8aa1042e946cafd9d93"
+
+    def test_element_path_golden(self):
+        digest, count = hashlib.sha256(), 0
+        for label, models, stat, U, _ in element_path_cases():
+            ev = Evaluator(models, stat)
+            assert ev.floats, label
+            for out in _outputs(ev, U).values():
+                digest.update(out)
+                count += 1
+        assert count == 2688
+        assert digest.hexdigest() == self.ELEMENT_OUTPUTS_SHA256
+
     def test_matches_array_path_without_avx512(self):
         # numpy's AVX-512 power loop rounds differently from the C library's
         # pow, so the two paths are compared in a process where it is off
@@ -367,6 +392,20 @@ class TestElementPath:
         with np.errstate(all="ignore"):
             for v, y in ((0.0, -1.0), (0.0, -1.5), (0.0, 0.75), (-0.5, 0.75), (-0.5, 0.5)):
                 assert np.array(_pow(v, y)).tobytes() == (np.array([v]) ** y)[0].tobytes()
+
+    @pytest.mark.parametrize("alpha", ELEMENT_ALPHAS + (1e-17,))
+    def test_bound_powers_match_pow(self, alpha):
+        # the element kernels' powers, bound once per model for e, e - 1 and
+        # e - 2 (e = 1 - alpha) and for 3, give _pow's bits on positive
+        # bases; at alpha 1e-17, e rounds to 1.0 and all three take numpy's
+        # fast paths
+        e, *powers = returns._parametric_powers(parametric(alpha), returns._float_power)
+        assert e == 1.0 - alpha
+        if alpha == 1e-17:
+            assert e == 1.0 and powers[:3] == [returns._FAST_POWERS[y] for y in (1.0, 0.0, -1.0)]
+        x = np.random.default_rng(4).uniform(1e-6, 3.0, 50_000).tolist()
+        for y, p in zip((e, e - 1.0, e - 2.0, 3.0), powers, strict=True):
+            assert np.array([p(v) for v in x]).tobytes() == np.array([_pow(v, y) for v in x]).tobytes()
 
 
 class TestAssumptions:
