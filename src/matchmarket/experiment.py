@@ -10,34 +10,45 @@ as the universal baseline for payoff histograms.
 
 Each round of an arm (``_run_arm``) has four phases: drop (each active
 player exits with a probability that rises when their running mean payoff is
-below the outside option), assignment (one ``assign_round`` call, or one
-random matching, for the players without a slot over the open slots, with
-slots a player left by re-matching zeroed), payoff and action (noisy payoff,
-then Continue or Rematch), and, in the Selfish arm, learning (``q_update``'s
-mix from this round's switch rates). ``assign_round`` is one
-``fair.best_matching`` call on the per-edge matrix of its objective (mean
-payoffs, pi of the learned model, or its raw q), with no market instance,
-matching object or certificate built around it; ``best_matching`` returns
-the matching as a list, and its one-row case, most of a pass's assignments,
-is one ``min``. Per-player state lives in Python lists of bools, ints and
-floats, and means come from running float sums. An arm reads its config and
-behavior fields and the players' bound ``random`` and ``normal`` methods
-once, and takes ``BehaviorModel.switch_prob`` and ``drop_prob`` inline with
-the same operations. The assignment sub-matrix is one list comprehension over
-the payoff rows, which ``assign_round`` checks as lists; the Fair arm hands
-them to ``best_matching`` as they are, and the Selfish arm builds one array
-for ``np.interp`` and the pi kernel. The Selfish arm keeps its model's 21
-node values as Python floats and mixes, with ``q_update``'s expression, only
-the nodes of the payoff bins it observed (at most two per player), so the
-loop calls numpy only to draw random numbers, in the Selfish arm's
-assignment, and to build each learned model. A snapshot shares its model's
-read-only values. A payoff sum that overflows a float, in an arm or over a
-batch, raises ``ExperimentError``.
+below the outside option), assignment (one call of the assignment kernel,
+or one random matching, for the players without a slot over the open slots,
+with slots a player left by re-matching zeroed), payoff and action (noisy
+payoff, then Continue or Rematch), and, in the Selfish arm, learning
+(``q_update``'s mix from this round's switch rates). ``assign_round``
+checks its weights and calls ``_assign``, the unchecked kernel that the arm
+calls directly, since its rows come from clipped payoffs and pass the checks
+by construction. The kernel is one ``fair.best_matching`` call on the
+per-edge matrix of its objective (mean payoffs, pi of the learned model, or
+its raw q), with no market instance, matching object or certificate built
+around it; ``best_matching`` returns the matching as a list, and its one-row
+case, most of a pass's assignments, is one ``min``. Per-player state lives
+in Python lists of bools, ints and floats, and means come from running float
+sums. An arm reads its config and behavior fields and the players' bound
+``random`` and ``standard_normal`` methods once, takes a payoff as
+``mean + noise_sd * standard_normal()``, which is numpy's ``normal``
+bit for bit, and takes ``BehaviorModel.switch_prob`` and ``drop_prob``
+inline with the same operations. The assignment sub-matrix is one list
+comprehension over the payoff rows; the Fair arm hands it to
+``best_matching`` as it is, and the Selfish arm builds one array for
+``np.interp`` and the pi kernel. The Selfish arm keeps its learned model as
+node values only, with no ``ReturnModel`` built per round: a list of 21
+Python floats that ``_learn`` mixes, with ``q_update``'s expression, at the
+nodes of the payoff bins it observed (at most two per player), and one
+read-only array of them per learning round that is both the round's
+snapshot and the interpolation input. ``_learn`` keeps every node in
+[0, 1] and the endpoints at 0, so the array holds the bytes the grid
+constructor would. The loop calls numpy only to draw random numbers, in
+the Selfish arm's assignment, and to build those arrays. A payoff sum that
+overflows a float, in an arm or over a batch, raises ``ExperimentError``.
 
 ``run_study`` builds what the three arms of a game share once: the mean and
-normalized payoff rows as lists, and the player and Random-arm generators,
-whose bit-generator states it saves before any draw. Each arm restores those
-states, so the arms replay the same streams without seeding again.
+normalized payoff rows as lists, and the player and Random-arm generators.
+The Fair arm plays on the freshly seeded generators; ``run_study`` saves the
+player generators' bit-generator states before any draw and restores them
+before the Selfish and Random arms, so the arms replay the same streams
+without seeding again. Only the Random arm draws from its own generator, so
+that one needs no saved state. ``run_batch`` carries the learned model from
+game to game through the grid constructor, one check per game.
 ``prior_q`` returns one shared module-level model.
 """
 
@@ -51,8 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import returns
-from .fair import best_matching
+from . import fair, returns
 from .market import MarketError
 from .returns import GRID_NODES, ReturnModel
 
@@ -104,8 +114,10 @@ class StudyConfig:
         _check_finite(self, ("outside_per_round", "payoff_scale", "noise_sd", "alpha_learn"))
         if self.seed < 0:
             raise ExperimentError("seed must be non-negative")
-        if self.payoff_scale <= 0.0:
-            raise ExperimentError("payoff_scale must be positive")
+        # the learning step divides payoffs by the bin width, which must not
+        # underflow to 0 (it does for subnormal scales up to 2.5e-323)
+        if not self.payoff_scale / PAYOFF_BINS > 0.0:
+            raise ExperimentError("payoff_scale must be positive, with a positive bin width")
         if self.noise_sd < 0.0:
             raise ExperimentError("noise_sd must be non-negative")
         if self.outside_per_round < 0.0:
@@ -286,6 +298,17 @@ def _learn(values: list, switch_obs, payoff_scale: float, alpha_learn: float) ->
     fraction, and every other node keeps its value. That is ``q_update`` on
     the ``bins_to_grid`` vector with NaN for the unobserved bins, bit for bit,
     once the grid constructor has pinned the endpoints.
+
+    Node values in [0, 1] with endpoints 0 stay so, which is why the arm
+    needs no grid check per round. The endpoints are never touched. For an
+    interior node, with a = alpha_learn in [0, 1], k = fl(1 - a), f clipped
+    to [0, 1] and old in [0, 1]: rounding is monotone and a and k are
+    floats, so fl(a * old) <= a and fl(k * f) <= k, and the mix
+    fl(fl(a * old) + fl(k * f)) is at most fl(a + k). For a >= 1/2, 1 - a
+    is exact (Sterbenz), so a + k = 1. For a < 1/2, k lies in [1/2, 1] and
+    is off 1 - a by at most 2^-54, half an ulp there, so a + k lies within
+    2^-54 of 1; above 1 that is less than half an ulp, so fl(a + k) <= 1.
+    Every term is nonnegative, so the mix lies in [0, 1].
     """
     keep = 1.0 - alpha_learn
     width = payoff_scale / PAYOFF_BINS
@@ -302,21 +325,43 @@ def _learn(values: list, switch_obs, payoff_scale: float, alpha_learn: float) ->
                 values[k] = _mix(values[k], f, alpha_learn, keep)
 
 
+def _assign(condition: str, rows: list, values, selfish_objective: str) -> list:
+    """The unchecked assignment kernel: the chosen column per row as a list,
+    -1 for unassigned, from one ``fair.best_matching`` call on the per-edge
+    matrix of the condition's objective.
+
+    ``rows`` is a non-empty list of equal-length lists of weights in [0, 1]
+    and ``values`` the grid model's node values, an array. The Fair objective
+    is the rows as they are; the Selfish one builds one array for
+    ``returns._grid_q`` and the pi kernel.
+    """
+    if condition == "Fair":
+        g = rows
+    elif condition == "Selfish":
+        w = np.array(rows, dtype=float)
+        g = returns._grid_q(values, w)
+        if selfish_objective != "raw-q":
+            g = returns._pi(g, w, None)
+    else:
+        raise ExperimentError(f"unknown condition {condition!r}")
+    # looked up on the module, so a wrapper installed on fair sees the call
+    return fair.best_matching(g)[0]
+
+
 def assign_round(condition: str, weights, learned_q: ReturnModel,
                  selfish_objective: str = "stationary") -> np.ndarray:
     """Integral assignment of requesting players (rows) to open slots (cols).
 
     ``weights`` (an array, or a list of rows) are normalized mean payoffs in
     [0, 1]; disallowed pairs must already be zeroed (zero-value edges are
-    never matched). Returns the chosen column per row as an integer array,
+    never matched). ``learned_q`` is a grid model, read by the Selfish
+    objective only. Returns the chosen column per row as an integer array,
     -1 for unassigned. Each objective is one ``best_matching`` call on its
     per-edge matrix, the same matching that ``solve_fair`` and
     ``max_weight_assignment`` return, without their duals, instances or
-    matching objects. The weights are checked as Python lists, and the Fair
-    arm hands its rows to ``best_matching`` as they are; the Selfish arm
-    builds one array for ``np.interp`` and applies the q and pi kernels to
-    it. ``best_matching`` returns the matching as a list, which becomes the
-    array here.
+    matching objects. The weights are checked as Python lists here; the
+    matching comes from ``_assign``, the kernel that ``_run_arm`` calls on
+    rows that pass these checks by construction.
     """
     rows = weights if isinstance(weights, list) else np.asarray(weights, dtype=float).tolist()
     n = len(rows[0]) if rows else 0
@@ -328,17 +373,9 @@ def assign_round(condition: str, weights, learned_q: ReturnModel,
         for x in row:
             if not 0.0 <= x <= 1.0:  # also rejects NaN
                 raise MarketError("weights must be finite and lie in [0, 1]")
-    if condition == "Fair":
-        g = rows
-    elif condition == "Selfish":
-        # the weights are checked above, so the unchecked kernels serve
-        w = np.array(rows, dtype=float)
-        g = returns._q_terms(learned_q, w, 0)[0]
-        if selfish_objective != "raw-q":
-            g = returns._pi(g, w, None)
-    else:
-        raise ExperimentError(f"unknown condition {condition!r}")
-    return np.array(best_matching(g)[0])
+    if condition == "Selfish" and learned_q.kind != "grid":
+        raise ExperimentError("the Selfish objective needs a grid model")
+    return np.array(_assign(condition, rows, learned_q.values, selfish_objective))
 
 
 class _Game(NamedTuple):
@@ -346,14 +383,16 @@ class _Game(NamedTuple):
 
     means: list  # mean payoffs in cents, one list per player
     norm: list  # means / payoff_scale clipped to [0, 1], one list per player
-    rngs: list  # one generator per player, then the Random arm's generator
-    states: list  # their bit-generator states before the first draw
+    rngs: list  # one generator per player
+    arm_rng: np.random.Generator  # the Random arm's generator
 
 
 def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
              game: _Game, q0: ReturnModel | None = None) -> ArmLog:
+    """One arm of a game, drawing from the generators as ``game`` holds them:
+    ``run_study`` restores the player generators between arms."""
     n, m, R = config.players_per_condition, config.slots, config.rounds
-    outside, noise_sd = config.outside_per_round, config.noise_sd
+    outside, noise_sd = config.outside_per_round, float(config.noise_sd)
     objective, scale = config.selfish_objective, config.payoff_scale
     alpha_learn = config.alpha_learn
     learning = condition == "Selfish"
@@ -363,16 +402,16 @@ def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
     risk_decay = behavior.risk_decay
     drop_low = behavior.drop_base + behavior.drop_low_bonus  # mean below outside
     drop_other = behavior.drop_base + 0.0
-    # agent/noise streams restart from the same states in every arm so that
-    # the conditions face the same randomness where consumption aligns
-    for rng, state in zip(game.rngs, game.states):
-        rng.bit_generator.state = state
-    *player_rng, arm_rng = game.rngs
-    random = [rng.random for rng in player_rng]
-    normal = [rng.normal for rng in player_rng]
+    random = [rng.random for rng in game.rngs]
+    # numpy's normal(loc, scale) is loc + scale * standard_normal(), the
+    # same bits from the same draw
+    standard_normal = [rng.standard_normal for rng in game.rngs]
     means, norm = game.means, game.norm
-    q = q0 if q0 is not None else prior_q()
-    values = q.values.tolist()  # the learned node values, mixed in place
+    # the model is its node values: ``values`` is mixed in place, and
+    # ``snap`` is a read-only array of them, rebuilt after each learning
+    # step, that is both the round's snapshot and the interpolation input
+    snap = (q0 if q0 is not None else prior_q()).values
+    values = snap.tolist()
     log = ArmLog(condition=condition)
     records = log.records
     matched_payoffs = log.matched_payoffs
@@ -408,10 +447,12 @@ def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
             if open_slots:
                 sub = [[0.0 if j in forbidden[i] else norm[i][j] for j in open_slots]
                        for i in requesters]
+                # norm is clipped to [0, 1], so the rows pass assign_round's
+                # checks and its kernel serves
                 if condition == "Random":
-                    match = _random_assign(sub, arm_rng)
+                    match = _random_assign(sub, game.arm_rng)
                 else:
-                    match = assign_round(condition, sub, q, objective).tolist()
+                    match = _assign(condition, sub, snap, objective)
                 for i, b in zip(requesters, match):
                     if b >= 0:
                         slot_of[i] = open_slots[b]
@@ -428,7 +469,7 @@ def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
             if j < 0:
                 records.append(RoundRecord(condition, r, i, -1, 0.0, "Wait"))
                 continue
-            p = max(0.0, normal[i](means[i][j], noise_sd))
+            p = max(0.0, means[i][j] + noise_sd * standard_normal[i]())
             totals[i] += p
             plays[i] += 1
             matched_payoffs.append(p)
@@ -447,11 +488,12 @@ def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
 
         # learning phase (Selfish condition only)
         if learning and switch_obs:
+            # _learn keeps the nodes in [0, 1] and the endpoints at 0, so the
+            # array holds the bytes returns.grid would
             _learn(values, switch_obs, scale, alpha_learn)
-            q = returns.grid(values)
-        # a model's values are a read-only array of its own, so the snapshot
-        # shares them
-        snapshots.append(q.values)
+            snap = np.array(values)
+            snap.flags.writeable = False
+        snapshots.append(snap)
 
     _check_payoff_sum(sum(totals))
     log.totals = np.array(totals)
@@ -487,32 +529,36 @@ def run_study(config: StudyConfig, behavior: BehaviorModel | None = None,
     behavior = behavior or BehaviorModel()
     w_slots, eps_players, mean_payoffs = generate_market(config, game_index)
     n = config.players_per_condition
-    # the generators are seeded once per game; each arm restores their saved
-    # states, which replays the streams a fresh default_rng would give
-    seeds = [(config.seed, game_index, 2, i) for i in range(n)]
-    seeds.append((config.seed, game_index, 3))
-    rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
+    rngs = [np.random.default_rng(np.random.SeedSequence((config.seed, game_index, 2, i)))
+            for i in range(n)]
     game = _Game(
         means=mean_payoffs.tolist(),
         norm=np.clip(mean_payoffs / config.payoff_scale, 0.0, 1.0).tolist(),
         rngs=rngs,
-        states=[rng.bit_generator.state for rng in rngs],
+        arm_rng=np.random.default_rng(np.random.SeedSequence((config.seed, game_index, 3))),
     )
-    arms = {
-        name: _run_arm(name, config, behavior, game,
-                       q0=selfish_q0 if name == "Selfish" else None)
-        for name in ("Fair", "Selfish", "Random")
-    }
-    fair, selfish = arms["Fair"], arms["Selfish"]
+    # the Fair arm plays on the freshly seeded generators; the player
+    # generators are restored to those states before each later arm, so
+    # every arm replays the streams a fresh default_rng would give. Only the
+    # Random arm draws from arm_rng, so it needs no saved state
+    states = [rng.bit_generator.state for rng in rngs]
+    arms = {"Fair": _run_arm("Fair", config, behavior, game)}
+    for name in ("Selfish", "Random"):
+        for rng, state in zip(rngs, states):
+            rng.bit_generator.state = state
+        arms[name] = _run_arm(name, config, behavior, game,
+                              q0=selfish_q0 if name == "Selfish" else None)
+    fair_log, selfish = arms["Fair"], arms["Selfish"]
     metrics = {
-        "fair_mean_total": fair.welfare / n,
+        "fair_mean_total": fair_log.welfare / n,
         "selfish_mean_total": selfish.welfare / n,
         "random_mean_total": arms["Random"].welfare / n,
-        "fair_engagement": fair.engagement_rate,
+        "fair_engagement": fair_log.engagement_rate,
         "selfish_engagement": selfish.engagement_rate,
-        "fair_drop_rate": fair.drop_rate,
+        "fair_drop_rate": fair_log.drop_rate,
         "selfish_drop_rate": selfish.drop_rate,
-        "poa_pair": selfish.welfare / fair.welfare if fair.welfare > 0 else float("nan"),
+        "poa_pair": (selfish.welfare / fair_log.welfare if fair_log.welfare > 0
+                     else float("nan")),
     }
     return StudyResult(config=config, w_slots=w_slots, eps_players=eps_players,
                        arms=arms, metrics=metrics)

@@ -152,8 +152,9 @@ def best_matching(g) -> tuple[list[int], float, list[float], list[float]]:
     max(m, n) column entries (slack columns last). ``max_weight_assignment``
     turns the potentials into the duals of ``AssignmentResult``. The unchecked
     kernel, for matrices the program builds: the Frank-Wolfe oracle of
-    ``selfish._afw`` and ``experiment.assign_round``, which checks its own
-    input. ``max_weight_assignment`` is the checked entry point. ``g`` is an
+    ``selfish._afw`` and ``experiment._assign``, whose rows are checked by
+    ``assign_round`` or clipped by the sim arm that builds them.
+    ``max_weight_assignment`` is the checked entry point. ``g`` is an
     array, or a non-empty list of equal-length rows of floats, used as is.
 
     The clip at zero, the zero-weight slack columns and the negation into a

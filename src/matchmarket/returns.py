@@ -177,6 +177,13 @@ def _central(f, u, clip=np.clip):
     return (f(hi) - f(lo)) / (hi - lo)
 
 
+def _grid_q(values, u):
+    """q(u) of the grid model with node values ``values`` (an array): linear
+    interpolation between the nodes. The experiment's Selfish arm calls it
+    on the node values it learns, without a model around them."""
+    return np.interp(u, _NODES, values)
+
+
 def _q_terms(model: ReturnModel, u, order: int, pw=operator.pow) -> list:
     """[q(u), q'(u)][:order + 1], order 0 or 1, with pw(x, y) for x ** y.
 
@@ -193,9 +200,7 @@ def _q_terms(model: ReturnModel, u, order: int, pw=operator.pow) -> list:
             terms.append(pw(r, e - 1.0) * (r - u * e))
         return terms
 
-    def q(v):
-        return np.interp(v, _NODES, model.values)
-
+    q = partial(_grid_q, model.values)
     terms = [q(u)]
     if order >= 1:
         terms.append(_central(q, u))

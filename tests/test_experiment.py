@@ -3,6 +3,8 @@ import warnings
 import numpy as np
 import pytest
 from helpers_oracles import run_study_arms_reference, solve_selfish_integral
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from matchmarket.experiment import (
     PAYOFF_BINS,
@@ -24,7 +26,27 @@ from matchmarket.experiment import (
 )
 from matchmarket.fair import max_weight_assignment, solve_fair
 from matchmarket.market import MarketError, make_instance
-from matchmarket.returns import GRID_NODES, MONOPOLY, eval_q, grid
+from matchmarket.returns import GRID_NODES, MONOPOLY, eval_q, grid, parametric
+
+
+@st.composite
+def learning_runs(draw):
+    """(alpha_learn, payoff_scale, node values, rounds of (payoff, switched)
+    observations) for the Selfish arm's learning step. In about half the
+    runs every player switches in every round, which drives the observed
+    nodes toward 1; payoffs cover [0, 1.5 payoff_scale] and any float >= 0."""
+    alpha = draw(st.floats(0.0, 1.0))
+    scale = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    # _learn divides by the bin width: StudyConfig rejects a scale whose
+    # width underflows to 0
+    assume(scale / PAYOFF_BINS > 0.0)
+    start = draw(st.lists(st.floats(0.0, 1.0), min_size=GRID_NODES - 2,
+                          max_size=GRID_NODES - 2))
+    payoff = st.floats(0.0, 1.5).map(lambda x: x * scale) | st.floats(0.0)
+    switched = st.just(True) if draw(st.booleans()) else st.booleans()
+    rounds = draw(st.lists(st.lists(st.tuples(payoff, switched), min_size=1, max_size=5),
+                           min_size=1, max_size=100))
+    return alpha, scale, [0.0, *start, 0.0], rounds
 
 
 class TestConfigs:
@@ -45,7 +67,8 @@ class TestConfigs:
         with pytest.raises(ExperimentError):
             StudyConfig(selfish_objective="greedy")
         for bad in ({"rounds": True}, {"slots": 13.0}, {"noise_sd": float("nan")},
-                    {"payoff_scale": -20.0}, {"outside_per_round": float("inf")}):
+                    {"payoff_scale": -20.0}, {"payoff_scale": 2e-323},
+                    {"outside_per_round": float("inf")}):
             with pytest.raises(ExperimentError):
                 StudyConfig(**bad)
 
@@ -167,6 +190,20 @@ class TestLearning:
                 assert grid(values).values.tobytes() == dense.values.tobytes()
                 q = dense
 
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(learning_runs())
+    def test_learning_keeps_nodes_in_unit_interval(self, run):
+        """The invariant that lets the Selfish arm skip the grid check per
+        round: after every learning step each node lies in [0, 1], the
+        endpoints are still +0.0, and the grid constructor would store the
+        node values' own bytes."""
+        alpha, scale, values, rounds = run
+        for obs in rounds:
+            _learn(values, obs, scale, alpha)
+            assert all(0.0 <= v <= 1.0 for v in values)
+            assert np.array([values[0], values[-1]]).tobytes() == bytes(16)
+            assert grid(values).values.tobytes() == np.array(values).tobytes()
+
     def test_q_update_alpha_one_is_identity(self):
         q0 = prior_q()
         f = np.full(GRID_NODES, 0.9)
@@ -211,6 +248,13 @@ class TestAssignment:
     def test_unknown_condition(self):
         with pytest.raises(ExperimentError):
             assign_round("Greedy", np.array([[0.5]]), prior_q())
+
+    def test_selfish_needs_grid_model(self):
+        """The Selfish objective reads the grid model's node values; the
+        Fair one ignores the model."""
+        with pytest.raises(ExperimentError, match="grid model"):
+            assign_round("Selfish", np.array([[0.5]]), parametric(0.5))
+        assert assign_round("Fair", np.array([[0.5]]), parametric(0.5))[0] == 0
 
     def test_invalid_weights_rejected(self):
         for bad in (np.array([[0.5, np.nan]]), np.array([[0.5, 1.5]])):
@@ -403,7 +447,11 @@ class TestReferenceArms:
         (StudyConfig(study="A", seed=5, players_per_condition=1), True),
         (StudyConfig(study="C", seed=7, players_per_condition=5), True),
         (StudyConfig(study="B", seed=11), False),
-    ], ids=["A", "B", "C", "raw-q", "one-player", "five-players", "no-carry"])
+        (StudyConfig(study="A", seed=13, noise_sd=0.0), True),
+        (StudyConfig(study="B", seed=13, alpha_learn=0.0), True),
+        (StudyConfig(study="C", seed=13, alpha_learn=1.0), True),
+    ], ids=["A", "B", "C", "raw-q", "one-player", "five-players", "no-carry",
+            "noise-sd-0", "alpha-learn-0", "alpha-learn-1"])
     def test_run_batch_matches_reference_arms(self, config, carry):
         """Each game's three arms, with the learned model carried from game
         to game or reset, match arms that each seed their own generators and
