@@ -83,12 +83,15 @@ def _models(args, m: int) -> list:
     return [returns.parametric(args.alpha)] * m
 
 
+def _competition(eps: float) -> Stationary:
+    try:
+        return Stationary("competition", eps)
+    except ValueError as exc:
+        raise CliError(f"invalid --eps {eps}: {exc}") from exc
+
+
 def _stationary(args) -> Stationary:
-    if args.eps is None:
-        return MONOPOLY
-    if not 0.0 < args.eps <= 1.0:
-        raise CliError(f"invalid --eps {args.eps}: must lie in (0, 1]")
-    return Stationary("competition", args.eps)
+    return MONOPOLY if args.eps is None else _competition(args.eps)
 
 
 def _check_count(args, name: str) -> None:
@@ -177,8 +180,10 @@ def cmd_sweep(args) -> int:
         eps_list = [float(tok) for tok in args.eps.split(",") if tok]
     except ValueError as exc:
         raise CliError(f"invalid --eps list: {exc}") from exc
-    if not eps_list or any(not 0.0 < e <= 1.0 for e in eps_list):
-        raise CliError("--eps values must lie in (0, 1]")
+    if not eps_list:
+        raise CliError("invalid --eps list: no values")
+    for e in eps_list:
+        _competition(e)
     _check_count(args, "trials")
     models = _models(args, args.m)
     run = _Run("sweep", args)

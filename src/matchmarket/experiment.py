@@ -88,7 +88,8 @@ def _check_payoff_sum(total: float) -> None:
     built on it meaningless; the sums are nonnegative, so every partial sum
     of a finite one is finite too."""
     if not math.isfinite(total):
-        raise ExperimentError("payoff sums overflow a float; lower payoff_scale or noise_sd")
+        raise ExperimentError(
+            "payoff sums overflow a float; lower payoff_scale, noise_sd or outside_per_round")
 
 
 @dataclass(frozen=True)

@@ -8,34 +8,30 @@ interpolation, endpoints pinned to 0) used for learned return behavior.
 pi = q / (1 + q), or the three-state competition chain. This module is the
 only place a formula for q, q', q'', pi, pi' or pi'' is written, as
 arithmetic that works on numpy arrays and on Python floats alike, with the
-powers (and the clip of a central difference) supplied by the caller: numpy's
-``**`` on arrays, ``_pow`` or a power bound per model on floats. A
-parametric model's pi', and its two-state (pi', pi''), are one call of
-``_parametric_prime`` or ``_parametric_derivs``, which repeat q and q' from
-``_q_terms`` in its operation order. The kernels take trusted utilities;
-``eval_q``, ``eval_q_prime``, ``pi_monopoly``, ``pi_monopoly_second`` and
-``pi_competition`` check the domain first, and ``Evaluator`` applies the
-kernels to one utility vector, one entry per user. A market of at most
-``ELEMENT_MAX_USERS`` users, all parametric, is evaluated user by user on
-Python floats (the element path), which spares numpy's per-call cost on the
-paper's 5-user markets; every other market is evaluated on arrays, in one
-call when its users share a model, else once per group of users with the
-same model.
+powers supplied by the caller. A parametric model's pi' and its (pi', pi'')
+are each one closed-form kernel call; ``_parametric_kernels`` binds the
+powers and picks the chain's kernel, ``_parametric_derivs`` (two-state) or
+``_competition_derivs`` (three-state). Grid models, whose q is piecewise
+linear, take central differences for q' and pi''. The kernels take trusted
+utilities; ``eval_q``, ``eval_q_prime``, ``pi_monopoly``,
+``pi_monopoly_second`` and ``pi_competition`` check the domain first.
 
-On the element path each model's powers x ** y for y = e, e - 1 and e - 2
-(e = 1 - alpha) and y = 3 are bound once, when its kernels are built
-(``_element_kernels``): numpy's fast path for y where there is one, else
-y's own ``__rpow__``. That gives ``_pow``'s bits for every positive base,
-and pi' and pi'' see only positive bases, as they are taken at utilities
-clamped to ``U_CLAMP``. The objective sees 1 - u = 0 at u = 1, and below 0
-after rounding, where a bound ``__rpow__`` raises or returns a complex, so
-it keeps ``_pow``, which gives numpy's values there.
-
-The element path gives the bits of the array path wherever numpy's ``**``
-calls the C library's ``pow``, as ``_pow`` does. numpy's AVX-512 (SVML) power
-loop rounds differently in the last bit for about 5% of its inputs, so on
-hosts where numpy dispatches that loop the two paths can differ by one
-rounding; ``NPY_DISABLE_CPU_FEATURES`` with the AVX-512 features turns it off.
+``Evaluator`` applies the kernels to one utility vector, one entry per user.
+A market of at most ``ELEMENT_MAX_USERS`` users, all parametric, is
+evaluated user by user on Python floats (the element path), which spares
+numpy's per-call cost on the paper's 5-user markets; there each model's
+powers x ** y for y = e, e - 1 and e - 2 (e = 1 - alpha) and y = 3 are bound
+once: numpy's fast path for y where there is one, else y's own
+``__rpow__``, ``_pow``'s bits for every positive base. pi' and pi'' see only
+positive bases, as they are taken at utilities clamped to ``U_CLAMP``; the
+objective sees 1 - u = 0 at u = 1, and below 0 after rounding, so it keeps
+``_pow``, which gives numpy's values there. Every other market is evaluated
+on arrays with numpy's ``**``, in one call when its users share a model,
+else once per group of users with the same model. The two paths agree bit
+for bit wherever numpy's ``**`` calls the C library's ``pow``; numpy's
+AVX-512 (SVML) power loop rounds differently in the last bit for about 5% of
+its inputs, and ``NPY_DISABLE_CPU_FEATURES`` with the AVX-512 features turns
+it off.
 
 ``strictly_concave`` decides assumption A3 of Theorem 1 from the model
 family alone, with a proof instead of samples: it holds for every
@@ -49,6 +45,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -114,7 +111,8 @@ def grid(values) -> ReturnModel:
 
 @dataclass(frozen=True)
 class Stationary:
-    """Which Markov chain drives the return objective."""
+    """Which Markov chain drives the return objective. The competition
+    chain's eps is a normal float: below that, q / eps overflows."""
 
     kind: str = "monopoly"  # "monopoly" | "competition"
     eps: float = 1.0
@@ -122,8 +120,8 @@ class Stationary:
     def __post_init__(self):
         if self.kind not in ("monopoly", "competition"):
             raise ValueError(f"unknown stationary kind {self.kind!r}")
-        if self.kind == "competition" and not (0.0 < self.eps <= 1.0):
-            raise ValueError("eps must lie in (0, 1]")
+        if self.kind == "competition" and not (sys.float_info.min <= self.eps <= 1.0):
+            raise ValueError(f"eps must lie in [{sys.float_info.min!r}, 1]")
 
 
 MONOPOLY = Stationary("monopoly")
@@ -162,18 +160,12 @@ def _pow(x: float, y: float) -> float:
     return float(np.array(x) ** y)
 
 
-def _clip(x: float, lo: float, hi: float) -> float:
-    """np.clip on a float: min(max(x, lo), hi) as numpy orders the operands,
-    the same bits for every non-NaN x, signed zeros included."""
-    x = x if x > lo else lo
-    return x if x < hi else hi
-
-
-def _central(f, u, clip=np.clip):
-    """Central difference of f with step ``GRID_DERIV_STEP``, one-sided at 0 and 1."""
+def _central(f, u):
+    """Central difference of f with step ``GRID_DERIV_STEP``, one-sided at 0
+    and 1: the derivatives of grid models, whose q is piecewise linear."""
     h = GRID_DERIV_STEP
-    lo = clip(u - h, 0.0, 1.0)
-    hi = clip(u + h, 0.0, 1.0)
+    lo = np.clip(u - h, 0.0, 1.0)
+    hi = np.clip(u + h, 0.0, 1.0)
     return (f(hi) - f(lo)) / (hi - lo)
 
 
@@ -251,6 +243,25 @@ def _parametric_derivs(e, p0, p1, p2, p3, u):
             e * p2(r) * (u * (1.0 + e) - 2.0) / (t * t) - 2.0 * qp * qp / p3(t))
 
 
+def _competition_derivs(e, p0, p1, p2, eps, u):
+    """(pi'(u), pi''(u)) of the three-state chain from the r = 1 - u, q, q'
+    and q'' of ``_parametric_derivs``. With t = 1 + q + (q/eps) r and
+    n = q' + q^2/eps, pi' = n/t^2 in ``_pi_prime``'s operation order, and
+    pi'' = (q'' + 2 q q'/eps - 2 n t'/t)/t^2 with t' = q'(1 + r/eps) - q/eps,
+    taken as (q''/t + 2 q' (q/eps)/t)/t - 2 pi' t'/t: down to the smallest
+    normal eps only t * t can overflow (pi' = 0 there), never q q'/eps or
+    n t', and no power of t is taken, which would raise on floats."""
+    r = 1.0 - u
+    q = u * p0(r)
+    qp = p1(r) * (r - u * e)
+    qpp = e * p2(r) * (u * (1.0 + e) - 2.0)
+    qe = q / eps
+    t = 1.0 + q + qe * r
+    prime = (qp + q * q / eps) / (t * t)
+    tp = qp * (1.0 + r / eps) - qe
+    return prime, (qpp / t + 2.0 * qp * (qe / t)) / t - 2.0 * prime * (tp / t)
+
+
 def _float_power(y: float):
     """x ** y as a function of a float x > 0, with the bits of ``_pow(x, y)``:
     numpy's fast path for y where ``_FAST_POWERS`` has one, else y's own
@@ -272,19 +283,26 @@ def _parametric_powers(model: ReturnModel, power) -> tuple:
     return (e, *map(power, (e, e - 1.0, e - 2.0, 3.0)))
 
 
-def _pi_prime_second(model: ReturnModel, u) -> tuple:
-    """(pi'(u), pi''(u)) of the two-state chain from one kernel pass at u,
-    on arrays or numpy scalars.
+def _parametric_kernels(model: ReturnModel, eps, power) -> tuple:
+    """(pi', (pi', pi'')) of a parametric model as functions of u, with
+    every power bound by ``power``, once: ``_parametric_prime`` and, by the
+    chain, ``_parametric_derivs`` (eps None) or ``_competition_derivs``."""
+    e, p0, p1, p2, p3 = _parametric_powers(model, power)
+    prime = partial(_parametric_prime, e, p0, p1, eps)
+    if eps is None:
+        return prime, partial(_parametric_derivs, e, p0, p1, p2, p3)
+    return prime, partial(_competition_derivs, e, p0, p1, p2, eps)
 
-    Parametric models take ``_parametric_derivs`` with numpy's ``**``. Grid
-    models, whose q is piecewise linear, take central differences of pi'
-    for pi''.
-    """
+
+def _pi_prime_second(model: ReturnModel, u, eps=None) -> tuple:
+    """(pi'(u), pi''(u)) of the chain ``_pi`` names by eps, on arrays or
+    numpy scalars: the parametric kernel with numpy's ``**``, or for a grid
+    model the central difference of pi'."""
     if model.kind == "parametric-alpha":
-        return _parametric_derivs(*_parametric_powers(model, _array_power), u)
+        return _parametric_kernels(model, eps, _array_power)[1](u)
 
     def prime(v):
-        return _pi_prime(*_q_terms(model, v, 1), v, None)
+        return _pi_prime(*_q_terms(model, v, 1), v, eps)
 
     return prime(u), _central(prime, u)
 
@@ -340,31 +358,13 @@ def pi_competition(model: ReturnModel, u, eps: float):
 
 
 def _element_kernels(model: ReturnModel, eps):
-    """(pi, pi', (pi', pi'')) of one parametric user as functions of a float.
-
-    pi' and pi'' are taken at utilities in [0, ``U_CLAMP``], so every base
-    they raise to a power, 1 - u and 1 + q, is positive. Their powers are
-    bound here, once per model, by ``_float_power``, and each is one call of
-    ``_parametric_prime`` or, for the two-state chain, ``_parametric_derivs``:
-    the array path's formulas and bits. The competition chain's pi'' is the
-    central difference of pi' at min(u, ``U_CLAMP``), with ``_clip``. pi
-    serves the objective, which sees 1 - u = 0 at u = 1 and below 0 after
-    rounding, so it keeps ``_pow``, which gives numpy's values there.
-    """
-    e, p0, p1, p2, p3 = _parametric_powers(model, _float_power)
-    prime = partial(_parametric_prime, e, p0, p1, eps)
+    """(pi, pi', (pi', pi'')) of one parametric user as functions of a
+    float: the array path's kernels with powers bound by ``_float_power``,
+    and pi with ``_pow``, as the module docstring explains."""
+    prime, derivs = _parametric_kernels(model, eps, _float_power)
 
     def pi(u):
         return _pi(_q_terms(model, u, 0, _pow)[0], u, eps)
-
-    if eps is None:
-        return pi, prime, partial(_parametric_derivs, e, p0, p1, p2, p3)
-
-    def clamped_prime(u):
-        return prime(u if u < U_CLAMP else U_CLAMP)  # np.minimum's operand order
-
-    def derivs(u):
-        return prime(u), _central(clamped_prime, u, _clip)
 
     return pi, prime, derivs
 
@@ -385,10 +385,8 @@ class Evaluator:
     kernel results are scattered into full-width arrays. ``pi_prime`` takes
     q and q' from one kernel pass. ``clamped_prime`` and ``clamped_derivs``
     give the slope and curvature of the objective clamped at each user's
-    ``peak_utility`` (``peaks``); the curvature comes with the slope from
-    one derivative pass, for the two-state chain from one pass of q, q' and
-    q''. Utilities are not checked: they come from matchings the program
-    built.
+    ``peak_utility`` (``peaks``), the two from one derivative pass.
+    Utilities are not checked: they come from matchings the program built.
     """
 
     def __init__(self, models, stat: Stationary = MONOPOLY):
@@ -451,12 +449,9 @@ class Evaluator:
 
     def _derivs(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(pi_i'(u_i), pi_i''(u_i)) on the array path, at utilities already
-        clamped to at most ``U_CLAMP``: for the two-state chain both from
-        ``_pi_prime_second``, one kernel pass per model; for the competition
-        chain pi'' as central differences of ``pi_prime``."""
-        if self.eps is None:
-            return tuple(self._by_group(_pi_prime_second, u))
-        return self._prime(u), _central(self.pi_prime, u)
+        clamped to at most ``U_CLAMP``: ``_pi_prime_second`` of the chain,
+        one kernel pass per model."""
+        return tuple(self._by_group(_pi_prime_second, u, self.eps))
 
     def clamped_prime(self, u: np.ndarray) -> np.ndarray:
         """Per-user slope of the clamped objective: pi_i'(u_i) below the

@@ -474,8 +474,7 @@ def solve_selfish(
     x = np.clip(x, 0.0, None)
     matching = FractionalMatching.from_x(inst, x)
     value = ev.objective(matching.u)
-    grow = ev.pi_prime(matching.u)
-    grow = np.where(matching.u >= ev.peaks - 1e-15, 0.0, grow)
+    grow = ev.clamped_prime(matching.u)
     final = max_weight_assignment(grow[:, None] * inst.w)
     beta, sigma = final.beta, final.sigma
     mu = beta[:, None] + sigma[None, :] - grow[:, None] * inst.w

@@ -1,5 +1,6 @@
 """Brute-force and reference oracles shared by the unit and acceptance tests."""
 
+import sys
 from itertools import permutations
 from math import perm as n_perm
 from unittest import mock
@@ -107,10 +108,12 @@ def jv_assign_numpy(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 # the two-state chain per group of users with one model, analytic for the
 # parametric family and central differences of pi' for grid models; the
 # competition chain as central differences of ``Evaluator.pi_prime``. On the
-# array path, ``Evaluator._derivs`` must give the same bits. On the element
-# path pi'' is taken from the element kernels themselves, whose one-pass bits
-# ``test_shared_terms_round_as_separate_formulas`` checks against the
-# separate formulas on floats.
+# array path, ``Evaluator._derivs`` must give the same two-state bits. On the
+# element path pi'' is taken from the element kernels themselves, whose
+# one-pass bits ``test_shared_terms_round_as_separate_formulas`` checks
+# against the separate formulas on floats. The competition chain's
+# closed-form pi'' differs from its central differences by the difference's
+# truncation error; the reference weight solve below still takes them.
 
 def _pi_second_two_state(model: ReturnModel, u):
     if model.kind == "parametric-alpha":
@@ -201,6 +204,24 @@ def element_path_mismatches() -> list[str]:
         got, want = _outputs(element, U), _outputs(array, U)
         bad += [f"{label}: {name}" for name in want if got[name] != want[name]]
     return bad
+
+
+def tiny_eps_derivs():
+    """(label, element-path (pi', pi''), array-path (pi', pi'')) of the
+    competition chain at eps 1e-300 and at the smallest normal float, for
+    every ``ELEMENT_ALPHAS`` model at 200 utilities in [0, U_CLAMP]. There
+    t = 1 + q + (q/eps)(1 - u) reaches 1e307, so t^2 overflows and pi' is 0."""
+    u = np.linspace(0.0, returns.U_CLAMP, 200)
+    for eps in (1e-300, sys.float_info.min):
+        stat = returns.competition(eps)
+        for alpha in ELEMENT_ALPHAS:
+            model = returns.parametric(alpha)
+            one, wide = Evaluator([model], stat), Evaluator([model] * u.size, stat)
+            assert one.floats and not wide.floats
+            element = np.array([pi_derivs(one, [v]) for v in u.tolist()])[:, :, 0].T
+            with np.errstate(over="ignore"):
+                array = np.array(pi_derivs(wide, u))
+            yield f"alpha={alpha} eps={eps!r}", element, array
 
 
 # ---- reference weight solve ------------------------------------------------

@@ -15,6 +15,8 @@ from matchmarket.market import make_instance, write_instance
 
 POA_PINNED_ARGS = ["poa", "--alpha", "0.5", "--trials", "20", "--seed", "42"]
 POA_PINNED_DIGEST = "662bf70bda1a495972e82f884b5077c34b2a35419bab86389b0fd85145b092ad"
+POA_COMPETITION_ARGS = ["poa", "--alpha", "0", "--eps", "0.5", "--trials", "20", "--seed", "42"]
+POA_COMPETITION_DIGEST = "76c75b9c44f0992dfd6ac7e661d3d92a2c0da30a74ec6a905081e01fcdbc5b5f"
 
 
 @pytest.fixture
@@ -138,6 +140,14 @@ class TestPoaAndSweep:
         digest = hashlib.sha256((out / "poa_trials.csv").read_bytes()).hexdigest()
         assert digest == POA_PINNED_DIGEST
 
+    def test_poa_competition_digest_pinned(self, tmp_path):
+        """Byte-level golden check of 5x5 Monte-Carlo trials under the
+        competition chain, which pins its pi' and pi'' kernels end to end."""
+        out = tmp_path / "poa"
+        assert main([*POA_COMPETITION_ARGS, "--out-dir", str(out)]) == 0
+        digest = hashlib.sha256((out / "poa_trials.csv").read_bytes()).hexdigest()
+        assert digest == POA_COMPETITION_DIGEST
+
     def test_sweep_bad_eps_exit_1(self, tmp_path, capsys):
         assert main(["sweep", "--eps", "0.5,zero", "--m", "1", "--n", "1",
                      "--trials", "2", "--out-dir", str(tmp_path / "o")]) == 1
@@ -175,6 +185,8 @@ MISSING_INSTANCE = ["match", "--mode", "fair"]
     ["online", "--seed", "-1"],
     ["sweep", "--seed", "-1"],
     ["sweep", "--eps", "nan"],
+    ["sweep", "--eps", "5e-324"],
+    ["poa", "--eps", "5e-324"],
     ["poa", "--beta-b", "inf"],
     ["online", "--beta-b", "inf"],
     ["sweep", "--beta-b", "inf"],

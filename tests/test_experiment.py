@@ -94,7 +94,8 @@ class TestConfigs:
 
     @pytest.mark.parametrize("bad", [{"noise_sd": 1e308},
                                      {"payoff_scale": 1e308, "noise_sd": 0.0},
-                                     {"payoff_scale": 1e306, "noise_sd": 0.0}])
+                                     {"payoff_scale": 1e306, "noise_sd": 0.0},
+                                     {"outside_per_round": 1e308}])
     def test_payoff_overflow_rejected(self, bad):
         """Payoff sums that overflow, in one game or only summed over the
         batch (1e306 cents a slot), raise instead of giving inf metrics."""

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.differentiate import derivative
 from helpers_oracles import (
     ELEMENT_ALPHAS,
     NPY_AVX512_OFF,
@@ -14,6 +15,7 @@ from helpers_oracles import (
     element_path_cases,
     pi_derivs,
     pi_second_reference,
+    tiny_eps_derivs,
 )
 
 import matchmarket
@@ -184,6 +186,12 @@ class TestStationary:
         with pytest.raises(ReturnModelError):
             pi_competition(parametric(0.0), 0.5, 0.0)
 
+    def test_stationary_eps_is_a_normal_float(self):
+        # below the smallest normal float q / eps overflows and pi' is NaN
+        with pytest.raises(ValueError, match="eps must lie in"):
+            competition(5e-324)
+        assert competition(sys.float_info.min).eps == sys.float_info.min
+
 
 class TestEvaluator:
     """The evaluator agrees with the checked per-model functions on a market
@@ -237,9 +245,13 @@ class TestEvaluator:
 
     @pytest.mark.parametrize("eps", [None, 0.1])
     def test_pi_derivs_matches_pi_prime_and_pi_second(self, eps):
-        # one derivative pass gives the bits of pi_prime and of the separate
-        # pi'' pass, below, at and above each user's peak and at the clamp;
-        # the one-user evaluators of parametric models take the element path
+        # one derivative pass gives the bits of pi_prime and, on the
+        # two-state chain, of the separate pi'' pass, below, at and above
+        # each user's peak and at the clamp; the one-user evaluators of
+        # parametric models take the element path. The competition chain's
+        # closed-form pi'' is checked against scipy's derivative of pi'
+        if eps is not None:
+            self._check_competition_second()
         models, U = self._mixed()
         stat = MONOPOLY if eps is None else competition(eps)
         peaks = np.array([peak_utility(mod, stat) for mod in models])
@@ -253,7 +265,8 @@ class TestEvaluator:
             for u in W:
                 prime, second = pi_derivs(ev, u)
                 assert prime.tobytes() == ev.pi_prime(u).tobytes()
-                assert second.tobytes() == pi_second_reference(ev, u).tobytes()
+                if eps is None:
+                    assert second.tobytes() == pi_second_reference(ev, u).tobytes()
                 # the clamped objective's one clamp: the unclamped path at
                 # min(u, cap), cap = min(peak, U_CLAMP), gives the bits of the
                 # public path at min(u, peak); peaks at 1 let U_CLAMP bind
@@ -263,6 +276,27 @@ class TestEvaluator:
                     assert ev._prime(at_cap).tobytes() == ev.pi_prime(at_peak).tobytes()
                     for a, b in zip(pi_derivs(ev, at_cap), pi_derivs(ev, at_peak), strict=True):
                         assert a.tobytes() == b.tobytes()
+
+    @staticmethod
+    def _check_competition_second():
+        """The competition pi'' of both paths is scipy's derivative of the
+        array path's pi' kernel within 1e-8 max(1, |pi''|), at 200 utilities
+        in (0, peak] for every alpha and eps below."""
+        for alpha in ELEMENT_ALPHAS:
+            model = parametric(alpha)
+            for eps in (1.0, 0.5, 0.1, 0.01, 0.001):
+                stat = competition(eps)
+                u = np.linspace(0.0, peak_utility(model, stat), 201)[1:]
+                ref = derivative(
+                    lambda v: returns._pi_prime(*returns._q_terms(model, v, 1), v, eps),
+                    u, initial_step=np.minimum(u, 1.0 - u) / 8).df
+                wide = Evaluator([model] * u.size, stat)
+                one = Evaluator([model], stat)
+                assert wide.element_prime is None and one.element_prime is not None
+                on_floats = np.array([pi_derivs(one, [v])[1][0] for v in u.tolist()])
+                for second in (pi_derivs(wide, u)[1], on_floats):
+                    err = np.abs(second - ref) / np.maximum(1.0, np.abs(second))
+                    assert err.max() <= 1e-8, (alpha, eps, err.max())
 
     @pytest.mark.parametrize("eps", [None, 0.1])
     def test_one_group_matches_grouped(self, eps):
@@ -321,11 +355,12 @@ class TestElementPath:
     Python floats, user by user, with the array path's formulas."""
 
     # SHA-256 of every element-path evaluator output (helpers_oracles._outputs)
-    # over element_path_cases, both chains, recorded while pi' and pi'' were
-    # still taken through _q_terms and _pow. The array path's two-state pi'
-    # and pi'' now call the same kernels, so the comparison of the two paths
-    # below would not see a change that moves both; this pin does.
-    ELEMENT_OUTPUTS_SHA256 = "46a1650ef746e6c643857bd2e3dba51f7cac27750378e8aa1042e946cafd9d93"
+    # over element_path_cases, both chains; the monopoly outputs were recorded
+    # while pi' and pi'' were still taken through _q_terms and _pow, and the
+    # competition outputs with the closed-form pi''. Both paths call the same
+    # kernels, so the comparison of the two paths below would not see a
+    # change that moves both; this pin does.
+    ELEMENT_OUTPUTS_SHA256 = "169f865e2ba99de6380d4bc1369fa7fc9c08ccf334f9e550d745803a4aaffb51"
 
     def test_element_path_golden(self):
         digest, count = hashlib.sha256(), 0
@@ -344,15 +379,45 @@ class TestElementPath:
         env = dict(os.environ, **NPY_AVX512_OFF, PYTHONPATH=os.pathsep.join(
             [str(Path(matchmarket.__file__).resolve().parent.parent), str(Path(__file__).parent)]))
         script = ("import sys\n"
-                  "from helpers_oracles import element_path_mismatches, numpy_power_is_libm\n"
+                  "from helpers_oracles import (element_path_mismatches, numpy_power_is_libm,\n"
+                  "                             tiny_eps_derivs)\n"
                   "assert numpy_power_is_libm(), 'numpy power differs from pow without AVX-512'\n"
-                  "bad = element_path_mismatches()\n"
+                  "bad = element_path_mismatches() + [\n"
+                  "    label for label, element, array in tiny_eps_derivs()\n"
+                  "    if element.tobytes() != array.tobytes()]\n"
                   "print(len(bad), *bad[:20], sep='\\n')\n"
                   "sys.exit(bool(bad))\n")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=env, timeout=300)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout.splitlines()[0] == "0"
+
+    def test_competition_derivs_finite_at_tiny_eps(self):
+        # at the smallest eps a competition chain accepts, t^2 overflows and
+        # pi' is 0; pi' and pi'' stay finite on both paths, and no power of t
+        # raises an OverflowError on floats
+        for label, element, array in tiny_eps_derivs():
+            for prime, second in (element, array):
+                assert np.isfinite(prime).all(), label
+                assert np.isfinite(second).all(), label
+                assert (prime == 0.0).any(), label
+
+    def test_parametric_derivs_take_no_central_difference(self, monkeypatch):
+        # every parametric derivative is a closed form, on both paths and
+        # both chains; central differences serve grid models only
+        def central(f, u):
+            raise AssertionError("central difference on a parametric model")
+
+        monkeypatch.setattr(returns, "_central", central)
+        u = np.linspace(0.05, 0.99, ELEMENT_MAX_USERS + 1)
+        for stat in (MONOPOLY, competition(0.1)):
+            for models in ([parametric(0.25)] * (ELEMENT_MAX_USERS + 1),
+                           [parametric(a) for a in (0.0, 0.5, 0.75)] * 3):
+                for m in (len(models), 1):
+                    ev = Evaluator(models[:m], stat)
+                    assert ev.floats == (m <= ELEMENT_MAX_USERS)
+                    grad, curv = ev.clamped_derivs(u[:m])
+                    assert np.isfinite(grad).all() and (curv <= 0.0).all()
 
     def test_clamps_match_minimum_and_masked_store(self):
         # the clamped objective's clamps in the element loop give the bits of
