@@ -85,7 +85,7 @@ def _models(args, m: int) -> list:
 
 def _competition(eps: float) -> Stationary:
     try:
-        return Stationary("competition", eps)
+        return returns.competition(eps)
     except ValueError as exc:
         raise CliError(f"invalid --eps {eps}: {exc}") from exc
 

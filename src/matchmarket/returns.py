@@ -246,7 +246,7 @@ def _parametric_derivs(e, p0, p1, p2, p3, u):
 def _competition_derivs(e, p0, p1, p2, eps, u):
     """(pi'(u), pi''(u)) of the three-state chain from the r = 1 - u, q, q'
     and q'' of ``_parametric_derivs``. With t = 1 + q + (q/eps) r and
-    n = q' + q^2/eps, pi' = n/t^2 in ``_pi_prime``'s operation order, and
+    n = q' + q^2/eps, pi' = n/t^2 comes from ``_pi_prime``, and
     pi'' = (q'' + 2 q q'/eps - 2 n t'/t)/t^2 with t' = q'(1 + r/eps) - q/eps,
     taken as (q''/t + 2 q' (q/eps)/t)/t - 2 pi' t'/t: down to the smallest
     normal eps only t * t can overflow (pi' = 0 there), never q q'/eps or
@@ -255,9 +255,9 @@ def _competition_derivs(e, p0, p1, p2, eps, u):
     q = u * p0(r)
     qp = p1(r) * (r - u * e)
     qpp = e * p2(r) * (u * (1.0 + e) - 2.0)
+    prime = _pi_prime(q, qp, u, eps)
     qe = q / eps
-    t = 1.0 + q + qe * r
-    prime = (qp + q * q / eps) / (t * t)
+    t = 1.0 + q + qe * r  # _pi_prime's t, in its operation order
     tp = qp * (1.0 + r / eps) - qe
     return prime, (qpp / t + 2.0 * qp * (qe / t)) / t - 2.0 * prime * (tp / t)
 

@@ -105,15 +105,17 @@ def jv_assign_numpy(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 # ---- reference pi'' --------------------------------------------------------
 # ``Evaluator.pi_second`` as it was before pi' and pi'' came from one pass:
-# the two-state chain per group of users with one model, analytic for the
-# parametric family and central differences of pi' for grid models; the
-# competition chain as central differences of ``Evaluator.pi_prime``. On the
-# array path, ``Evaluator._derivs`` must give the same two-state bits. On the
-# element path pi'' is taken from the element kernels themselves, whose
+# per group of users with one model, central differences of the model's own
+# pi' for grid models on either chain, and for the parametric family the
+# analytic two-state pi'' or, on the competition chain, central differences
+# of pi' at min(u, ``U_CLAMP``). On the array path, ``Evaluator._derivs`` must
+# give the same bits, save the competition chain's parametric users: their
+# closed-form pi'' differs from the central difference by its truncation
+# error, and is checked against scipy's derivative instead; the reference
+# weight solve below still takes the central difference. On the element path
+# the two-state pi'' is taken from the element kernels themselves, whose
 # one-pass bits ``test_shared_terms_round_as_separate_formulas`` checks
-# against the separate formulas on floats. The competition chain's
-# closed-form pi'' differs from its central differences by the difference's
-# truncation error; the reference weight solve below still takes them.
+# against the separate formulas on floats.
 
 def _pi_second_two_state(model: ReturnModel, u):
     if model.kind == "parametric-alpha":
@@ -123,6 +125,16 @@ def _pi_second_two_state(model: ReturnModel, u):
         t = 1.0 + q
         return qpp / t ** 2.0 - 2.0 * qp * qp / t ** 3.0
     return _central(lambda v: _pi_prime(*_q_terms(model, v, 1), v, None), u)
+
+
+def _pi_second_competition(model: ReturnModel, u, eps):
+    cap = returns.U_CLAMP if model.kind == "parametric-alpha" else 1.0
+
+    def prime(v):
+        v = np.minimum(v, cap)
+        return _pi_prime(*_q_terms(model, v, 1), v, eps)
+
+    return _central(prime, u)
 
 
 def pi_derivs(ev: Evaluator, u) -> tuple[np.ndarray, np.ndarray]:
@@ -140,7 +152,7 @@ def pi_second_reference(ev: Evaluator, u) -> np.ndarray:
     """pi_i''(u_i) at min(u_i, 1 - 1e-9), on the separate pi'' path described above."""
     u = np.minimum(u, 1.0 - 1e-9)
     if ev.eps is not None:
-        return _central(ev.pi_prime, u)
+        return ev._by_group(lambda mod, v: [_pi_second_competition(mod, v, ev.eps)], u)[0]
     if ev.element_derivs is not None:
         return pi_derivs(ev, u)[1]
     return ev._by_group(lambda mod, v: [_pi_second_two_state(mod, v)], u)[0]

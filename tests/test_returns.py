@@ -245,28 +245,29 @@ class TestEvaluator:
 
     @pytest.mark.parametrize("eps", [None, 0.1])
     def test_pi_derivs_matches_pi_prime_and_pi_second(self, eps):
-        # one derivative pass gives the bits of pi_prime and, on the
-        # two-state chain, of the separate pi'' pass, below, at and above
-        # each user's peak and at the clamp; the one-user evaluators of
-        # parametric models take the element path. The competition chain's
-        # closed-form pi'' is checked against scipy's derivative of pi'
+        # one derivative pass gives the bits of pi_prime and of the separate
+        # pi'' pass, below, at and above each user's peak and at the clamp;
+        # the one-user evaluators of parametric models take the element path.
+        # The competition chain's closed-form pi'' of parametric users is
+        # checked against scipy's derivative of pi' instead
         if eps is not None:
             self._check_competition_second()
         models, U = self._mixed()
         stat = MONOPOLY if eps is None else competition(eps)
         peaks = np.array([peak_utility(mod, stat) for mod in models])
+        exact = np.array([eps is None or mod.kind == "grid" for mod in models])
         near_one = 1.0 - np.array([[2e-9], [1e-9], [1e-9], [5e-10], [0.0]])
         rows = [U, peaks[None, :], np.clip(peaks + np.array([[-1e-3], [1e-3]]), 0.0, 1.0),
                 np.repeat(near_one, len(models), axis=1)]
         V = np.vstack(rows)
-        evaluators = [(Evaluator(models, stat), V, peaks)] + [
-            (Evaluator([mod], stat), V[:, [i]], peaks[[i]]) for i, mod in enumerate(models)]
-        for ev, W, pk in evaluators:
+        evaluators = [(Evaluator(models, stat), V, peaks, exact)] + [
+            (Evaluator([mod], stat), V[:, [i]], peaks[[i]], exact[[i]])
+            for i, mod in enumerate(models)]
+        for ev, W, pk, ex in evaluators:
             for u in W:
                 prime, second = pi_derivs(ev, u)
                 assert prime.tobytes() == ev.pi_prime(u).tobytes()
-                if eps is None:
-                    assert second.tobytes() == pi_second_reference(ev, u).tobytes()
+                assert second[ex].tobytes() == pi_second_reference(ev, u)[ex].tobytes()
                 # the clamped objective's one clamp: the unclamped path at
                 # min(u, cap), cap = min(peak, U_CLAMP), gives the bits of the
                 # public path at min(u, peak); peaks at 1 let U_CLAMP bind
