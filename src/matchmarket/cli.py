@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, experiment, online, poa, returns, svgplot
 from .fair import solve_fair
-from .market import InstanceSampler, MarketError, read_instance
+from .market import InstanceSampler, MarketError, keyed_rng, read_instance
 from .online import ArrivalSequence, greedy_online
 from .returns import ReturnModelError
 from .selfish import MONOPOLY, Stationary, kkt_residual_of, solve_selfish
@@ -142,7 +142,7 @@ def cmd_match(args) -> int:
                  "kkt_max_residual": kkt.max_residual,
                  "kkt_stationarity": kkt.stationarity}
     else:
-        rng = np.random.default_rng(np.random.SeedSequence((args.seed, 1)))
+        rng = keyed_rng(args.seed, 1)
         seq = ArrivalSequence(order=rng.permutation(inst.m), instance=inst)
         sol = greedy_online(seq, models, stat)
         x, u, value = sol.matching.x, sol.matching.u, sol.value

@@ -27,8 +27,11 @@ sums. An arm reads its config and behavior fields and the players' bound
 ``random`` and ``standard_normal`` methods once, takes a payoff as
 ``mean + noise_sd * standard_normal()``, which is numpy's ``normal``
 bit for bit, and takes ``BehaviorModel.switch_prob`` and ``drop_prob``
-inline with the same operations. The assignment sub-matrix is one list
-comprehension over the payoff rows; the Fair arm hands it to
+inline with the same operations. It builds each ``RoundRecord`` with
+``tuple.__new__``, the call the tuple's generated constructor makes. Each
+arm keeps its own copy of the normalized payoff rows and zeroes in it the
+slot a player leaves by re-matching, so the assignment sub-matrix is one
+list comprehension of reads from those rows; the Fair arm hands it to
 ``best_matching`` as it is, and the Selfish arm builds one array for
 ``np.interp`` and the pi kernel. The Selfish arm keeps its learned model as
 node values only, with no ``ReturnModel`` built per round: a list of 21
@@ -43,12 +46,17 @@ overflows a float, in an arm or over a batch, raises ``ExperimentError``.
 
 ``run_study`` builds what the three arms of a game share once: the mean and
 normalized payoff rows as lists, and the player and Random-arm generators.
-The Fair arm plays on the freshly seeded generators; ``run_study`` saves the
-player generators' bit-generator states before any draw and restores them
-before the Selfish and Random arms, so the arms replay the same streams
-without seeding again. Only the Random arm draws from its own generator, so
-that one needs no saved state. ``run_batch`` carries the learned model from
-game to game through the grid constructor, one check per game.
+Every generator comes from ``market.keyed_rng``: the market's from the key
+``(seed, game, 0)``, player i's from ``(seed, game, 2, i)`` and the Random
+arm's from ``(seed, game, 3)``. The Fair arm plays on the freshly seeded
+generators; ``run_study`` saves the player generators' bit-generator states
+before any draw and restores them before the Selfish and Random arms, so
+the arms replay the same streams without seeding again. Only the Random arm
+draws from its own generator, so that one needs no saved state. Its
+matching skips the permutation of a single requester and the draw among a
+single allowed slot, which take nothing from the stream. ``run_batch``
+carries the learned model from game to game through the grid constructor,
+one check per game.
 ``prior_q`` returns one shared module-level model.
 """
 
@@ -63,7 +71,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fair, returns
-from .market import MarketError
+from .market import MarketError, keyed_rng
 from .returns import GRID_NODES, ReturnModel
 
 STUDY_BETA = {"A": (1.0, 2.0), "B": (2.0, 2.0), "C": (2.0, 1.0)}
@@ -221,9 +229,7 @@ class StudyResult:
 
 def generate_market(config: StudyConfig, game_index: int = 0):
     """Slot means, player offsets, and mean payoffs shared by all conditions."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence((config.seed, game_index, 0))
-    )
+    rng = keyed_rng(config.seed, game_index, 0)
     a, b = STUDY_BETA[config.study]
     w_slots = rng.beta(a, b, size=config.slots) * config.payoff_scale
     eps_players = rng.normal(0.0, config.noise_sd,
@@ -415,11 +421,16 @@ def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
     values = snap.tolist()
     log = ArmLog(condition=condition)
     records = log.records
+    # the call RoundRecord's generated __new__ makes, without its argument
+    # binding: new(RoundRecord, fields) is RoundRecord(*fields)
+    new = tuple.__new__
     matched_payoffs = log.matched_payoffs
     snapshots = log.q_snapshots
     active = [True] * n
     slot_of = [-1] * n
-    forbidden = [set() for _ in range(n)]
+    # each player's normalized payoffs with the slots they left by re-matching
+    # zeroed: a copy per arm, so the rows of the round's sub-matrix are reads
+    avail = [row[:] for row in norm]
     # totals[i] is player i's payoff sum, added in play order, until the exit
     # adds the outside payments; plays[i] counts the payoffs in it
     totals = [0.0] * n
@@ -437,7 +448,7 @@ def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
                 slot_of[i] = -1
                 totals[i] += outside * (R - r + 1)
                 drops += 1
-                records.append(RoundRecord(condition, r, i, -1, 0.0, "Exit"))
+                records.append(new(RoundRecord, (condition, r, i, -1, 0.0, "Exit")))
         log.drop_count_per_round.append(drops)
 
         # assignment phase
@@ -446,10 +457,10 @@ def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
             held = set(slot_of)
             open_slots = [j for j in range(m) if j not in held]
             if open_slots:
-                sub = [[0.0 if j in forbidden[i] else norm[i][j] for j in open_slots]
-                       for i in requesters]
-                # norm is clipped to [0, 1], so the rows pass assign_round's
-                # checks and its kernel serves
+                rows = [avail[i] for i in requesters]
+                sub = [[row[j] for j in open_slots] for row in rows]
+                # avail's rows are norm's, clipped to [0, 1], with zeros, so
+                # they pass assign_round's checks and its kernel serves
                 if condition == "Random":
                     match = _random_assign(sub, game.arm_rng)
                 else:
@@ -468,7 +479,7 @@ def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
                 continue
             j = slot_of[i]
             if j < 0:
-                records.append(RoundRecord(condition, r, i, -1, 0.0, "Wait"))
+                records.append(new(RoundRecord, (condition, r, i, -1, 0.0, "Wait")))
                 continue
             p = max(0.0, means[i][j] + noise_sd * standard_normal[i]())
             totals[i] += p
@@ -479,11 +490,11 @@ def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
             switched = random[i]() < min(max(hi - slope * p, lo), hi) * decay
             if switched:
                 rematches += 1
-                forbidden[i].add(j)
+                avail[i][j] = 0.0
                 slot_of[i] = -1
             switch_obs.append((p, switched))
-            records.append(RoundRecord(condition, r, i, j, p,
-                                       "Rematch" if switched else "Continue"))
+            records.append(new(RoundRecord, (condition, r, i, j, p,
+                                             "Rematch" if switched else "Continue")))
         log.engagement_per_round.append(rematches / matched if matched else 0.0)
         log.mean_payoff_per_round.append(round_total / matched if matched else 0.0)
 
@@ -505,15 +516,20 @@ def _random_assign(weights: list, rng: np.random.Generator) -> list[int]:
     """Uniform random matching among positive-weight open slots.
 
     ``weights`` holds one list of floats per row; returns the chosen column
-    per row, -1 for unassigned.
+    per row, -1 for unassigned. Rows take their turns in the order of
+    ``rng.permutation``, and each takes ``rng.integers`` over its allowed
+    slots. Neither draws on one item (``permutation(1)`` is ``[0]`` and
+    ``integers(1)`` is 0, the generator state unchanged), so those calls
+    are skipped: the same matching from the same stream.
     """
-    match = [-1] * len(weights)
+    k = len(weights)
+    match = [-1] * k
     free = list(range(len(weights[0])))
-    for a in rng.permutation(len(weights)).tolist():
+    for a in rng.permutation(k).tolist() if k > 1 else range(k):
         row = weights[a]
         allowed = [b for b in free if row[b] > 0.0]
         if allowed:
-            b = allowed[int(rng.integers(len(allowed)))]
+            b = allowed[int(rng.integers(len(allowed)))] if len(allowed) > 1 else allowed[0]
             match[a] = b
             free.remove(b)
     return match
@@ -530,18 +546,17 @@ def run_study(config: StudyConfig, behavior: BehaviorModel | None = None,
     behavior = behavior or BehaviorModel()
     w_slots, eps_players, mean_payoffs = generate_market(config, game_index)
     n = config.players_per_condition
-    rngs = [np.random.default_rng(np.random.SeedSequence((config.seed, game_index, 2, i)))
-            for i in range(n)]
+    rngs = [keyed_rng(config.seed, game_index, 2, i) for i in range(n)]
     game = _Game(
         means=mean_payoffs.tolist(),
         norm=np.clip(mean_payoffs / config.payoff_scale, 0.0, 1.0).tolist(),
         rngs=rngs,
-        arm_rng=np.random.default_rng(np.random.SeedSequence((config.seed, game_index, 3))),
+        arm_rng=keyed_rng(config.seed, game_index, 3),
     )
     # the Fair arm plays on the freshly seeded generators; the player
     # generators are restored to those states before each later arm, so
-    # every arm replays the streams a fresh default_rng would give. Only the
-    # Random arm draws from arm_rng, so it needs no saved state
+    # every arm replays the streams a freshly seeded generator would give.
+    # Only the Random arm draws from arm_rng, so it needs no saved state
     states = [rng.bit_generator.state for rng in rngs]
     arms = {"Fair": _run_arm("Fair", config, behavior, game)}
     for name in ("Selfish", "Random"):

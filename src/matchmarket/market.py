@@ -1,4 +1,5 @@
-"""Market instances, fractional matchings, and seeded instance samplers."""
+"""Market instances, fractional matchings, seeded instance samplers, and
+``keyed_rng``, the one place a seed key becomes a random generator."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 FEAS_TOL = 1e-9
+_WORD = 1 << 32
 
 
 class MarketError(ValueError):
@@ -88,13 +90,33 @@ def utilities(inst: MarketInstance, x) -> np.ndarray:
     return (inst.w * x).sum(axis=1)
 
 
+def keyed_rng(*key) -> np.random.Generator:
+    """The generator of a key, ``default_rng(SeedSequence(key))`` state for state.
+
+    Every generator of the package comes from here. ``SeedSequence`` turns a
+    tuple key into 32-bit words part by part, in Python; a part that is an
+    ``int`` in [0, 2**32) becomes one word, its value. So a key of such parts
+    goes in as the ``uint32`` array of those words, which numpy takes as it
+    is and mixes to the same state, in under half the time. Any other key
+    (a larger or negative int, a numpy integer, a float) goes in as the
+    tuple, with the same stream or the same ``ValueError`` or ``TypeError``.
+    """
+    for k in key:
+        if type(k) is not int or not 0 <= k < _WORD:
+            entropy = key
+            break
+    else:
+        entropy = np.array(key, dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
 @dataclass(frozen=True)
 class InstanceSampler:
     """Seeded sampler of random weight matrices.
 
     Identical (seed, trial, m, n) always reproduces the same instance: each
-    draw uses a fresh generator keyed by ``SeedSequence((seed, trial))``, so
-    parallel trials get independent reproducible streams.
+    draw uses a fresh generator keyed by ``(seed, trial)`` (``keyed_rng``),
+    so parallel trials get independent reproducible streams.
     """
 
     distribution: str = "beta"  # "beta" | "uniform" | "explicit"
@@ -112,7 +134,7 @@ class InstanceSampler:
             raise MarketError("explicit sampler needs a matrix")
 
     def rng(self, trial: int = 0) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence((self.seed, trial)))
+        return keyed_rng(self.seed, trial)
 
 
 def sample_instance(sampler: InstanceSampler, m: int, n: int, trial: int = 0) -> MarketInstance:

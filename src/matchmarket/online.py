@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import FractionalMatching, InstanceSampler, MarketInstance
+from .market import FractionalMatching, InstanceSampler, MarketInstance, keyed_rng
 from .poa import EmpiricalPoAReport, _run_trials
 from .returns import MONOPOLY, Evaluator, Stationary
 from .selfish import _check_models
@@ -91,9 +91,7 @@ def online_poa_empirical(
     arrival order per trial."""
 
     def greedy_value(inst: MarketInstance, trial: int) -> float:
-        order_rng = np.random.default_rng(
-            np.random.SeedSequence((sampler.seed, trial, 1))
-        )
+        order_rng = keyed_rng(sampler.seed, trial, 1)
         seq = ArrivalSequence(order=order_rng.permutation(m), instance=inst)
         return float(greedy_online(seq, models, stationary).matching.u.sum())
 

@@ -109,10 +109,17 @@ def grid(values) -> ReturnModel:
     return ReturnModel(kind="grid", values=values)
 
 
+def _check_eps(eps: float) -> None:
+    """The competition chain's eps lies in [sys.float_info.min, 1]: below the
+    smallest normal float, q / eps overflows."""
+    if not sys.float_info.min <= eps <= 1.0:
+        raise ReturnModelError(f"eps must lie in [{sys.float_info.min!r}, 1]")
+
+
 @dataclass(frozen=True)
 class Stationary:
-    """Which Markov chain drives the return objective. The competition
-    chain's eps is a normal float: below that, q / eps overflows."""
+    """Which Markov chain drives the return objective; ``_check_eps`` gives
+    the competition chain's eps rule."""
 
     kind: str = "monopoly"  # "monopoly" | "competition"
     eps: float = 1.0
@@ -120,8 +127,8 @@ class Stationary:
     def __post_init__(self):
         if self.kind not in ("monopoly", "competition"):
             raise ValueError(f"unknown stationary kind {self.kind!r}")
-        if self.kind == "competition" and not (sys.float_info.min <= self.eps <= 1.0):
-            raise ValueError(f"eps must lie in [{sys.float_info.min!r}, 1]")
+        if self.kind == "competition":
+            _check_eps(self.eps)
 
 
 MONOPOLY = Stationary("monopoly")
@@ -349,10 +356,10 @@ def pi_competition(model: ReturnModel, u, eps: float):
     """Stationary in-system probability of the three-state competition chain.
 
     pi(u) = q(u) / (1 + q(u) + (q(u)/eps)(1-u)); eps is the per-step
-    probability of coming back from the competing site.
+    probability of coming back from the competing site, in
+    [sys.float_info.min, 1] as for ``Stationary``.
     """
-    if eps <= 0.0:
-        raise ReturnModelError("eps must be positive")
+    _check_eps(eps)
     u = _check_domain(u)
     return _pi(_q_terms(model, u, 0)[0], u, eps)
 
@@ -531,8 +538,7 @@ def argmax_pi_competition(model: ReturnModel, eps: float, tol: float = 1e-10) ->
     side to q(1)^2-driven 0, so the root is unique; as eps shrinks the
     maximizer climbs toward 1.
     """
-    if eps <= 0.0 or eps > 1.0:
-        raise ReturnModelError("eps must lie in (0, 1]")
+    _check_eps(eps)
     if not strictly_concave(model):
         raise ReturnModelError("argmax_pi_competition needs a strictly concave model")
 

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import returns
 from .fair import best_matching, max_weight_assignment, solve_fair
-from .market import FractionalMatching, MarketInstance
+from .market import FractionalMatching, MarketInstance, keyed_rng
 from .returns import MONOPOLY, Evaluator, ReturnModel, Stationary, competition  # noqa: F401
 
 MAX_ITERS = 10_000
@@ -454,7 +454,7 @@ def solve_selfish(
     if concave:
         starts = [np.full(inst.m, -1)]
     else:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+        rng = keyed_rng(seed, 1)
         starts = [_random_start(inst.m, inst.n, rng) for _ in range(MULTISTART_RESTARTS)]
         starts.append(solve_fair(inst).assignment.row_match)
     best = None

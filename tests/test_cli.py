@@ -17,6 +17,12 @@ POA_PINNED_ARGS = ["poa", "--alpha", "0.5", "--trials", "20", "--seed", "42"]
 POA_PINNED_DIGEST = "662bf70bda1a495972e82f884b5077c34b2a35419bab86389b0fd85145b092ad"
 POA_COMPETITION_ARGS = ["poa", "--alpha", "0", "--eps", "0.5", "--trials", "20", "--seed", "42"]
 POA_COMPETITION_DIGEST = "76c75b9c44f0992dfd6ac7e661d3d92a2c0da30a74ec6a905081e01fcdbc5b5f"
+# the online ratio run pins the instance streams (seed, trial) and the arrival
+# orders (seed, trial, 1); match --mode online pins the order stream (seed, 1)
+ONLINE_PINNED_ARGS = ["online", "--m", "5", "--n", "5", "--trials", "50", "--seed", "42"]
+ONLINE_PINNED_DIGEST = "b9b2ff94c401b4f380ed83bda1bd8707be7af4e9bc937a95c9bbd7e9e41bc66f"
+MATCH_ONLINE_X_DIGEST = "3da8fb585e7cb01b6c64741a35cab69d380e91205380e889e3497752ce72e1ff"
+MATCH_ONLINE_ORDER = [3, 0, 2, 1, 4, 5]
 
 
 @pytest.fixture
@@ -82,6 +88,14 @@ class TestMatch:
         payload = json.loads((out / "solution.json").read_text())
         assert payload["fw_gap"] <= 1e-6
         assert payload["kkt_max_residual"] <= 1e-6
+
+    def test_online_outputs_pinned(self, tmp_path):
+        path, out = tmp_path / "inst6x4.csv", tmp_path / "online"
+        write_instance(make_instance(np.random.default_rng(1).random((6, 4))), path)
+        assert main(["match", "--instance", str(path), "--mode", "online",
+                     "--seed", "7", "--out-dir", str(out)]) == 0
+        assert json.loads((out / "solution.json").read_text())["order"] == MATCH_ONLINE_ORDER
+        assert hashlib.sha256((out / "x.csv").read_bytes()).hexdigest() == MATCH_ONLINE_X_DIGEST
 
     def test_missing_instance_exit_1(self, tmp_path, capsys):
         assert main(["match", "--instance", str(tmp_path / "nope.csv"),
@@ -166,6 +180,12 @@ class TestPoaAndSweep:
                      "--out-dir", str(out)]) == 0
         header = (out / "online_trials.csv").read_text().splitlines()[0]
         assert header == "trial,order_seed,online_value,fair_value,ratio"
+
+    def test_online_digest_pinned(self, tmp_path):
+        out = tmp_path / "online"
+        assert main([*ONLINE_PINNED_ARGS, "--out-dir", str(out)]) == 0
+        digest = hashlib.sha256((out / "online_trials.csv").read_bytes()).hexdigest()
+        assert digest == ONLINE_PINNED_DIGEST
 
 
 MISSING_INSTANCE = ["match", "--mode", "fair"]

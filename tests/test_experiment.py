@@ -2,7 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers_oracles import run_study_arms_reference, solve_selfish_integral
+from helpers_oracles import (
+    _random_assign_reference,
+    run_study_arms_reference,
+    solve_selfish_integral,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +17,7 @@ from matchmarket.experiment import (
     ExperimentError,
     StudyConfig,
     _learn,
+    _random_assign,
     assign_round,
     bins_to_grid,
     generate_market,
@@ -290,6 +295,36 @@ class TestAssignment:
                 np.testing.assert_array_equal(
                     assign_round("Selfish", weights, q, selfish_objective="raw-q"),
                     max_weight_assignment(eval_q(q, w)).row_match)
+
+
+class TestRandomAssign:
+    """``_random_assign`` skips the permutation of one row and the draw from
+    one allowed slot, which take nothing from the generator, so it returns
+    the reference's matching and leaves the generator where it does."""
+
+    def test_one_item_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        start = rng.bit_generator.state
+        assert rng.permutation(1).tolist() == [0] and int(rng.integers(1)) == 0
+        assert rng.bit_generator.state == start
+
+    @pytest.mark.parametrize("weights", [
+        [[0.0, 0.4, 0.0]],  # one row with one allowed slot: no draw at all
+        [[0.4]],
+        [[0.3, 0.0, 0.5]],  # one row: no permutation, one slot draw
+        [[0.0, 0.4], [0.0, 0.7]],  # one allowed slot for each of two rows
+        [[0.2, 0.4, 0.1], [0.5, 0.0, 0.7], [0.0, 0.0, 0.0]],
+    ])
+    def test_matches_reference(self, weights):
+        one_draw_free = len(weights) == 1 and sum(x > 0.0 for x in weights[0]) == 1
+        for seed in range(20):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            start = rng.bit_generator.state
+            match = _random_assign(weights, rng)
+            assert match == _random_assign_reference(np.array(weights), ref).tolist()
+            assert rng.bit_generator.state == ref.bit_generator.state
+            if one_draw_free:
+                assert rng.bit_generator.state == start
 
 
 class TestRunStudy:

@@ -6,6 +6,7 @@ from matchmarket.market import (
     FractionalMatching,
     InstanceSampler,
     MarketError,
+    keyed_rng,
     make_instance,
     read_instance,
     sample_instance,
@@ -109,6 +110,32 @@ class TestSampler:
         for a, b in ((2.0, np.inf), (np.inf, 2.0), (np.nan, 2.0), (2.0, np.nan)):
             with pytest.raises(MarketError, match="finite"):
                 InstanceSampler("beta", a, b)
+
+
+class TestKeyedRng:
+    """keyed_rng(*key) is default_rng(SeedSequence(key)), state for state,
+    on the uint32-array path and on the tuple path."""
+
+    @staticmethod
+    def _reference(key) -> np.random.Generator:
+        return np.random.default_rng(np.random.SeedSequence(key))
+
+    @pytest.mark.parametrize("part", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, np.int64(7),
+                                      np.uint32(2**32 - 1)])
+    def test_same_stream_as_seed_sequence_of_the_tuple(self, part):
+        array_path = type(part) is int and part < 2**32
+        for key in ((part,), (5, part), (part, 17, 2, 1), (2, part, 0, part)):
+            got = keyed_rng(*key)
+            assert isinstance(got.bit_generator.seed_seq.entropy, np.ndarray) == array_path
+            assert got.bit_generator.state == self._reference(key).bit_generator.state
+            np.testing.assert_array_equal(got.random(4), self._reference(key).random(4))
+
+    @pytest.mark.parametrize("key", [(-1,), (3, -1), (0.5,), (3, 1.0), (np.int64(-2), 1)])
+    def test_invalid_parts_raise_as_seed_sequence_does(self, key):
+        with pytest.raises((ValueError, TypeError)) as expected:
+            np.random.SeedSequence(key)
+        with pytest.raises(expected.type):
+            keyed_rng(*key)
 
 
 class TestInstanceIO:

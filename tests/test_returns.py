@@ -3,6 +3,7 @@ import operator
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -183,8 +184,24 @@ class TestStationary:
             assert np.all(pi_competition(m, us, eps) <= pi_monopoly(m, us) + 1e-12)
 
     def test_pi_competition_eps_validation(self):
-        with pytest.raises(ReturnModelError):
-            pi_competition(parametric(0.0), 0.5, 0.0)
+        # Stationary's rule: a subnormal eps overflows q / eps, and the two
+        # checked functions took it, pi as [0, 0] and the argmax as 1.0
+        model = parametric(0.5)
+        for eps in (5e-324, 0.0, 1.5, float("nan")):
+            with pytest.raises(ReturnModelError, match="eps must lie in"):
+                pi_competition(model, [0.5, 1.0], eps)
+            with pytest.raises(ReturnModelError, match="eps must lie in"):
+                argmax_pi_competition(model, eps)
+            with pytest.raises(ReturnModelError, match="eps must lie in"):
+                competition(eps)
+
+    def test_pi_competition_accepts_smallest_normal_eps(self):
+        model, eps = parametric(0.5), sys.float_info.min
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pi = pi_competition(model, [0.5, 1.0], eps)
+            star = argmax_pi_competition(model, eps)
+        assert np.all(np.isfinite(pi)) and 0.0 < star <= 1.0
 
     def test_stationary_eps_is_a_normal_float(self):
         # below the smallest normal float q / eps overflows and pi' is NaN
