@@ -2,7 +2,9 @@
 
 Every command writes its artifacts into an output directory and finishes by
 writing a run manifest listing all produced files; the manifest doubles as an
-atomic completion marker.
+atomic completion marker. ``main`` builds the argument parser on its first
+call and reuses it for every later call in the process (``_parser``), as
+parsing leaves the parser unchanged.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import hashlib
 import json
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -352,9 +355,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.seed < 0:
             raise CliError(f"invalid --seed {args.seed}: must be at least 0")
         return args.func(args)

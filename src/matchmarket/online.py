@@ -11,7 +11,7 @@ import numpy as np
 
 from .market import FractionalMatching, InstanceSampler, MarketInstance, keyed_rng
 from .poa import EmpiricalPoAReport, _run_trials
-from .returns import MONOPOLY, Evaluator, Stationary
+from .returns import MONOPOLY, Stationary, cached_evaluator
 from .selfish import _check_models
 
 _CAP_TOL = 1e-9  # residual column capacity below this counts as exhausted
@@ -54,7 +54,7 @@ def greedy_online(
     """
     inst = seq.instance
     models = _check_models(inst, models)
-    ev = Evaluator(models, stationary)
+    ev = cached_evaluator(models, stationary)
     targets = ev.peaks.tolist()
     rows = inst.w.tolist()
     cap = [1.0] * inst.n
@@ -100,6 +100,9 @@ def online_poa_empirical(
 
 
 def write_online_csv(report: EmpiricalPoAReport, path) -> None:
+    """One row per trial. ``order_seed`` is the sampler seed on every row:
+    trial t's arrival order is keyed (order_seed, t, 1), as in
+    ``online_poa_empirical``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trial", "order_seed", "online_value", "fair_value", "ratio"])

@@ -33,6 +33,11 @@ AVX-512 (SVML) power loop rounds differently in the last bit for about 5% of
 its inputs, and ``NPY_DISABLE_CPU_FEATURES`` with the AVX-512 features turns
 it off.
 
+``cached_evaluator`` keeps one ``Evaluator`` per market for the life of the
+process, keyed by the users' models, the chain and the element-path choice;
+the selfish solver and the greedy online policy take theirs from it, so the
+paper's Monte-Carlo loops build one per market rather than one per solve.
+
 ``strictly_concave`` decides assumption A3 of Theorem 1 from the model
 family alone, with a proof instead of samples: it holds for every
 parametric model and for no grid model. The peak u' of a parametric q has
@@ -48,6 +53,7 @@ import operator
 import sys
 from dataclasses import dataclass, field
 from functools import partial
+from math import fsum
 
 import numpy as np
 
@@ -376,6 +382,18 @@ def _element_kernels(model: ReturnModel, eps):
     return pi, prime, derivs
 
 
+def _element_path(models: list[ReturnModel]) -> bool:
+    """Whether a market takes the element path: at most ``ELEMENT_MAX_USERS``
+    users, at least one, all parametric."""
+    return 0 < len(models) <= ELEMENT_MAX_USERS and all(
+        mod.kind == "parametric-alpha" for mod in models)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class Evaluator:
     """sum_i pi_i(u_i), pi_i'(u_i) and the clamped objective's slopes at one
     utility vector u of shape (m,), one entry per user.
@@ -384,8 +402,9 @@ class Evaluator:
     parametric takes the element path: ``element_pi``, ``element_prime``
     and ``element_derivs`` hold one function of a float per user, every
     quantity is evaluated user by user on Python floats, and ``floats`` is
-    True. There ``clamped_prime_list`` and ``clamped_derivs_list`` take and
-    return lists, for callers that keep their vectors on Python floats.
+    True. There ``clamped_prime_list``, ``clamped_derivs_list`` and
+    ``clamped_slope_list`` take lists, for callers that keep their vectors
+    on Python floats.
     Other markets keep the functions None and take the array path: when
     every user shares one model, each quantity is one kernel call on the
     whole vector; otherwise users are grouped by model, and each group's
@@ -394,6 +413,8 @@ class Evaluator:
     give the slope and curvature of the objective clamped at each user's
     ``peak_utility`` (``peaks``), the two from one derivative pass.
     Utilities are not checked: they come from matchings the program built.
+    ``peaks``, ``cap`` and the groups' user indices are read-only, so one
+    evaluator can serve every solve of its market (``cached_evaluator``).
     """
 
     def __init__(self, models, stat: Stationary = MONOPOLY):
@@ -403,22 +424,21 @@ class Evaluator:
         grouped: dict[tuple, tuple[ReturnModel, list[int]]] = {}
         for i, mod in enumerate(models):
             grouped.setdefault(mod.cache_key(), (mod, []))[1].append(i)
-        self.groups = [(mod, np.array(ix)) for mod, ix in grouped.values()]
+        self.groups = [(mod, _read_only(np.array(ix))) for mod, ix in grouped.values()]
         # the one shared model, or None for a mixed market; without users any
         # model serves, as every kernel maps empty arrays to empty arrays
         self.model = (None if len(self.groups) > 1 else
                       self.groups[0][0] if self.groups else parametric(0.0))
         self.element_pi = self.element_prime = self.element_derivs = None
-        if 0 < self.m <= ELEMENT_MAX_USERS and all(
-                mod.kind == "parametric-alpha" for mod in models):
+        if _element_path(models):
             kernels = {key: _element_kernels(mod, self.eps)
                        for key, (mod, _) in grouped.items()}
             self.element_pi, self.element_prime, self.element_derivs = zip(
                 *(kernels[mod.cache_key()] for mod in models))
         self.floats = self.element_prime is not None
-        self.peaks = np.array([peak_utility(mod, stat) for mod in models])
-        self.cap = np.minimum(self.peaks, U_CLAMP)
-        self._peak_cap = list(zip(self.peaks.tolist(), self.cap.tolist()))
+        self.peaks = _read_only(np.array([peak_utility(mod, stat) for mod in models]))
+        self.cap = _read_only(np.minimum(self.peaks, U_CLAMP))
+        self._peak_cap = tuple(zip(self.peaks.tolist(), self.cap.tolist()))
 
     def _by_group(self, kernel, u: np.ndarray, *args):
         """kernel(model, u[users], *args) for every group of users; the
@@ -492,10 +512,22 @@ class Evaluator:
 
     def clamped_derivs_list(self, u: list[float]) -> tuple[list[float], list[float]]:
         """``clamped_derivs`` of a list of utilities, as two lists, on the
-        element path only (``floats``)."""
-        pairs = [(0.0, 0.0) if v >= p else f(v if v < c else c)
-                 for f, v, (p, c) in zip(self.element_derivs, u, self._peak_cap)]
-        return [g for g, _ in pairs], [h if h < 0.0 else 0.0 for _, h in pairs]
+        element path only (``floats``), in one loop."""
+        grad, curv = [], []
+        add_grad, add_curv = grad.append, curv.append
+        for f, v, (p, c) in zip(self.element_derivs, u, self._peak_cap):
+            g, h = (0.0, 0.0) if v >= p else f(v if v < c else c)
+            add_grad(g)
+            add_curv(h if h < 0.0 else 0.0)
+        return grad, curv
+
+    def clamped_slope_list(self, u0: list[float], t: float, du: list[float]) -> float:
+        """The clamped objective's slope along du at u0 + t du, on the element
+        path only (``floats``): the products of ``clamped_prime_list`` at
+        u0 + t du with du, summed by one exactly rounded ``math.fsum``."""
+        return fsum([(0.0 if v >= p else f(v if v < c else c)) * b
+                     for f, b, (p, c), v in zip(self.element_prime, du, self._peak_cap,
+                                                [a + t * b for a, b in zip(u0, du)])])
 
 
 def strictly_concave(model: ReturnModel) -> bool:
@@ -603,3 +635,22 @@ def peak_utility(model: ReturnModel, stat: Stationary) -> float:
             cached = argmax_pi_competition(model, stat.eps)
         _peak_cache[key] = cached
     return cached
+
+
+_evaluator_cache: dict[tuple, Evaluator] = {}
+
+
+def cached_evaluator(models, stat: Stationary = MONOPOLY) -> Evaluator:
+    """The one ``Evaluator`` of a market, built on its first request.
+
+    The key is every user's ``cache_key``, the chain and whether the market
+    takes the element path, which ``ELEMENT_MAX_USERS`` decides when the
+    evaluator is built. Like ``_peak_cache``, the memo lives as long as the
+    process: the paper's loops solve hundreds of markets of one key each.
+    """
+    models = list(models)
+    key = (tuple(mod.cache_key() for mod in models), stat, _element_path(models))
+    ev = _evaluator_cache.get(key)
+    if ev is None:
+        ev = _evaluator_cache[key] = Evaluator(models, stat)
+    return ev

@@ -7,8 +7,9 @@ by Newton ascent on the simplex, stopping on the weight problem's own
 Frank-Wolfe gap. Where a non-concave pi_i is locally convex, its curvature
 enters the Newton model as 0, so the model stays concave. Each accepted
 Newton step takes the gradient and curvature at its new weights from one
-derivative pass (``Evaluator.clamped_derivs``); line-search trial points
-evaluate pi' only (``Evaluator.clamped_prime``). A weight solve whose Newton
+derivative pass (``Evaluator.clamped_derivs``); each line-search trial
+point takes its slope along the search direction du from one pass over pi'
+only, the arithmetic's ``slope(u0, t, du)``. A weight solve whose Newton
 direction does not ascend stops there and is counted in the solution's
 ``weight_solves_short``. The weights, gains and directions of the weight
 solve are lists of Python floats. On a market of at most
@@ -34,7 +35,8 @@ the best stationary point (mode ``multistart-local``); starts that stop at
 the iteration cap are counted in the solution.
 
 Every value of pi, pi' and pi'', every peak and every clamp of the objective
-comes from ``returns.Evaluator``; this module holds the optimization only.
+comes from ``returns.Evaluator``, one per market from
+``returns.cached_evaluator``; this module holds the optimization only.
 ``Stationary``, ``MONOPOLY`` and ``competition`` are defined in ``returns``
 and re-exported here.
 """
@@ -132,21 +134,33 @@ def _newton_direction(ar, UV, g, curv, face) -> list[float]:
     return d
 
 
+class _Rows(list):
+    """The weight problem's matrix on Python floats: its rows, as a list,
+    and its columns, transposed once, in ``cols``."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.cols = list(zip(*self))
+
+
 class _Floats:
     """The engine's arithmetic for an element-path market (``Evaluator.floats``).
 
     Utilities, slopes and curvatures are lists of Python floats, the weight
-    problem's matrix is a list of rows, and every product is
+    problem's matrix is a ``_Rows`` of rows, and every product is
     ``math.fsum(map(operator.mul, a, b))``, exactly rounded, so no result
     depends on the host's BLAS, its SIMD dispatch or the Python version.
+    ``slope`` is ``Evaluator.clamped_slope_list``: pi' at u0 + t du and its
+    product with du in one pass.
     """
 
     def __init__(self, ev: Evaluator, w: list[list[float]]):
-        self.prime = ev.clamped_prime_list
+        self.slope = ev.clamped_slope_list
         self.derivs = ev.clamped_derivs_list
         self.w = w
 
-    vector = matrix = staticmethod(list)
+    vector = staticmethod(list)
+    matrix = _Rows
 
     @staticmethod
     def dot(a, b) -> float:
@@ -154,18 +168,15 @@ class _Floats:
 
     @staticmethod
     def combine(lam, UV) -> list[float]:
-        """lam @ UV."""
-        return [fsum(map(mul, lam, col)) for col in zip(*UV)]
+        """lam @ UV, from the columns a ``_Rows`` keeps or, for a plain list
+        of rows, from its transpose."""
+        cols = UV.cols if isinstance(UV, _Rows) else zip(*UV)
+        return [fsum(map(mul, lam, col)) for col in cols]
 
     @staticmethod
     def gains(UV, v) -> list[float]:
         """UV @ v, a list."""
         return [fsum(map(mul, row, v)) for row in UV]
-
-    @staticmethod
-    def along(u, t, du) -> list[float]:
-        """u + t du."""
-        return [a + t * b for a, b in zip(u, du)]
 
     def scaled(self, grow):
         """The per-edge gradient grow_i w_ij."""
@@ -186,7 +197,8 @@ class _Floats:
         """
         base = UV[last]
         B = [list(map(sub, UV[k], base)) for k in idx]
-        GB = [list(map(mul, map(neg, curv), b)) for b in B]
+        gamma = list(map(neg, curv))
+        GB = [list(map(mul, gamma, b)) for b in B]
         try:
             diag = [fsum(map(mul, gb, b)) for gb, b in zip(GB, B)]
             ridge = WEIGHT_RIDGE * (1.0 + max(diag))
@@ -240,9 +252,9 @@ class _Arrays:
     def gains(UV, v) -> list[float]:
         return (UV @ v).tolist()
 
-    @staticmethod
-    def along(u, t, du) -> np.ndarray:
-        return u + t * du
+    def slope(self, u0, t, du) -> float:
+        """The clamped objective's slope along du at u0 + t du."""
+        return float(self.prime(u0 + t * du) @ du)
 
     def scaled(self, grow) -> np.ndarray:
         return grow[:, None] * self.w
@@ -295,7 +307,7 @@ def _ascent_step(ar, UV, lam, state, d):
     lo, s_lo, hi, s_hi = 0.0, s0, tmax, 0.0
     t, found = tmax, False
     for _ in range(LINE_MAX_ITERS):
-        s = ar.dot(ar.prime(ar.along(u0, t, du)), du)
+        s = ar.slope(u0, t, du)
         if s >= 0.0:
             lo, s_lo, found = t, s, True
             if t == tmax or s <= 0.1 * s0:
@@ -446,7 +458,7 @@ def solve_selfish(
     models = _check_models(inst, models)
     if not all(returns.single_peaked(mod) for mod in models):
         raise returns.ReturnModelError("solve_selfish needs single-peaked return models")
-    ev = Evaluator(models, stationary)
+    ev = returns.cached_evaluator(models, stationary)
     concave = stationary.kind == "monopoly" and all(
         returns.strictly_concave(mod) for mod in models)
     gap_tol = GAP_TOL_PER_USER * inst.m
@@ -464,7 +476,8 @@ def solve_selfish(
         weight_short += short
         capped += gap > gap_tol
         x = _shrink_to_peaks(inst, x, ev.peaks)
-        val = ev.objective((inst.w * x).sum(axis=1))
+        # a single start has nothing to be compared with
+        val = ev.objective((inst.w * x).sum(axis=1)) if len(starts) > 1 else 0.0
         if best is None or val > best[0] + 1e-12 or (
             abs(val - best[0]) <= 1e-12 and tuple(x.ravel()) < tuple(best[1].ravel())
         ):

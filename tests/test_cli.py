@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import matchmarket
+from matchmarket import cli
 from matchmarket.cli import main
 from matchmarket.market import make_instance, write_instance
 
@@ -61,6 +62,31 @@ def test_help_and_version_exit_0(argv, capsys):
         main(argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out
+
+
+def test_parser_built_once_for_many_runs(tmp_path, capsys, monkeypatch):
+    # errors and --version leave the reused parser fit for the next run
+    built, real = [], cli.build_parser
+
+    def build_parser():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+    cli._parser.cache_clear()
+    args = ["poa", "--alpha", "0.25", "--m", "3", "--n", "3", "--trials", "4", "--seed", "7"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main([*args, "--out-dir", str(a)]) == 0
+    assert main(["poa", "--trials", "abc"]) == 1
+    assert main(["poa", "--alpha", "1", "--out-dir", str(tmp_path / "o")]) == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"{matchmarket.__version__}\n"
+    assert main([*args, "--out-dir", str(b)]) == 0
+    assert (a / "poa_trials.csv").read_bytes() == (b / "poa_trials.csv").read_bytes()
+    assert len(built) == 1
 
 
 def test_out_of_memory_exit_1(tmp_path, capsys, monkeypatch):

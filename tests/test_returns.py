@@ -1,4 +1,5 @@
 import hashlib
+import math
 import operator
 import os
 import subprocess
@@ -30,6 +31,7 @@ from matchmarket.returns import (
     ReturnModelError,
     argmax_pi,
     argmax_pi_competition,
+    cached_evaluator,
     competition,
     eval_q,
     eval_q_prime,
@@ -455,6 +457,20 @@ class TestElementPath:
                 for a, b in zip(ev.clamped_derivs(u), (grad, curv), strict=True):
                     assert a.tobytes() == b.tobytes(), label
 
+    def test_slope_is_one_fsum_of_clamped_prime(self):
+        # clamped_slope_list's one loop gives the bits of clamped_prime_list
+        # at u0 + t du, multiplied by du and summed by fsum
+        rng = np.random.default_rng(8)
+        for label, models, stat, U, _ in element_path_cases():
+            ev = Evaluator(models, stat)
+            for u0 in U.tolist():
+                du = rng.uniform(-0.5, 0.5, len(u0)).tolist()
+                for t in (0.0, 0.125, 0.7, 1.0):
+                    at = [a + t * b for a, b in zip(u0, du)]
+                    want = math.fsum(map(operator.mul, ev.clamped_prime_list(at), du))
+                    got = ev.clamped_slope_list(u0, t, du)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes(), label
+
     def test_market_size_selects_the_path(self):
         nodes = np.linspace(0, 1, GRID_NODES)
         small = [parametric(0.25)] * ELEMENT_MAX_USERS
@@ -489,6 +505,47 @@ class TestElementPath:
         x = np.random.default_rng(4).uniform(1e-6, 3.0, 50_000).tolist()
         for y, p in zip((e, e - 1.0, e - 2.0, 3.0), powers, strict=True):
             assert np.array([p(v) for v in x]).tobytes() == np.array([_pow(v, y) for v in x]).tobytes()
+
+
+class TestCachedEvaluator:
+    """``cached_evaluator`` keeps one evaluator per market: the users' models,
+    the chain and the element-path choice."""
+
+    def test_equal_keys_share_one_evaluator(self):
+        ev = cached_evaluator([parametric(0.25)] * 5, competition(0.1))
+        assert cached_evaluator((parametric(0.25) for _ in range(5)), competition(0.1)) is ev
+        others = [cached_evaluator([parametric(0.5)] * 5, competition(0.1)),
+                  cached_evaluator([parametric(0.25)] * 5, competition(0.2)),
+                  cached_evaluator([parametric(0.25)] * 5),
+                  cached_evaluator([parametric(0.25)] * 4, competition(0.1))]
+        assert len({id(e) for e in [ev, *others]}) == 5
+
+    def test_element_path_choice_is_in_the_key(self, monkeypatch):
+        models = [parametric(0.75)] * 5
+        element = cached_evaluator(models)
+        monkeypatch.setattr(returns, "ELEMENT_MAX_USERS", 4)
+        array = cached_evaluator(models)
+        assert element.floats and not array.floats
+        assert cached_evaluator(models) is array
+        monkeypatch.undo()
+        assert cached_evaluator(models) is element
+
+    def test_arrays_are_read_only(self):
+        nodes = np.linspace(0, 1, GRID_NODES)
+        for models in ([parametric(0.5)] * 3, [parametric(0.5), grid(nodes * (1 - nodes))]):
+            ev = cached_evaluator(models)
+            for arr in (ev.peaks, ev.cap, *(ix for _, ix in ev.groups)):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0
+
+    def test_outputs_match_a_fresh_evaluator(self, monkeypatch):
+        # the element path, then the array path on the same markets
+        for limit in (ELEMENT_MAX_USERS, 0):
+            monkeypatch.setattr(returns, "ELEMENT_MAX_USERS", limit)
+            for label, models, stat, U, _ in element_path_cases():
+                cached, fresh = cached_evaluator(models, stat), Evaluator(models, stat)
+                assert cached is not fresh and cached.floats == fresh.floats == (limit > 0)
+                assert _outputs(cached, U) == _outputs(fresh, U), label
 
 
 class TestAssumptions:

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 from functools import cache
 from unittest import mock
@@ -267,6 +268,23 @@ class TestWeightSolve:
             assert kkt_residual_of(inst, models, sol).max_residual <= 1e-6
         iterations = [sol.iterations for _, _, sol in solves]
         assert (sum(iterations), max(iterations)) == self.FW_ITERATIONS[alpha]
+
+    # SHA-256 over the full bits of the 200 solves above, alpha by alpha and
+    # trial by trial: x, beta, sigma, mu, then value and fw_gap as float64,
+    # then iterations and weight_solves_short as int64. The counts above and
+    # the CLI's 9-digit CSVs would not see a change in the last bits.
+    SOLVES_SHA256 = "3f18bc356ddae8b0efac4d07bd7516edfc8064edaab39edb65c35f287829f0d7"
+
+    def test_seed42_solves_pinned_bit_for_bit(self):
+        digest = hashlib.sha256()
+        for alpha in self.FW_ITERATIONS:
+            for _, _, sol in _seed42_recorded(alpha)[0]:
+                for arr in (sol.matching.x, sol.beta, sol.sigma, sol.mu):
+                    digest.update(np.asarray(arr, dtype=np.float64).tobytes())
+                digest.update(np.array([sol.value, sol.fw_gap]).tobytes())
+                digest.update(np.array([sol.iterations, sol.weight_solves_short],
+                                       dtype=np.int64).tobytes())
+        assert digest.hexdigest() == self.SOLVES_SHA256
 
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75])
     def test_matches_reference_weight_solve(self, alpha):
