@@ -45,18 +45,24 @@ the Selfish arm's assignment, and to build those arrays. A payoff sum that
 overflows a float, in an arm or over a batch, raises ``ExperimentError``.
 
 ``run_study`` builds what the three arms of a game share once: the mean and
-normalized payoff rows as lists, and the player and Random-arm generators.
-Every generator comes from ``market.keyed_rng``: the market's from the key
-``(seed, game, 0)``, player i's from ``(seed, game, 2, i)`` and the Random
-arm's from ``(seed, game, 3)``. The Fair arm plays on the freshly seeded
-generators; ``run_study`` saves the player generators' bit-generator states
-before any draw and restores them before the Selfish and Random arms, so
-the arms replay the same streams without seeding again. Only the Random arm
-draws from its own generator, so that one needs no saved state. Its
-matching skips the permutation of a single requester and the draw among a
-single allowed slot, which take nothing from the stream. ``run_batch``
-carries the learned model from game to game through the grid constructor,
-one check per game.
+normalized payoff rows as lists, the player and Random-arm generators, and
+a record of each player's stream. Every generator comes from
+``market.keyed_rng``: the market's from the key ``(seed, game, 0)``, player
+i's from ``(seed, game, 2, i)`` and the Random arm's from ``(seed, game, 3)``.
+The arms share the player streams as common random numbers, each value drawn
+once a game: player i's record holds every value its generator has yielded,
+with its kind (uniform or normal), and the generator stands at its end. Each
+arm reads the record with its own cursor, inline at its three draw sites
+(drop, payoff, switch); the first arm to reach a position draws it and
+extends the record. An arm whose draw k differs in kind from the record's,
+as when a player Waits in one arm but not in another, takes that draw and
+the player's later ones from a fresh generator of the player's key that has
+replayed the record's first k kinds (``_fork``), so every arm sees the
+stream a freshly seeded generator would give. Only the Random arm draws
+from its own generator. Its matching skips the permutation of a single
+requester and the draw among a single allowed slot, which take nothing
+from the stream. ``run_batch`` carries the learned model from game to game
+through the grid constructor, one check per game.
 ``prior_q`` returns one shared module-level model.
 """
 
@@ -390,14 +396,38 @@ class _Game(NamedTuple):
 
     means: list  # mean payoffs in cents, one list per player
     norm: list  # means / payoff_scale clipped to [0, 1], one list per player
-    rngs: list  # one generator per player
+    key: tuple  # (seed, game): player i's generator is keyed_rng(*key, 2, i)
+    rngs: list  # one generator per player, at the end of its record
+    drawn: list  # per player, the values its generator has yielded
+    normal: list  # per player, each value's kind: True for a standard normal
     arm_rng: np.random.Generator  # the Random arm's generator
+
+
+def _fork(game: _Game, i: int, k: int, want_normal: bool, drawn: list, normal: list,
+          random: list, standard_normal: list) -> float:
+    """Player i's draw k, of the other kind than the record's, from a fresh
+    generator of the player's key replayed through the record's first k
+    kinds. The arm's entries for player i become that generator's methods
+    and private copies of the record up to this draw, so the arm extends
+    them for the rest of its draws."""
+    rng = keyed_rng(*game.key, 2, i)
+    kinds = normal[i][:k]
+    for was_normal in kinds:
+        if was_normal:
+            rng.standard_normal()
+        else:
+            rng.random()
+    random[i], standard_normal[i] = rng.random, rng.standard_normal
+    x = rng.standard_normal() if want_normal else rng.random()
+    drawn[i] = drawn[i][:k] + [x]
+    normal[i] = kinds + [want_normal]
+    return x
 
 
 def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
              game: _Game, q0: ReturnModel | None = None) -> ArmLog:
-    """One arm of a game, drawing from the generators as ``game`` holds them:
-    ``run_study`` restores the player generators between arms."""
+    """One arm of a game, reading player i's stream from its record in
+    ``game`` at the arm's cursor ``pos[i]``."""
     n, m, R = config.players_per_condition, config.slots, config.rounds
     outside, noise_sd = config.outside_per_round, float(config.noise_sd)
     objective, scale = config.selfish_objective, config.payoff_scale
@@ -409,10 +439,14 @@ def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
     risk_decay = behavior.risk_decay
     drop_low = behavior.drop_base + behavior.drop_low_bonus  # mean below outside
     drop_other = behavior.drop_base + 0.0
+    # the arm's views of the records and generators, which _fork may
+    # replace for one player
+    drawn, normal = list(game.drawn), list(game.normal)
     random = [rng.random for rng in game.rngs]
     # numpy's normal(loc, scale) is loc + scale * standard_normal(), the
     # same bits from the same draw
     standard_normal = [rng.standard_normal for rng in game.rngs]
+    pos = [0] * n
     means, norm = game.means, game.norm
     # the model is its node values: ``values`` is mixed in place, and
     # ``snap`` is a read-only array of them, rebuilt after each learning
@@ -443,7 +477,19 @@ def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
             if not active[i]:
                 continue
             low = plays[i] and totals[i] / plays[i] < outside
-            if random[i]() < (drop_low if low else drop_other):
+            # each draw site reads, extends or forks player i's record
+            k = pos[i]
+            pos[i] = k + 1
+            rec = drawn[i]
+            if k == len(rec):
+                u = random[i]()
+                rec.append(u)
+                normal[i].append(False)
+            elif normal[i][k]:
+                u = _fork(game, i, k, False, drawn, normal, random, standard_normal)
+            else:
+                u = rec[k]
+            if u < (drop_low if low else drop_other):
                 active[i] = False
                 slot_of[i] = -1
                 totals[i] += outside * (R - r + 1)
@@ -481,13 +527,34 @@ def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
             if j < 0:
                 records.append(new(RoundRecord, (condition, r, i, -1, 0.0, "Wait")))
                 continue
-            p = max(0.0, means[i][j] + noise_sd * standard_normal[i]())
+            k = pos[i]
+            pos[i] = k + 2
+            rec = drawn[i]
+            if k == len(rec):
+                z = standard_normal[i]()
+                rec.append(z)
+                normal[i].append(True)
+            elif normal[i][k]:
+                z = rec[k]
+            else:
+                z = _fork(game, i, k, True, drawn, normal, random, standard_normal)
+                rec = drawn[i]
+            p = max(0.0, means[i][j] + noise_sd * z)
             totals[i] += p
             plays[i] += 1
             matched_payoffs.append(p)
             round_total += p
             matched += 1
-            switched = random[i]() < min(max(hi - slope * p, lo), hi) * decay
+            k += 1
+            if k == len(rec):
+                u = random[i]()
+                rec.append(u)
+                normal[i].append(False)
+            elif normal[i][k]:
+                u = _fork(game, i, k, False, drawn, normal, random, standard_normal)
+            else:
+                u = rec[k]
+            switched = u < min(max(hi - slope * p, lo), hi) * decay
             if switched:
                 rematches += 1
                 avail[i][j] = 0.0
@@ -546,24 +613,21 @@ def run_study(config: StudyConfig, behavior: BehaviorModel | None = None,
     behavior = behavior or BehaviorModel()
     w_slots, eps_players, mean_payoffs = generate_market(config, game_index)
     n = config.players_per_condition
-    rngs = [keyed_rng(config.seed, game_index, 2, i) for i in range(n)]
     game = _Game(
         means=mean_payoffs.tolist(),
         norm=np.clip(mean_payoffs / config.payoff_scale, 0.0, 1.0).tolist(),
-        rngs=rngs,
+        key=(config.seed, game_index),
+        rngs=[keyed_rng(config.seed, game_index, 2, i) for i in range(n)],
+        drawn=[[] for _ in range(n)],
+        normal=[[] for _ in range(n)],
         arm_rng=keyed_rng(config.seed, game_index, 3),
     )
-    # the Fair arm plays on the freshly seeded generators; the player
-    # generators are restored to those states before each later arm, so
-    # every arm replays the streams a freshly seeded generator would give.
-    # Only the Random arm draws from arm_rng, so it needs no saved state
-    states = [rng.bit_generator.state for rng in rngs]
-    arms = {"Fair": _run_arm("Fair", config, behavior, game)}
-    for name in ("Selfish", "Random"):
-        for rng, state in zip(rngs, states):
-            rng.bit_generator.state = state
-        arms[name] = _run_arm(name, config, behavior, game,
-                              q0=selfish_q0 if name == "Selfish" else None)
+    # the arms share each player's stream through its record in ``game``:
+    # every arm reads the values a freshly seeded generator gives, and each
+    # is drawn once. Only the Random arm draws from arm_rng
+    arms = {name: _run_arm(name, config, behavior, game,
+                           q0=selfish_q0 if name == "Selfish" else None)
+            for name in ("Fair", "Selfish", "Random")}
     fair_log, selfish = arms["Fair"], arms["Selfish"]
     metrics = {
         "fair_mean_total": fair_log.welfare / n,

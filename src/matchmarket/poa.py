@@ -94,7 +94,7 @@ def theorem1_bound(models) -> PoABoundReport:
     for mod in models:
         if not returns.strictly_concave(mod):
             raise BoundError("all return models must be strictly concave on [0, 1]")
-    ev = Evaluator(models)
+    ev = returns.cached_evaluator(models)
     slopes0 = ev.pi_prime(np.zeros(len(models)))  # pi'(0) = q'(0) as q(0) = 0
     H = float(slopes0.max())
     h = float(slopes0.min())

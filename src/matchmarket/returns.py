@@ -84,6 +84,9 @@ class ReturnModel:
         if self.kind == "parametric-alpha":
             if not (0.0 <= self.alpha < 1.0):
                 raise ReturnModelError("alpha must lie in [0, 1)")
+            # a Python float, so that a numpy scalar alpha gives float
+            # kernels and the cache key of the same float alpha
+            object.__setattr__(self, "alpha", float(self.alpha))
         elif self.kind == "grid":
             v = np.array(self.values, dtype=float)  # the model's own copy
             if v.shape != (GRID_NODES,):

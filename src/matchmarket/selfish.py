@@ -526,7 +526,7 @@ def kkt_residual(
     if beta.shape != (inst.m,) or sigma.shape != (inst.n,):
         raise ValueError("multiplier shapes do not match the instance")
     u = (inst.w * x).sum(axis=1)
-    g = Evaluator(models, stationary).pi_prime(u)[:, None] * inst.w
+    g = returns.cached_evaluator(models, stationary).pi_prime(u)[:, None] * inst.w
     lag = beta[:, None] + sigma[None, :] - g
     if mu is None:
         mu = lag

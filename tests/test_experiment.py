@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from helpers_oracles import (
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from matchmarket import experiment
 from matchmarket.experiment import (
     PAYOFF_BINS,
     STUDY_BETA,
@@ -486,8 +488,11 @@ class TestReferenceArms:
         (StudyConfig(study="A", seed=13, noise_sd=0.0), True),
         (StudyConfig(study="B", seed=13, alpha_learn=0.0), True),
         (StudyConfig(study="C", seed=13, alpha_learn=1.0), True),
+        (StudyConfig(study="A", seed=11, slots=3), True),
+        (StudyConfig(study="B", seed=11, slots=3), True),
     ], ids=["A", "B", "C", "raw-q", "one-player", "five-players", "no-carry",
-            "noise-sd-0", "alpha-learn-0", "alpha-learn-1"])
+            "noise-sd-0", "alpha-learn-0", "alpha-learn-1", "A-three-slots",
+            "B-three-slots"])
     def test_run_batch_matches_reference_arms(self, config, carry):
         """Each game's three arms, with the learned model carried from game
         to game or reset, match arms that each seed their own generators and
@@ -502,3 +507,55 @@ class TestReferenceArms:
                 assert _arm_bytes(res.arms[name]) == _arm_bytes(ref[name]), (game, name)
             if carry:
                 q0 = grid(ref["Selfish"].q_snapshots[-1])
+
+    @pytest.mark.parametrize("study", ["A", "B"])
+    def test_three_slot_cases_split_waits(self, study):
+        """In the three-slot cases some player Waits in one arm of a game but
+        not in another, so the arms' draws for that player differ in kind
+        from there on: the reference cases above cover that path."""
+        results, _ = run_batch(StudyConfig(study=study, seed=11, slots=3), pairs=12)
+
+        def waits(log, i):
+            return {rec.round for rec in log.records if rec.player == i and rec.action == "Wait"}
+
+        assert any(len({frozenset(waits(log, i)) for log in res.arms.values()}) > 1
+                   for res in results for i in range(3))
+
+
+class TestSharedStreams:
+    def test_each_player_value_is_drawn_once(self, monkeypatch):
+        """Across the three arms of a game, each player's generator yields
+        every value once: as many draws as the player's longest arm takes,
+        not one set per arm, and one generator per player."""
+        draws, built = Counter(), Counter()
+        keyed_rng = experiment.keyed_rng
+
+        class Counting:
+            def __init__(self, key):
+                self.key, self.rng = key, keyed_rng(*key)
+
+            def random(self):
+                draws[self.key] += 1
+                return self.rng.random()
+
+            def standard_normal(self):
+                draws[self.key] += 1
+                return self.rng.standard_normal()
+
+        def counting_keyed_rng(*key):
+            if key[2:3] != (2,):  # the market's and the Random arm's
+                return keyed_rng(*key)
+            built[key] += 1
+            return Counting(key)
+
+        monkeypatch.setattr(experiment, "keyed_rng", counting_keyed_rng)
+        config = StudyConfig(seed=1)
+        res = run_study(config)
+        for i in range(config.players_per_condition):
+            # a drop draw each round the player starts, and a payoff and a
+            # switch draw each round it plays
+            per_arm = [sum(3 if rec.action in ("Continue", "Rematch") else 1
+                           for rec in log.records if rec.player == i)
+                       for log in res.arms.values()]
+            assert built[(1, 0, 2, i)] == 1
+            assert draws[(1, 0, 2, i)] == max(per_arm) < sum(per_arm), i

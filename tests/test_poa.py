@@ -53,6 +53,26 @@ class TestTheorem1Bound:
         assert a.bound == b.bound
         assert a.c == b.c
 
+    def test_second_call_builds_no_evaluator(self, monkeypatch):
+        """``theorem1_bound`` takes the market's evaluator from
+        ``returns.cached_evaluator``: a second call on the same models
+        constructs none and gives the same report, bit for bit."""
+        models = [parametric(a) for a in (0.1, 0.35, 0.8)]
+        first = theorem1_bound(models)
+        built = []
+        init = Evaluator.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Evaluator, "__init__", counting_init)
+        second = theorem1_bound(list(models))
+        assert built == []
+        assert (second.H, second.h, second.c, second.L, second.bound) == \
+            (first.H, first.h, first.c, first.L, first.bound)
+        assert second.u_bars.tobytes() == first.u_bars.tobytes()
+
     def test_residual_monotone(self):
         models = [parametric(0.0)]
         rep = theorem1_bound(models)

@@ -547,6 +547,21 @@ class TestCachedEvaluator:
                 assert cached is not fresh and cached.floats == fresh.floats == (limit > 0)
                 assert _outputs(cached, U) == _outputs(fresh, U), label
 
+    def test_numpy_scalar_alpha_is_stored_as_a_float(self):
+        """``parametric(np.float64(0.3))`` holds a Python float alpha, so its
+        element path binds float powers and returns floats, and its outputs
+        are those of ``parametric(0.3)``, bit for bit."""
+        model = parametric(np.float64(0.3))
+        assert type(model.alpha) is float
+        assert model.cache_key() == parametric(0.3).cache_key()
+        u = np.array([0.0, 0.1, 0.4, 0.55, 0.9, 1.0])
+        assert eval_q(model, u).tobytes() == eval_q(parametric(0.3), u).tobytes()
+        U = np.vstack([np.linspace(0.0, 1.0, 7)[k:k + 3] for k in range(5)])
+        for stat in (MONOPOLY, competition(0.1)):
+            scalar, ref = Evaluator([model] * 3, stat), Evaluator([parametric(0.3)] * 3, stat)
+            assert scalar.floats and type(scalar.element_prime[0](0.4)) is float
+            assert _outputs(scalar, U) == _outputs(ref, U), stat
+
 
 class TestAssumptions:
     @pytest.mark.parametrize("alpha", ALPHAS + [1.0 - 1e-12])
