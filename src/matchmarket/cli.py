@@ -243,14 +243,34 @@ def _sim_setup(args):
     return config, behavior
 
 
+# the per-round lists of the Fair and Selfish arms that sim averages over its
+# games, with the plot and y label of each
+_SIM_PLOTS = (
+    ("mean_payoff_per_round", "utility_per_round.svg", "mean payoff (cents)"),
+    ("engagement_per_round", "engagement_per_round.svg", "engagement rate"),
+    ("drop_count_per_round", "drops_per_round.svg", "drops"),
+)
+
+
 def cmd_sim(args) -> int:
     config, behavior = _sim_setup(args)
     run = _Run("sim", args)
-    results, agg = experiment.run_batch(config, behavior, pairs=args.pairs)
+    # the batch's games one at a time: game 0's logs are kept, and of every
+    # game only its metrics and the per-round lists the plots average
+    first, metrics = None, []
+    per_round = {(arm, metric): [] for arm in ("Fair", "Selfish")
+                 for metric, _, _ in _SIM_PLOTS}
+    for res in experiment.iter_batch(config, behavior, pairs=args.pairs):
+        if first is None:
+            first = res
+        metrics.append(res.metrics)
+        for (arm, metric), rows in per_round.items():
+            rows.append(getattr(res.arms[arm], metric))
+    agg = experiment.summarize_batch(config, metrics)
     experiment.write_metrics_csv(agg, run.path("metrics.csv"))
-    experiment.write_round_log_csv(results[0], run.path("round_log_game0.csv"))
+    experiment.write_round_log_csv(first, run.path("round_log_game0.csv"))
 
-    hist = experiment.realized_payoff_histogram(results[0])
+    hist = experiment.realized_payoff_histogram(first)
     with open(run.path("histograms.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["condition", "bin_lo", "bin_hi", "count"])
@@ -261,20 +281,12 @@ def cmd_sim(args) -> int:
                                  int(counts[k])])
 
     rounds = list(range(1, config.rounds + 1))
-    for metric, fname, ylabel in (
-        ("mean_payoff_per_round", "utility_per_round.svg", "mean payoff (cents)"),
-        ("engagement_per_round", "engagement_per_round.svg", "engagement rate"),
-        ("drop_count_per_round", "drops_per_round.svg", "drops"),
-    ):
-        series = []
-        for arm in ("Fair", "Selfish"):
-            per_round = np.mean(
-                [getattr(res.arms[arm], metric) for res in results], axis=0)
-            series.append((arm, rounds, list(per_round)))
+    for metric, fname, ylabel in _SIM_PLOTS:
+        series = [(arm, rounds, list(np.mean(per_round[arm, metric], axis=0)))
+                  for arm in ("Fair", "Selfish")]
         svgplot.plot_lines(run.path(fname), series, title=metric,
                            xlabel="round", ylabel=ylabel)
-    poa_vals = [res.metrics["poa_pair"] for res in results
-                if res.metrics["poa_pair"] == res.metrics["poa_pair"]]
+    poa_vals = [m["poa_pair"] for m in metrics if m["poa_pair"] == m["poa_pair"]]
     svgplot.plot_lines(
         run.path("poa_pairs.svg"),
         [("per-pair PoA", list(range(len(poa_vals))), poa_vals),

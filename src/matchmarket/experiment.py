@@ -61,8 +61,11 @@ replayed the record's first k kinds (``_fork``), so every arm sees the
 stream a freshly seeded generator would give. Only the Random arm draws
 from its own generator. Its matching skips the permutation of a single
 requester and the draw among a single allowed slot, which take nothing
-from the stream. ``run_batch`` carries the learned model from game to game
-through the grid constructor, one check per game.
+from the stream. ``iter_batch`` yields a batch's games one at a time and
+carries the learned model from game to game through the grid constructor,
+one check per game; ``summarize_batch`` aggregates their ``metrics`` dicts.
+``run_batch`` is the two together and keeps every game, while the CLI's
+``sim`` keeps game 0's logs and a few values per game.
 ``prior_q`` returns one shared module-level model.
 """
 
@@ -71,6 +74,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -644,38 +648,49 @@ def run_study(config: StudyConfig, behavior: BehaviorModel | None = None,
                        arms=arms, metrics=metrics)
 
 
-def run_batch(config: StudyConfig, behavior: BehaviorModel | None = None,
-              pairs: int = 200,
-              carry_learning: bool = True) -> tuple[list[StudyResult], dict[str, float]]:
-    """Paired games over independent markets plus aggregate metrics.
+def iter_batch(config: StudyConfig, behavior: BehaviorModel | None = None,
+               pairs: int = 200, carry_learning: bool = True) -> Iterator[StudyResult]:
+    """Yield the paired games of ``run_batch`` one at a time, in game order.
 
     With ``carry_learning`` the Selfish matcher keeps its learned return
     model across the games of the batch, modeling a platform that serves many
     player groups in sequence; disable it to reset learning every game.
-    A batch in which no game has positive Fair welfare has no welfare ratio
-    to aggregate and raises ``ExperimentError``.
     """
     if pairs < 1:
         raise ExperimentError("pairs must be at least 1")
-    results = []
+    behavior = behavior or BehaviorModel()
     q_carry: ReturnModel | None = None
     for g in range(pairs):
         res = run_study(config, behavior, g, selfish_q0=q_carry)
-        results.append(res)
         if carry_learning:
             q_carry = returns.grid(res.arms["Selfish"].q_snapshots[-1])
+        yield res
+
+
+def summarize_batch(config: StudyConfig, metrics: list[dict]) -> dict[str, float]:
+    """Aggregate metrics of a batch from its games' ``metrics`` dicts, in game
+    order. A batch in which no game has positive Fair welfare has no welfare
+    ratio to aggregate and raises ``ExperimentError``."""
     # the batch's payoff sum bounds every sum of payoffs or their means taken
     # over its games: the aggregates below and the CLI's per-round plots
     _check_payoff_sum(config.players_per_condition * sum(
-        res.metrics[k] for res in results
+        m[k] for m in metrics
         for k in ("fair_mean_total", "selfish_mean_total", "random_mean_total")))
-    if not any(res.metrics["fair_mean_total"] > 0 for res in results):
+    if not any(m["fair_mean_total"] > 0 for m in metrics):
         raise ExperimentError("all games degenerate: no game had positive Fair welfare")
-    keys = results[0].metrics.keys()
-    agg = {k: float(np.nanmean([res.metrics[k] for res in results])) for k in keys}
-    agg["poa_min"] = float(np.nanmin([res.metrics["poa_pair"] for res in results]))
-    agg["poa_max"] = float(np.nanmax([res.metrics["poa_pair"] for res in results]))
-    return results, agg
+    agg = {k: float(np.nanmean([m[k] for m in metrics])) for k in metrics[0]}
+    agg["poa_min"] = float(np.nanmin([m["poa_pair"] for m in metrics]))
+    agg["poa_max"] = float(np.nanmax([m["poa_pair"] for m in metrics]))
+    return agg
+
+
+def run_batch(config: StudyConfig, behavior: BehaviorModel | None = None,
+              pairs: int = 200,
+              carry_learning: bool = True) -> tuple[list[StudyResult], dict[str, float]]:
+    """Paired games over independent markets plus aggregate metrics: every
+    game of ``iter_batch`` and ``summarize_batch`` of their metrics."""
+    results = list(iter_batch(config, behavior, pairs, carry_learning))
+    return results, summarize_batch(config, [res.metrics for res in results])
 
 
 def realized_payoff_histogram(result: StudyResult, bins: int = PAYOFF_BINS):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,9 @@ ONLINE_PINNED_ARGS = ["online", "--m", "5", "--n", "5", "--trials", "50", "--see
 ONLINE_PINNED_DIGEST = "b9b2ff94c401b4f380ed83bda1bd8707be7af4e9bc937a95c9bbd7e9e41bc66f"
 MATCH_ONLINE_X_DIGEST = "3da8fb585e7cb01b6c64741a35cab69d380e91205380e889e3497752ce72e1ff"
 MATCH_ONLINE_ORDER = [3, 0, 2, 1, 4, 5]
+# the plots sim averages over its games, pinned beside its CSVs
+SIM_SVGS = ("utility_per_round.svg", "engagement_per_round.svg", "drops_per_round.svg",
+            "poa_pairs.svg")
 
 
 @pytest.fixture
@@ -325,20 +329,22 @@ class TestSim:
         alter simulation semantics must update the digests in the same change
         and say why.
         """
-        batches = []
-        run_batch = matchmarket.experiment.run_batch
+        results = []
+        iter_batch = matchmarket.experiment.iter_batch
 
-        def recording_run_batch(*args, **kwargs):
-            batches.append(run_batch(*args, **kwargs))
-            return batches[-1]
+        def recording_iter_batch(*args, **kwargs):
+            for res in iter_batch(*args, **kwargs):
+                results.append(res)
+                yield res
 
-        monkeypatch.setattr(matchmarket.experiment, "run_batch", recording_run_batch)
+        monkeypatch.setattr(matchmarket.experiment, "iter_batch", recording_iter_batch)
         out = tmp_path / "sim"
         assert main(["sim", "--study", "B", "--pairs", "20", "--seed", "11",
                      "--out-dir", str(out)]) == 0
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in ("metrics.csv", "round_log_game0.csv", "histograms.csv")}
-        (results, _), = batches
+                   for name in ("metrics.csv", "round_log_game0.csv", "histograms.csv",
+                                *SIM_SVGS)}
+        assert len(results) == 20
         snapshots = hashlib.sha256()
         for res in results:
             for snap in res.arms["Selfish"].q_snapshots:
@@ -353,7 +359,38 @@ class TestSim:
                 "ccbe5dd3fc9db3324139ceb1bba4f27864ef2f2bc313ca7064bbbf9538f1a0e3",
             "selfish_q_snapshots":
                 "8e06fe2232eba34fbef7beed589588275383544e4b063ab34dadbc80fdd249b7",
+            "utility_per_round.svg":
+                "be43c23fbb9239b46e4668d858f12c825ea6e347bc18afe5cf82f245bc23f47a",
+            "engagement_per_round.svg":
+                "df917d161dabaa1dfcc69dcec1c675863d9d34183295f03ac60f04ec1d581382",
+            "drops_per_round.svg":
+                "96cd2bac4180eeddc82200636e860c872aba0ee6b219ebd829bb38414ba494d7",
+            "poa_pairs.svg":
+                "4283e56ad3869e222c448c6fca23742f7a6574d5143f0af3978ddd9bb44d41fb",
         }
+
+    def test_batch_streamed(self, tmp_path, monkeypatch):
+        # sim keeps game 0's logs and a few values per game, so when a game
+        # starts only game 0 and the previous game may still be alive
+        refs, alive = [], []
+        run_study = matchmarket.experiment.run_study
+
+        def tracking_run_study(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            res = run_study(*args, **kwargs)
+            refs.append(weakref.ref(res))
+            return res
+
+        monkeypatch.setattr(matchmarket.experiment, "run_study", tracking_run_study)
+        assert main(["sim", "--pairs", "20", "--seed", "3",
+                     "--out-dir", str(tmp_path / "sim")]) == 0
+        assert len(alive) == 20 and max(alive) <= 2
+
+    def test_zero_pairs_exit_1(self, tmp_path, capsys):
+        assert main(["sim", "--pairs", "0", "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "pairs" in err and "Traceback" not in err
 
     def test_rerun_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
