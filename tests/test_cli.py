@@ -25,9 +25,6 @@ ONLINE_PINNED_ARGS = ["online", "--m", "5", "--n", "5", "--trials", "50", "--see
 ONLINE_PINNED_DIGEST = "b9b2ff94c401b4f380ed83bda1bd8707be7af4e9bc937a95c9bbd7e9e41bc66f"
 MATCH_ONLINE_X_DIGEST = "3da8fb585e7cb01b6c64741a35cab69d380e91205380e889e3497752ce72e1ff"
 MATCH_ONLINE_ORDER = [3, 0, 2, 1, 4, 5]
-# the plots sim averages over its games, pinned beside its CSVs
-SIM_SVGS = ("utility_per_round.svg", "engagement_per_round.svg", "drops_per_round.svg",
-            "poa_pairs.svg")
 
 
 @pytest.fixture
@@ -323,11 +320,12 @@ class TestSim:
         """Byte-level golden check of the simulation artifacts.
 
         The digests pin the round loop's arithmetic and random-number
-        consumption. The Selfish arms' learned return models are pinned too,
-        as one digest of every q snapshot of every game in order, so that a
-        learning change that flips no matching still shows. A change meant to
-        alter simulation semantics must update the digests in the same change
-        and say why.
+        consumption, and the SVGs the means the plots take over the games.
+        The Selfish arms' learned return models are pinned too, as one digest
+        of every q snapshot of every game in order, so that a learning change
+        that flips no matching still shows. A change meant to alter
+        simulation semantics must update the digests in the same change and
+        say why.
         """
         results = []
         iter_batch = matchmarket.experiment.iter_batch
@@ -343,7 +341,8 @@ class TestSim:
                      "--out-dir", str(out)]) == 0
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in ("metrics.csv", "round_log_game0.csv", "histograms.csv",
-                                *SIM_SVGS)}
+                                "utility_per_round.svg", "engagement_per_round.svg",
+                                "drops_per_round.svg", "poa_pairs.svg")}
         assert len(results) == 20
         snapshots = hashlib.sha256()
         for res in results:
