@@ -23,15 +23,14 @@ its raw q), with no market instance, matching object or certificate built
 around it; ``best_matching`` returns the matching as a list, and its one-row
 case, most of a pass's assignments, is one ``min``. Per-player state lives
 in Python lists of bools, ints and floats, and means come from running float
-sums. An arm reads its config and behavior fields and the players' bound
-``random`` and ``standard_normal`` methods once, takes a payoff as
-``mean + noise_sd * standard_normal()``, which is numpy's ``normal``
-bit for bit, and takes ``BehaviorModel.switch_prob`` and ``drop_prob``
-inline with the same operations. It builds each ``RoundRecord`` with
-``tuple.__new__``, the call the tuple's generated constructor makes. Each
-arm keeps its own copy of the normalized payoff rows and zeroes in it the
-slot a player leaves by re-matching, so the assignment sub-matrix is one
-list comprehension of reads from those rows; the Fair arm hands it to
+sums. An arm reads its config and behavior fields once, takes a payoff as
+``mean + noise_sd * z`` for a standard normal z, which is numpy's
+``normal`` bit for bit, and takes ``BehaviorModel.switch_prob`` and
+``drop_prob`` inline with the same operations. It builds each
+``RoundRecord`` with ``tuple.__new__``, the call the tuple's generated
+constructor makes. Each arm keeps its own copy of the normalized payoff
+rows and zeroes in it the slot a player leaves by re-matching, so the
+assignment sub-matrix is one list comprehension of reads from those rows; the Fair arm hands it to
 ``best_matching`` as it is, and the Selfish arm builds one array for
 ``np.interp`` and the pi kernel. The Selfish arm keeps its learned model as
 node values only, with no ``ReturnModel`` built per round: a list of 21
@@ -40,32 +39,29 @@ nodes of the payoff bins it observed (at most two per player), and one
 read-only array of them per learning round that is both the round's
 snapshot and the interpolation input. ``_learn`` keeps every node in
 [0, 1] and the endpoints at 0, so the array holds the bytes the grid
-constructor would. The loop calls numpy only to draw random numbers, in
+constructor would. The loop calls numpy only for the Random arm's draws, in
 the Selfish arm's assignment, and to build those arrays. A payoff sum that
 overflows a float, in an arm or over a batch, raises ``ExperimentError``.
 
 ``run_study`` builds what the three arms of a game share once: the mean and
-normalized payoff rows as lists, the player and Random-arm generators, and
-a record of each player's stream. Every generator comes from
-``market.keyed_rng``: the market's from the key ``(seed, game, 0)``, player
-i's from ``(seed, game, 2, i)`` and the Random arm's from ``(seed, game, 3)``.
-The arms share the player streams as common random numbers, each value drawn
-once a game: player i's record holds every value its generator has yielded,
-with its kind (uniform or normal), and the generator stands at its end. Each
-arm reads the record with its own cursor, inline at its three draw sites
-(drop, payoff, switch); the first arm to reach a position draws it and
-extends the record. An arm whose draw k differs in kind from the record's,
-as when a player Waits in one arm but not in another, takes that draw and
-the player's later ones from a fresh generator of the player's key that has
-replayed the record's first k kinds (``_fork``), so every arm sees the
-stream a freshly seeded generator would give. Only the Random arm draws
-from its own generator. Its matching skips the permutation of a single
-requester and the draw among a single allowed slot, which take nothing
-from the stream. ``iter_batch`` yields a batch's games one at a time and
-carries the learned model from game to game through the grid constructor,
-one check per game; ``summarize_batch`` aggregates their ``metrics`` dicts.
-``run_batch`` is the two together and keeps every game, while the CLI's
-``sim`` keeps game 0's logs and a few values per game.
+normalized payoff rows as lists, the Random arm's generator, and each
+player's random numbers. Every generator comes from ``market.keyed_rng``:
+the market's from the key ``(seed, game, 0)``, player i's from
+``(seed, game, 2, i)`` and the Random arm's from ``(seed, game, 3)``. The
+arms share the players' values as common random numbers, synchronized by
+decision: each random decision has its own index. Player i's generator
+yields R drop uniforms, R payoff normals and R switch uniforms, in that
+order, and every arm reads round r's value of each at index r - 1, whether
+or not the player played earlier rounds in that arm. Only the Random arm
+draws as it goes, from its own generator. Its matching skips the
+permutation of a single requester and the draw among a single allowed
+slot, which take nothing from the stream.
+
+``iter_batch`` yields a batch's games one at a time and carries the learned
+model from game to game through the grid constructor, one check per game;
+``summarize_batch`` aggregates their ``metrics`` dicts. ``run_batch`` is
+the two together and keeps every game, while the CLI's ``sim`` keeps game
+0's logs and a few values per game.
 ``prior_q`` returns one shared module-level model.
 """
 
@@ -86,6 +82,9 @@ from .returns import GRID_NODES, ReturnModel
 
 STUDY_BETA = {"A": (1.0, 2.0), "B": (2.0, 2.0), "C": (2.0, 1.0)}
 PAYOFF_BINS = 10  # 2-cent bins on [0, payoff_scale]
+# run_study draws each player's rounds as float64 arrays, and numpy refuses an
+# array of more bytes than an index can count
+MAX_ROUNDS = np.iinfo(np.intp).max // 8
 
 
 class ExperimentError(ValueError):
@@ -145,8 +144,8 @@ class StudyConfig:
             raise ExperimentError("need at least one player per condition")
         if self.slots < self.players_per_condition:
             raise ExperimentError("need at least as many slots as players")
-        if self.rounds < 1:
-            raise ExperimentError("rounds must be at least 1")
+        if not 1 <= self.rounds <= MAX_ROUNDS:
+            raise ExperimentError(f"rounds must lie in [1, {MAX_ROUNDS}]")
         if not (0.0 <= self.alpha_learn <= 1.0):
             raise ExperimentError("alpha_learn must lie in [0, 1]")
         if self.selfish_objective not in ("stationary", "raw-q"):
@@ -396,42 +395,25 @@ def assign_round(condition: str, weights, learned_q: ReturnModel,
 
 
 class _Game(NamedTuple):
-    """What the three arms of one game share, built once by ``run_study``."""
+    """What the three arms of one game share, built once by ``run_study``.
+
+    Each random decision of a player has its own list, indexed by round:
+    round r's value is at index r - 1, whatever the arm did before."""
 
     means: list  # mean payoffs in cents, one list per player
     norm: list  # means / payoff_scale clipped to [0, 1], one list per player
-    key: tuple  # (seed, game): player i's generator is keyed_rng(*key, 2, i)
-    rngs: list  # one generator per player, at the end of its record
-    drawn: list  # per player, the values its generator has yielded
-    normal: list  # per player, each value's kind: True for a standard normal
+    drop: list  # per player, the drop uniform of each round
+    noise: list  # per player, the payoff's standard normal of each round
+    switch: list  # per player, the switch uniform of each round
     arm_rng: np.random.Generator  # the Random arm's generator
-
-
-def _fork(game: _Game, i: int, k: int, want_normal: bool, drawn: list, normal: list,
-          random: list, standard_normal: list) -> float:
-    """Player i's draw k, of the other kind than the record's, from a fresh
-    generator of the player's key replayed through the record's first k
-    kinds. The arm's entries for player i become that generator's methods
-    and private copies of the record up to this draw, so the arm extends
-    them for the rest of its draws."""
-    rng = keyed_rng(*game.key, 2, i)
-    kinds = normal[i][:k]
-    for was_normal in kinds:
-        if was_normal:
-            rng.standard_normal()
-        else:
-            rng.random()
-    random[i], standard_normal[i] = rng.random, rng.standard_normal
-    x = rng.standard_normal() if want_normal else rng.random()
-    drawn[i] = drawn[i][:k] + [x]
-    normal[i] = kinds + [want_normal]
-    return x
 
 
 def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
              game: _Game, q0: ReturnModel | None = None) -> ArmLog:
-    """One arm of a game, reading player i's stream from its record in
-    ``game`` at the arm's cursor ``pos[i]``."""
+    """One arm of a game. Player i's round-r drop, payoff and switch draws
+    are ``game.drop[i][r - 1]``, ``game.noise[i][r - 1]`` and
+    ``game.switch[i][r - 1]``, so every arm reads the same value for the
+    same player, round and decision."""
     n, m, R = config.players_per_condition, config.slots, config.rounds
     outside, noise_sd = config.outside_per_round, float(config.noise_sd)
     objective, scale = config.selfish_objective, config.payoff_scale
@@ -443,15 +425,8 @@ def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
     risk_decay = behavior.risk_decay
     drop_low = behavior.drop_base + behavior.drop_low_bonus  # mean below outside
     drop_other = behavior.drop_base + 0.0
-    # the arm's views of the records and generators, which _fork may
-    # replace for one player
-    drawn, normal = list(game.drawn), list(game.normal)
-    random = [rng.random for rng in game.rngs]
-    # numpy's normal(loc, scale) is loc + scale * standard_normal(), the
-    # same bits from the same draw
-    standard_normal = [rng.standard_normal for rng in game.rngs]
-    pos = [0] * n
     means, norm = game.means, game.norm
+    drop_u, noise, switch_u = game.drop, game.noise, game.switch
     # the model is its node values: ``values`` is mixed in place, and
     # ``snap`` is a read-only array of them, rebuilt after each learning
     # step, that is both the round's snapshot and the interpolation input
@@ -475,25 +450,14 @@ def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
     plays = [0] * n
 
     for r in range(1, R + 1):
+        t = r - 1  # the index of round r's draws
         # drop phase: decide before playing the round
         drops = 0
         for i in range(n):
             if not active[i]:
                 continue
             low = plays[i] and totals[i] / plays[i] < outside
-            # each draw site reads, extends or forks player i's record
-            k = pos[i]
-            pos[i] = k + 1
-            rec = drawn[i]
-            if k == len(rec):
-                u = random[i]()
-                rec.append(u)
-                normal[i].append(False)
-            elif normal[i][k]:
-                u = _fork(game, i, k, False, drawn, normal, random, standard_normal)
-            else:
-                u = rec[k]
-            if u < (drop_low if low else drop_other):
+            if drop_u[i][t] < (drop_low if low else drop_other):
                 active[i] = False
                 slot_of[i] = -1
                 totals[i] += outside * (R - r + 1)
@@ -531,34 +495,15 @@ def _run_arm(condition: str, config: StudyConfig, behavior: BehaviorModel,
             if j < 0:
                 records.append(new(RoundRecord, (condition, r, i, -1, 0.0, "Wait")))
                 continue
-            k = pos[i]
-            pos[i] = k + 2
-            rec = drawn[i]
-            if k == len(rec):
-                z = standard_normal[i]()
-                rec.append(z)
-                normal[i].append(True)
-            elif normal[i][k]:
-                z = rec[k]
-            else:
-                z = _fork(game, i, k, True, drawn, normal, random, standard_normal)
-                rec = drawn[i]
-            p = max(0.0, means[i][j] + noise_sd * z)
+            # numpy's normal(loc, scale) is loc + scale * standard_normal(),
+            # the same bits from the same draw
+            p = max(0.0, means[i][j] + noise_sd * noise[i][t])
             totals[i] += p
             plays[i] += 1
             matched_payoffs.append(p)
             round_total += p
             matched += 1
-            k += 1
-            if k == len(rec):
-                u = random[i]()
-                rec.append(u)
-                normal[i].append(False)
-            elif normal[i][k]:
-                u = _fork(game, i, k, False, drawn, normal, random, standard_normal)
-            else:
-                u = rec[k]
-            switched = u < min(max(hi - slope * p, lo), hi) * decay
+            switched = switch_u[i][t] < min(max(hi - slope * p, lo), hi) * decay
             if switched:
                 rematches += 1
                 avail[i][j] = 0.0
@@ -616,19 +561,20 @@ def run_study(config: StudyConfig, behavior: BehaviorModel | None = None,
     """
     behavior = behavior or BehaviorModel()
     w_slots, eps_players, mean_payoffs = generate_market(config, game_index)
-    n = config.players_per_condition
+    n, R = config.players_per_condition, config.rounds
+    rngs = [keyed_rng(config.seed, game_index, 2, i) for i in range(n)]
+    # each player's generator yields, in this order (keyword arguments are
+    # evaluated left to right): R drop uniforms, R payoff normals, R switch
+    # uniforms. The arms read them by round, so a Wait in one arm shifts no
+    # later draw; only the Random arm draws from arm_rng
     game = _Game(
         means=mean_payoffs.tolist(),
         norm=np.clip(mean_payoffs / config.payoff_scale, 0.0, 1.0).tolist(),
-        key=(config.seed, game_index),
-        rngs=[keyed_rng(config.seed, game_index, 2, i) for i in range(n)],
-        drawn=[[] for _ in range(n)],
-        normal=[[] for _ in range(n)],
+        drop=[rng.random(R).tolist() for rng in rngs],
+        noise=[rng.standard_normal(R).tolist() for rng in rngs],
+        switch=[rng.random(R).tolist() for rng in rngs],
         arm_rng=keyed_rng(config.seed, game_index, 3),
     )
-    # the arms share each player's stream through its record in ``game``:
-    # every arm reads the values a freshly seeded generator gives, and each
-    # is drawn once. Only the Random arm draws from arm_rng
     arms = {name: _run_arm(name, config, behavior, game,
                            q0=selfish_q0 if name == "Selfish" else None)
             for name in ("Fair", "Selfish", "Random")}

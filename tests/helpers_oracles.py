@@ -405,9 +405,10 @@ def _q_update_reference(q_round: ReturnModel, f_round: np.ndarray,
 
 
 def _action_reference(payoff_cents: float, round_index: int,
-                      behavior: BehaviorModel, rng: np.random.Generator) -> str:
-    """Action of a matched player who stayed past this round's drop decision."""
-    if rng.random() < behavior.switch_prob(payoff_cents, round_index):
+                      behavior: BehaviorModel, u: float) -> str:
+    """Action of a matched player who stayed past this round's drop decision,
+    from the round's switch uniform ``u``."""
+    if u < behavior.switch_prob(payoff_cents, round_index):
         return "Rematch"
     return "Continue"
 
@@ -430,7 +431,13 @@ def run_arm_reference(condition: str, config: StudyConfig, behavior: BehaviorMod
                       q0: ReturnModel | None = None) -> ArmLog:
     n, m, R = config.players_per_condition, config.slots, config.rounds
     outside = config.outside_per_round
-    player_rng = [np.random.default_rng(seed) for seed in player_seeds]
+    # per player, one array per random decision, indexed by round - 1
+    drop_u, normal_z, switch_u = [], [], []
+    for seed in player_seeds:
+        rng = np.random.default_rng(seed)
+        drop_u.append(rng.random(R))
+        normal_z.append(rng.standard_normal(R))
+        switch_u.append(rng.random(R))
     arm_rng = np.random.default_rng(arm_seed)
     norm = np.clip(mean_payoffs / config.payoff_scale, 0.0, 1.0)
     means = mean_payoffs.tolist()
@@ -448,7 +455,7 @@ def run_arm_reference(condition: str, config: StudyConfig, behavior: BehaviorMod
             if not active[i]:
                 continue
             mean = totals[i] / plays[i] if plays[i] else None
-            if player_rng[i].random() < behavior.drop_prob(mean, outside):
+            if drop_u[i][r - 1] < behavior.drop_prob(mean, outside):
                 active[i] = False
                 slot_of[i] = -1
                 totals[i] += outside * (R - r + 1)
@@ -483,13 +490,13 @@ def run_arm_reference(condition: str, config: StudyConfig, behavior: BehaviorMod
             if j < 0:
                 log.records.append(RoundRecord(condition, r, i, -1, 0.0, "Wait"))
                 continue
-            p = max(0.0, player_rng[i].normal(means[i][j], config.noise_sd))
+            p = float(max(0.0, means[i][j] + config.noise_sd * normal_z[i][r - 1]))
             totals[i] += p
             plays[i] += 1
             log.matched_payoffs.append(p)
             round_total += p
             matched += 1
-            action = _action_reference(p, r, behavior, player_rng[i])
+            action = _action_reference(p, r, behavior, switch_u[i][r - 1])
             if action == "Rematch":
                 rematches += 1
                 forbidden[i].add(j)

@@ -351,21 +351,21 @@ class TestSim:
         digests["selfish_q_snapshots"] = snapshots.hexdigest()
         assert digests == {
             "metrics.csv":
-                "33a734ff86ebaf152f38877bfd8dc1fb5b57cc99252ab57d99d9b734d714aed7",
+                "b1c1baebde8b291d8c47a09bd50acbbc17ef7b7b0f05c3b9be69442759ef2728",
             "round_log_game0.csv":
-                "b339d0b3872cbd6ecc58a0ffac4c2e3595498340534bf273ed9df022637ec19a",
+                "bed99ee0fd083cd61a753958a9b97aa1658624ecfaa1c633f96c0fc96df49a1e",
             "histograms.csv":
-                "ccbe5dd3fc9db3324139ceb1bba4f27864ef2f2bc313ca7064bbbf9538f1a0e3",
+                "3d4e255e09087d1432086f23ed617c73ce02f807eacd5d79937674f3ed73b49b",
             "selfish_q_snapshots":
-                "8e06fe2232eba34fbef7beed589588275383544e4b063ab34dadbc80fdd249b7",
+                "12d2ba8083d6f87fde61c49c1824784ad1da236e325159fc04b0c896c88fd189",
             "utility_per_round.svg":
-                "be43c23fbb9239b46e4668d858f12c825ea6e347bc18afe5cf82f245bc23f47a",
+                "183a572ee83f2a5534d356f97d3556f3edb88a87d6f48938542dd6f266d2c2a8",
             "engagement_per_round.svg":
-                "df917d161dabaa1dfcc69dcec1c675863d9d34183295f03ac60f04ec1d581382",
+                "e8d97aa501c6223137f41ee1d9d7bd166f2fa2f5522312e1aa9be2aad1e24a74",
             "drops_per_round.svg":
-                "96cd2bac4180eeddc82200636e860c872aba0ee6b219ebd829bb38414ba494d7",
+                "cf79de0b5646dc74ff8c0b54b9fb7e31331177dc9cc4391b2b12f72f1a91c3db",
             "poa_pairs.svg":
-                "4283e56ad3869e222c448c6fca23742f7a6574d5143f0af3978ddd9bb44d41fb",
+                "a177da2ead1481cc674ebfbefe5ab16270b051e80e6904ea7eb57621019b8d9e",
         }
 
     def test_batch_streamed(self, tmp_path, monkeypatch):

@@ -1,5 +1,5 @@
+import copy
 import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -73,7 +73,8 @@ class TestConfigs:
             StudyConfig(alpha_learn=1.5)
         with pytest.raises(ExperimentError):
             StudyConfig(selfish_objective="greedy")
-        for bad in ({"rounds": True}, {"slots": 13.0}, {"noise_sd": float("nan")},
+        for bad in ({"rounds": True}, {"rounds": 0}, {"rounds": experiment.MAX_ROUNDS + 1},
+                    {"slots": 13.0}, {"noise_sd": float("nan")},
                     {"payoff_scale": -20.0}, {"payoff_scale": 2e-323},
                     {"outside_per_round": float("inf")}):
             with pytest.raises(ExperimentError):
@@ -476,6 +477,15 @@ def _arm_bytes(log):
     }
 
 
+def _waits_split(res):
+    """(player, round, waiting arm, playing arm) for each round in which a
+    player Waits in one arm of a game and plays in another."""
+    acts = {(name, rec.player, rec.round): rec.action
+            for name, log in res.arms.items() for rec in log.records}
+    return [(i, r, a, b) for (a, i, r), act in acts.items() if act == "Wait"
+            for b in res.arms if acts.get((b, i, r)) in ("Continue", "Rematch")]
+
+
 class TestReferenceArms:
     @pytest.mark.parametrize("config,carry", [
         (StudyConfig(study="A", seed=11), True),
@@ -510,52 +520,88 @@ class TestReferenceArms:
 
     @pytest.mark.parametrize("study", ["A", "B"])
     def test_three_slot_cases_split_waits(self, study):
-        """In the three-slot cases some player Waits in one arm of a game but
-        not in another, so the arms' draws for that player differ in kind
-        from there on: the reference cases above cover that path."""
+        """In the three-slot cases some player Waits in one arm of a game and
+        plays the same round in another, so the reference cases above, which
+        read each draw by round, cover arms whose play has split, and
+        ``TestSharedStreams::test_wait_shifts_no_later_draw`` has rounds to
+        compare."""
         results, _ = run_batch(StudyConfig(study=study, seed=11, slots=3), pairs=12)
-
-        def waits(log, i):
-            return {rec.round for rec in log.records if rec.player == i and rec.action == "Wait"}
-
-        assert any(len({frozenset(waits(log, i)) for log in res.arms.values()}) > 1
-                   for res in results for i in range(3))
+        assert any(_waits_split(res) for res in results)
 
 
 class TestSharedStreams:
-    def test_each_player_value_is_drawn_once(self, monkeypatch):
-        """Across the three arms of a game, each player's generator yields
-        every value once: as many draws as the player's longest arm takes,
-        not one set per arm, and one generator per player."""
-        draws, built = Counter(), Counter()
+    def test_each_player_generator_draws_three_arrays(self, monkeypatch):
+        """Each player's generator is built once a game and called three
+        times, in this order: the drop uniforms, the payoff normals and the
+        switch uniforms, R values each."""
+        calls = {}
         keyed_rng = experiment.keyed_rng
 
-        class Counting:
+        class Recording:
             def __init__(self, key):
                 self.key, self.rng = key, keyed_rng(*key)
 
-            def random(self):
-                draws[self.key] += 1
-                return self.rng.random()
+            def random(self, size):
+                calls[self.key].append(("random", size))
+                return self.rng.random(size)
 
-            def standard_normal(self):
-                draws[self.key] += 1
-                return self.rng.standard_normal()
+            def standard_normal(self, size):
+                calls[self.key].append(("standard_normal", size))
+                return self.rng.standard_normal(size)
 
-        def counting_keyed_rng(*key):
+        def recording_keyed_rng(*key):
             if key[2:3] != (2,):  # the market's and the Random arm's
                 return keyed_rng(*key)
-            built[key] += 1
-            return Counting(key)
+            assert key not in calls, key
+            calls[key] = []
+            return Recording(key)
 
-        monkeypatch.setattr(experiment, "keyed_rng", counting_keyed_rng)
-        config = StudyConfig(seed=1)
-        res = run_study(config)
-        for i in range(config.players_per_condition):
-            # a drop draw each round the player starts, and a payoff and a
-            # switch draw each round it plays
-            per_arm = [sum(3 if rec.action in ("Continue", "Rematch") else 1
-                           for rec in log.records if rec.player == i)
-                       for log in res.arms.values()]
-            assert built[(1, 0, 2, i)] == 1
-            assert draws[(1, 0, 2, i)] == max(per_arm) < sum(per_arm), i
+        monkeypatch.setattr(experiment, "keyed_rng", recording_keyed_rng)
+        config = StudyConfig(seed=1, rounds=7, players_per_condition=4)
+        run_study(config, game_index=2)
+        assert calls == {(1, 2, 2, i): [("random", 7), ("standard_normal", 7), ("random", 7)]
+                         for i in range(4)}
+
+    @pytest.mark.parametrize("config", [
+        StudyConfig(study="B", seed=1),
+        StudyConfig(study="A", seed=11, slots=3),
+        StudyConfig(study="C", seed=7, players_per_condition=5),
+    ], ids=["B", "A-three-slots", "five-players"])
+    def test_arm_order_does_not_matter(self, config, monkeypatch):
+        """The three arms run on a copy of a game's shared values in reverse
+        order (Random, Selfish, Fair) give byte-identical logs: no arm
+        changes what another reads."""
+        games = []
+        run_arm = experiment._run_arm
+
+        def capturing_run_arm(condition, config, behavior, game, q0=None):
+            if not games:  # before any arm has run
+                games.append(copy.deepcopy(game))
+            return run_arm(condition, config, behavior, game, q0)
+
+        monkeypatch.setattr(experiment, "_run_arm", capturing_run_arm)
+        behavior = BehaviorModel()
+        res = run_study(config, behavior, game_index=1)
+        for name in ("Random", "Selfish", "Fair"):
+            log = run_arm(name, config, behavior, games[0])
+            assert _arm_bytes(log) == _arm_bytes(res.arms[name]), name
+
+    @pytest.mark.parametrize("study", ["A", "B"])
+    def test_wait_shifts_no_later_draw(self, study):
+        """A player who Waits in one arm and plays in another draws the same
+        payoff noise as that other arm in every later round where both arms
+        pay them a positive payoff: p - mean is equal across the arms, up to
+        the rounding of adding and subtracting different means."""
+        results, _ = run_batch(StudyConfig(study=study, seed=11, slots=3), pairs=12)
+        compared = 0
+        for res in results:
+            means = res.eps_players[:, None] + res.w_slots[None, :]
+            paid = {(name, rec.player, rec.round): rec.payoff - means[rec.player, rec.slot]
+                    for name, log in res.arms.items() for rec in log.records
+                    if rec.slot >= 0 and rec.payoff > 0.0}
+            for i, w, a, b in _waits_split(res):
+                for r in range(w + 1, res.config.rounds + 1):
+                    if (a, i, r) in paid and (b, i, r) in paid:
+                        assert paid[a, i, r] == pytest.approx(paid[b, i, r], rel=0, abs=1e-12)
+                        compared += 1
+        assert compared > 0
