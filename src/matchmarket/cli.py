@@ -10,7 +10,6 @@ parsing leaves the parser unchanged.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -22,7 +21,8 @@ import numpy as np
 
 from . import __version__, experiment, online, poa, returns, svgplot
 from .fair import solve_fair
-from .market import InstanceSampler, MarketError, keyed_rng, read_instance
+from .market import (InstanceSampler, MarketError, keyed_rng, read_instance, write_json,
+                     write_table)
 from .online import ArrivalSequence, greedy_online
 from .returns import ReturnModelError
 from .selfish import MONOPOLY, Stationary, kkt_residual_of, solve_selfish
@@ -60,9 +60,8 @@ class _Run:
         ).hexdigest()
 
     def path(self, name: str) -> Path:
-        p = self.out_dir / name
-        self.outputs.append(str(p))
-        return p
+        self.outputs.append(name)
+        return self.out_dir / name
 
     def finish(self) -> None:
         manifest = {
@@ -74,9 +73,7 @@ class _Run:
             "finished": time.time(),
             "outputs": self.outputs,
         }
-        (self.out_dir / "manifest.json").write_text(
-            json.dumps(manifest, indent=2) + "\n"
-        )
+        write_json(self.out_dir / "manifest.json", manifest)
 
 
 def _models(args, m: int) -> list:
@@ -112,19 +109,12 @@ def cmd_bound(args) -> int:
     print(f"c = {rep.c:.9g}")
     print(f"L = {rep.L:.9g}")
     print(f"bound = {rep.bound:.9g}")
-    run.path("bound.json").write_text(json.dumps({
+    write_json(run.path("bound.json"), {
         "H": rep.H, "h": rep.h, "c": rep.c, "L": rep.L, "bound": rep.bound,
         "u_bars": list(rep.u_bars),
-    }, indent=2) + "\n")
+    })
     run.finish()
     return 0
-
-
-def _write_matrix_csv(path: Path, mat: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in np.atleast_2d(mat):
-            writer.writerow([f"{v:.9g}" for v in row])
 
 
 def cmd_match(args) -> int:
@@ -150,10 +140,9 @@ def cmd_match(args) -> int:
         sol = greedy_online(seq, models, stat)
         x, u, value = sol.matching.x, sol.matching.u, sol.value
         extra = {"order": [int(i) for i in seq.order]}
-    _write_matrix_csv(run.path("x.csv"), x)
-    _write_matrix_csv(run.path("utilities.csv"), u.reshape(1, -1))
-    run.path("solution.json").write_text(json.dumps(
-        {"mode": args.mode, "value": value, **extra}, indent=2) + "\n")
+    write_table(run.path("x.csv"), x)
+    write_table(run.path("utilities.csv"), [u])
+    write_json(run.path("solution.json"), {"mode": args.mode, "value": value, **extra})
     print(f"value = {value:.9g}")
     run.finish()
     return 0
@@ -271,14 +260,10 @@ def cmd_sim(args) -> int:
     experiment.write_round_log_csv(first, run.path("round_log_game0.csv"))
 
     hist = experiment.realized_payoff_histogram(first)
-    with open(run.path("histograms.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["condition", "bin_lo", "bin_hi", "count"])
-        for name, data in hist.items():
-            edges, counts = data["edges"], data["counts"]
-            for k in range(len(counts)):
-                writer.writerow([name, f"{edges[k]:.9g}", f"{edges[k + 1]:.9g}",
-                                 int(counts[k])])
+    write_table(run.path("histograms.csv"),
+                [(name, data["edges"][k], data["edges"][k + 1], int(count))
+                 for name, data in hist.items() for k, count in enumerate(data["counts"])],
+                ["condition", "bin_lo", "bin_hi", "count"])
 
     rounds = list(range(1, config.rounds + 1))
     for metric, fname, ylabel in _SIM_PLOTS:

@@ -67,7 +67,6 @@ the two together and keeps every game, while the CLI's ``sim`` keeps game
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from collections.abc import Iterator
@@ -77,7 +76,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fair, returns
-from .market import MarketError, keyed_rng
+from .market import MarketError, keyed_rng, write_table
 from .returns import GRID_NODES, ReturnModel
 
 STUDY_BETA = {"A": (1.0, 2.0), "B": (2.0, 2.0), "C": (2.0, 1.0)}
@@ -654,18 +653,9 @@ def realized_payoff_histogram(result: StudyResult, bins: int = PAYOFF_BINS):
 
 
 def write_round_log_csv(result: StudyResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["condition", "round", "player", "slot", "payoff", "action"])
-        for name in ("Fair", "Selfish", "Random"):
-            for rec in result.arms[name].records:
-                writer.writerow([rec.condition, rec.round, rec.player, rec.slot,
-                                 f"{rec.payoff:.9g}", rec.action])
+    write_table(path, (rec for name in ("Fair", "Selfish", "Random")
+                       for rec in result.arms[name].records), RoundRecord._fields)
 
 
 def write_metrics_csv(agg: dict[str, float], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value"])
-        for key, value in agg.items():
-            writer.writerow([key, f"{value:.9g}"])
+    write_table(path, agg.items(), ["metric", "value"])

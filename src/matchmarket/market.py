@@ -150,15 +150,27 @@ def sample_instance(sampler: InstanceSampler, m: int, n: int, trial: int = 0) ->
     return MarketInstance(w)
 
 
+def write_table(path, rows, header=None) -> None:
+    """Write ``rows`` as CSV, after ``header`` if one is given: every float
+    cell (numpy's float64 included) with 9 significant digits, any other
+    cell as ``csv`` writes it."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if header is not None:
+            writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.9g}" if isinstance(v, float) else v for v in row])
+
+
+def write_json(path, obj) -> None:
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+
+
 def write_instance(inst: MarketInstance, csv_path, source: str = "", seed: int | None = None):
     """Write an instance as a CSV matrix plus a JSON sidecar with metadata."""
-    csv_path = Path(csv_path)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in inst.w:
-            writer.writerow([f"{v:.9g}" for v in row])
-    sidecar = {"m": inst.m, "n": inst.n, "source": source, "seed": seed}
-    csv_path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    write_table(csv_path, inst.w)
+    write_json(Path(csv_path).with_suffix(".json"),
+               {"m": inst.m, "n": inst.n, "source": source, "seed": seed})
 
 
 def read_instance(csv_path) -> MarketInstance:

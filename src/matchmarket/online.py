@@ -4,12 +4,11 @@ the capacity left by earlier arrivals."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .market import FractionalMatching, InstanceSampler, MarketInstance, keyed_rng
+from .market import FractionalMatching, InstanceSampler, MarketInstance, keyed_rng, write_table
 from .poa import EmpiricalPoAReport, _run_trials
 from .returns import MONOPOLY, Stationary, cached_evaluator
 from .selfish import _check_models
@@ -103,8 +102,6 @@ def write_online_csv(report: EmpiricalPoAReport, path) -> None:
     """One row per trial. ``order_seed`` is the sampler seed on every row:
     trial t's arrival order is keyed (order_seed, t, 1), as in
     ``online_poa_empirical``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "order_seed", "online_value", "fair_value", "ratio"])
-        for trial, seed, fv, ov, ratio in report.records:
-            writer.writerow([trial, seed, f"{ov:.9g}", f"{fv:.9g}", f"{ratio:.9g}"])
+    write_table(path, [(trial, seed, ov, fv, ratio)
+                       for trial, seed, fv, ov, ratio in report.records],
+                ["trial", "order_seed", "online_value", "fair_value", "ratio"])

@@ -10,16 +10,13 @@ c = (H/2) L(c). The fixed point has a closed form in per-user roots (see
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import returns
 from .fair import solve_fair
-from .market import InstanceSampler, MarketError, sample_instance
+from .market import InstanceSampler, MarketError, sample_instance, write_json, write_table
 from .returns import MONOPOLY, Evaluator, Stationary
 from .selfish import solve_selfish
 
@@ -180,29 +177,21 @@ def competition_sweep(
 
 
 def write_trials_csv(report: EmpiricalPoAReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "seed", "fair_value", "selfish_value", "ratio"])
-        for trial, seed, fv, sv, ratio in report.records:
-            writer.writerow([trial, seed, f"{fv:.9g}", f"{sv:.9g}", f"{ratio:.9g}"])
+    write_table(path, report.records,
+                ["trial", "seed", "fair_value", "selfish_value", "ratio"])
 
 
 def write_summary_json(report: EmpiricalPoAReport, path) -> None:
-    payload = {
+    write_json(path, {
         "trials": report.trials,
         "degenerate": report.degenerate,
         "min_ratio": report.min_ratio,
         "mean_ratio": report.mean_ratio,
         "settings": report.settings,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    })
 
 
 def write_sweep_csv(sweep: dict[float, EmpiricalPoAReport], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eps", "min_ratio", "mean_ratio", "degenerate"])
-        for eps in sorted(sweep, reverse=True):
-            rep = sweep[eps]
-            writer.writerow([f"{eps:.9g}", f"{rep.min_ratio:.9g}",
-                             f"{rep.mean_ratio:.9g}", rep.degenerate])
+    write_table(path, [(eps, rep.min_ratio, rep.mean_ratio, rep.degenerate)
+                       for eps, rep in sorted(sweep.items(), reverse=True)],
+                ["eps", "min_ratio", "mean_ratio", "degenerate"])

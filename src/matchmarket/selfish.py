@@ -484,7 +484,6 @@ def solve_selfish(
             best = (val, x, gap, iters)
     _, x, gap, iters = best
 
-    x = np.clip(x, 0.0, None)
     matching = FractionalMatching.from_x(inst, x)
     value = ev.objective(matching.u)
     grow = ev.clamped_prime(matching.u)

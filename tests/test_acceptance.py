@@ -26,14 +26,16 @@ from matchmarket.poa import (
 from matchmarket.returns import (
     Evaluator,
     argmax_pi_competition,
+    competition,
     eval_q,
     eval_q_prime,
     parametric,
     pi_monopoly,
 )
-from matchmarket.selfish import MONOPOLY, kkt_residual_of, solve_selfish
+from matchmarket.selfish import GAP_TOL_PER_USER, MONOPOLY, kkt_residual_of, solve_selfish
 
 ALPHAS = [0.0, 0.25, 0.5, 0.75]
+SWEEP_EPS = [0.5, 0.1, 0.01, 0.001]  # the default eps list of the CLI's sweep
 
 
 class TestBoundReproduction:
@@ -83,6 +85,46 @@ class TestSelfishOracleEquivalence:
                 oracle_2x2(inst.w, models), abs=2e-3)
             assert sol.fw_gap <= 1e-7 * 2
             assert kkt_residual_of(inst, models, sol).max_residual <= 1e-6
+
+    def test_2x2_competition_instances(self):
+        # the oracle's grid points are feasible, so a value below it means the
+        # multistart solver missed the optimum
+        sampler = InstanceSampler(seed=7)
+        for eps in SWEEP_EPS:
+            stat = competition(eps)
+            for alpha in ALPHAS:
+                models = [parametric(alpha)] * 2
+                for trial in range(3):
+                    inst = sample_instance(sampler, 2, 2, trial)
+                    sol = solve_selfish(inst, models, stat)
+                    oracle = oracle_2x2(inst.w, models, stat)
+                    assert oracle - 1e-9 <= sol.value <= oracle + 2e-3, (eps, alpha, trial)
+
+
+class TestSizeIndependence:
+    """Theorem 1's bound holds at every market size, as it depends only on
+    the return models. Alpha 0.75 runs at 10x10 only: on a 2-CPU host 20
+    trials of 20x20 at alpha 0.75 take 3.9 s and 4 trials of 50x50 about
+    10 s."""
+
+    @pytest.mark.parametrize("dist", ["beta", "uniform"])
+    @pytest.mark.parametrize("size, trials", [(10, 6), (20, 3), (50, 2)])
+    def test_ratios_dominate_bound(self, dist, size, trials):
+        sampler = InstanceSampler(dist, seed=42)
+        alphas = ALPHAS if size == 10 else ALPHAS[:3]
+        for alpha in alphas:
+            models = [parametric(alpha)] * size
+            bound = theorem1_bound(models).bound
+            for trial in range(trials):
+                inst = sample_instance(sampler, size, size, trial)
+                sol = solve_selfish(inst, models, seed=42)
+                assert sol.mode == "concave-exact"
+                assert sol.fw_gap <= GAP_TOL_PER_USER * size
+                assert kkt_residual_of(inst, models, sol).max_residual <= 1e-6
+                assert sol.starts_capped == 0
+                assert sol.weight_solves_short == 0
+                ratio = sol.matching.u.sum() / solve_fair(inst).value
+                assert ratio >= bound, (alpha, trial, ratio, bound)
 
 
 class TestFairOracleEquivalence:

@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -27,6 +29,24 @@ MATCH_ONLINE_X_DIGEST = "3da8fb585e7cb01b6c64741a35cab69d380e91205380e889e349775
 MATCH_ONLINE_ORDER = [3, 0, 2, 1, 4, 5]
 
 
+def _tracer_sites() -> tuple:
+    """``SITES`` of perfbench's tracer, read from its source without importing it."""
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["SITES"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no SITES")
+
+
+def test_traced_artifact_writers_exist():
+    # the benchmark's cli.artifact span wraps these writers by module and name
+    sites = [(mod, attr) for mod, attr, span in _tracer_sites() if span == "cli.artifact"]
+    assert sites
+    for mod, attr in sites:
+        assert callable(getattr(importlib.import_module(f"matchmarket.{mod}"), attr, None)), \
+            f"matchmarket.{mod}.{attr}"
+
+
 @pytest.fixture
 def instance_csv(tmp_path):
     path = tmp_path / "inst.csv"
@@ -43,7 +63,7 @@ class TestBound:
         payload = json.loads((out / "bound.json").read_text())
         assert payload["bound"] == pytest.approx(0.1815, abs=1e-3)
         manifest = json.loads((out / "manifest.json").read_text())
-        assert str(out / "bound.json") in manifest["outputs"]
+        assert manifest["outputs"] == ["bound.json"]
 
     def test_alpha_near_one_certified(self, tmp_path):
         # a sampled concavity check once read a second difference of
