@@ -9,10 +9,15 @@ enters the Newton model as 0, so the model stays concave. Each accepted
 Newton step takes the gradient and curvature at its new weights from one
 derivative pass (``Evaluator.clamped_derivs``); each line-search trial
 point takes its slope along the search direction du from one pass over pi'
-only, the arithmetic's ``slope(u0, t, du)``. A weight solve whose Newton
-direction does not ascend stops there and is counted in the solution's
-``weight_solves_short``. The weights, gains and directions of the weight
-solve are lists of Python floats. On a market of at most
+only, the arithmetic's ``slope(u0, t, du)``. The line search accepts only
+steps whose slope is non-negative, so no step lowers the objective; its
+first secant trial below a full step whose end slope is negative may come
+within ``LINE_FIRST_MARGIN`` of that step, so near the optimum a Newton
+step keeps at least 0.999 of its length rather than 0.9. The solution
+counts the Newton directions in ``newton_steps``. A weight solve whose
+Newton direction does not ascend stops there and is counted in the
+solution's ``weight_solves_short``. The weights, gains and directions of
+the weight solve are lists of Python floats. On a market of at most
 ``returns.ELEMENT_MAX_USERS`` parametric users (``Evaluator.floats``) so is
 everything else: every product is an exactly rounded ``math.fsum`` and the
 Newton system is eliminated in Python, so the solution does not depend on
@@ -62,6 +67,11 @@ WEIGHT_GAP_FRACTION = 0.01  # weight solves stop at this share of the FW gap tol
 WEIGHT_MAX_ITERS = 100
 WEIGHT_RIDGE = 1e-12  # relative ridge on the rank-deficient weight Hessian
 LINE_MAX_ITERS = 60
+# the first secant trial's margin below a rejected full step, as a share of
+# the bracket: a Newton step that lands on the line's maximum ends at a
+# slope negative only by rounding, and the 0.1 margin of later trials would
+# cut it to 90% and leave the weight solve converging linearly
+LINE_FIRST_MARGIN = 1e-3
 
 @dataclass(frozen=True)
 class KKTReport:
@@ -89,6 +99,8 @@ class SelfishSolution:
     weight_solves_short: int = 0
     # starts whose Frank-Wolfe run stopped at MAX_ITERS above the gap tolerance
     starts_capped: int = 0
+    # Newton directions computed by the weight solves, over all starts
+    newton_steps: int = 0
 
 
 def _check_models(inst: MarketInstance, models) -> list[ReturnModel]:
@@ -151,13 +163,15 @@ class _Floats:
     ``math.fsum(map(operator.mul, a, b))``, exactly rounded, so no result
     depends on the host's BLAS, its SIMD dispatch or the Python version.
     ``slope`` is ``Evaluator.clamped_slope_list``: pi' at u0 + t du and its
-    product with du in one pass.
+    product with du in one pass. ``newton_steps`` counts the Newton
+    directions that ``_correct_weights`` computes on this arithmetic.
     """
 
     def __init__(self, ev: Evaluator, w: list[list[float]]):
         self.slope = ev.clamped_slope_list
         self.derivs = ev.clamped_derivs_list
         self.w = w
+        self.newton_steps = 0
 
     vector = staticmethod(list)
     matrix = _Rows
@@ -231,12 +245,14 @@ class _Floats:
 class _Arrays:
     """The engine's arithmetic for every other market: utilities, slopes
     and curvatures are numpy arrays, with numpy's products and LAPACK's
-    solve. The engine's weights, gains and directions stay lists."""
+    solve. The engine's weights, gains and directions stay lists;
+    ``newton_steps`` counts as on ``_Floats``."""
 
     def __init__(self, ev: Evaluator, w: np.ndarray):
         self.prime = ev.clamped_prime
         self.derivs = ev.clamped_derivs
         self.w = w
+        self.newton_steps = 0
 
     vector = matrix = staticmethod(np.array)
 
@@ -284,7 +300,12 @@ def _ascent_step(ar, UV, lam, state, d):
     maximizer and cannot lower the objective. The step is tmax if the slope
     there is non-negative; otherwise a safeguarded secant search on the
     slope brackets its root and stops at a step whose slope is non-negative
-    and at most a tenth of the initial one. Trial steps evaluate pi' only.
+    and at most a tenth of the initial one. Each secant trial is kept a tenth
+    of the bracket inside it, except the first below a rejected tmax, which
+    may come within ``LINE_FIRST_MARGIN`` of it: near the optimum a Newton
+    step lands on the line's maximizer, its slope at tmax is negative only
+    by rounding, and a step cut to 0.9 tmax would shrink the weight gap
+    only tenfold per Newton step. Trial steps evaluate pi' only.
     Returns (lam, state) at the new weights, the clamped gradient and
     curvature from one derivative pass, or None when d does not ascend.
     """
@@ -305,7 +326,7 @@ def _ascent_step(ar, UV, lam, state, d):
     if not (s0 > 0.0 and tmax > 0.0):
         return None
     lo, s_lo, hi, s_hi = 0.0, s0, tmax, 0.0
-    t, found = tmax, False
+    t, found, margin = tmax, False, LINE_FIRST_MARGIN
     for _ in range(LINE_MAX_ITERS):
         s = ar.slope(u0, t, du)
         if s >= 0.0:
@@ -316,7 +337,8 @@ def _ascent_step(ar, UV, lam, state, d):
             hi, s_hi = t, s
         width = hi - lo
         secant = lo + width * s_lo / (s_lo - s_hi)
-        t = min(max(secant, lo + 0.1 * width), hi - 0.1 * width)
+        t = min(max(secant, lo + 0.1 * width), hi - margin * width)
+        margin = 0.1
     if not found:
         return None
     new = [a + lo * b for a, b in zip(lam, d)]
@@ -341,7 +363,8 @@ def _correct_weights(ar, UV, lam: list[float], state, tol: float):
     and the step ascends even where a non-concave pi_i is convex. ``state``
     is (u, grow, curv) at lam: the utilities u = lam @ UV and the clamped
     gradient and curvature there, from one ``Evaluator`` derivative pass at
-    each accepted step.
+    each accepted step. Each Newton direction computed is counted in
+    ``ar.newton_steps``.
 
     Stops when the weight problem's own Frank-Wolfe gap max(g) - lam.g is at
     most ``tol`` and returns (lam, True, state); returns (lam, False, state)
@@ -357,9 +380,11 @@ def _correct_weights(ar, UV, lam: list[float], state, tol: float):
         face = [a > 0.0 for a in lam]
         face[j] = True
         d = _newton_direction(ar, UV, g, state[2], face)
+        ar.newton_steps += 1
         if lam[j] <= 0.0 and d[j] < 0.0:  # j is the face's one vertex at zero weight
             face[j] = False
             d = _newton_direction(ar, UV, g, state[2], face)
+            ar.newton_steps += 1
         step = _ascent_step(ar, UV, lam, state, d)
         if step is None:
             return lam, False, state
@@ -388,7 +413,8 @@ def _afw(inst: MarketInstance, ev: Evaluator, gap_tol: float, start):
     in the active set so total mass may stay below 1. Stops when the FW gap
     is at most ``gap_tol`` or after ``MAX_ITERS`` iterations; returns (x,
     gap, iterations, number of weight solves that stopped short of their
-    tolerance), x adding each weight into its vertex's cells in key order.
+    tolerance, number of Newton directions they computed), x adding each
+    weight into its vertex's cells in key order.
     """
     w = inst.w
     m, n = w.shape
@@ -430,7 +456,7 @@ def _afw(inst: MarketInstance, ev: Evaluator, gap_tol: float, start):
         for i, j in enumerate(k):
             if j >= 0:
                 cells[i][j] += a
-    return np.array(cells), gap, it, short
+    return np.array(cells), gap, it, short, ar.newton_steps
 
 
 def _random_start(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -470,10 +496,11 @@ def solve_selfish(
         starts = [_random_start(inst.m, inst.n, rng) for _ in range(MULTISTART_RESTARTS)]
         starts.append(solve_fair(inst).assignment.row_match)
     best = None
-    weight_short = capped = 0
+    weight_short = capped = newton_steps = 0
     for start in starts:
-        x, gap, iters, short = _afw(inst, ev, gap_tol, start)
+        x, gap, iters, short, steps = _afw(inst, ev, gap_tol, start)
         weight_short += short
+        newton_steps += steps
         capped += gap > gap_tol
         x = _shrink_to_peaks(inst, x, ev.peaks)
         # a single start has nothing to be compared with
@@ -501,6 +528,7 @@ def solve_selfish(
         mode="concave-exact" if concave else "multistart-local",
         weight_solves_short=weight_short,
         starts_capped=capped,
+        newton_steps=newton_steps,
     )
 
 

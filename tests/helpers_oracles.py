@@ -244,6 +244,9 @@ def tiny_eps_derivs():
 # fallback that the library dropped. ``selfish._correct_weights``, which
 # solves small markets on Python floats, must reach the same converged flag
 # and a weight-problem objective within the solve's tolerance of this one's.
+# Its line search keeps the 0.1 margin on every secant trial, where the
+# library's first one may come within ``LINE_FIRST_MARGIN`` of a full step,
+# so the two take different steps to the same optimum.
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex."""

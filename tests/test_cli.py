@@ -18,9 +18,9 @@ from matchmarket.market import make_instance, write_instance
 
 
 POA_PINNED_ARGS = ["poa", "--alpha", "0.5", "--trials", "20", "--seed", "42"]
-POA_PINNED_DIGEST = "662bf70bda1a495972e82f884b5077c34b2a35419bab86389b0fd85145b092ad"
+POA_PINNED_DIGEST = "ac8eca67521555d5c842ccb3abd11c7b8f2ebae83de25b07436dbb1f7f29ef8d"
 POA_COMPETITION_ARGS = ["poa", "--alpha", "0", "--eps", "0.5", "--trials", "20", "--seed", "42"]
-POA_COMPETITION_DIGEST = "76c75b9c44f0992dfd6ac7e661d3d92a2c0da30a74ec6a905081e01fcdbc5b5f"
+POA_COMPETITION_DIGEST = "623576fa2fc8a40aab1736432e25b8b6456702116f9ee343983a5c32dd5f8805"
 # the online ratio run pins the instance streams (seed, trial) and the arrival
 # orders (seed, trial, 1); match --mode online pins the order stream (seed, 1)
 ONLINE_PINNED_ARGS = ["online", "--m", "5", "--n", "5", "--trials", "50", "--seed", "42"]

@@ -247,6 +247,25 @@ def _kkt_reference(UV, g, curv, face):
     return d
 
 
+class _LineTrials:
+    """An engine arithmetic that records what ``_ascent_step`` asks of it:
+    the initial slope s0 (its one ``dot``) and each trial step's (t, slope)."""
+
+    def __init__(self, ar):
+        self.ar, self.dots, self.trials = ar, [], []
+
+    def __getattr__(self, name):
+        return getattr(self.ar, name)
+
+    def dot(self, a, b):
+        self.dots.append(self.ar.dot(a, b))
+        return self.dots[-1]
+
+    def slope(self, u0, t, du):
+        self.trials.append((t, self.ar.slope(u0, t, du)))
+        return self.trials[-1][1]
+
+
 class TestWeightSolve:
     """The Newton weight step reaches its own gap tolerance, and a weight
     solve that stops short of it is counted in the solution."""
@@ -255,7 +274,10 @@ class TestWeightSolve:
     # On 5 users the engine runs on Python floats with exactly rounded
     # products, so the counts do not depend on the host's BLAS or SIMD
     # dispatch.
-    FW_ITERATIONS = {0.0: (205, 10), 0.25: (287, 14), 0.5: (402, 18), 0.75: (266, 10)}
+    FW_ITERATIONS = {0.0: (206, 10), 0.25: (294, 14), 0.5: (418, 18), 0.75: (267, 10)}
+    # the Newton directions that the weight solves of those trials computed
+    # (``newton_steps``), summed per alpha
+    NEWTON_STEPS = {0.0: 573, 0.25: 881, 0.5: 1272, 0.75: 683}
 
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75])
     def test_converges_without_cap_on_seed42(self, alpha):
@@ -269,11 +291,62 @@ class TestWeightSolve:
         iterations = [sol.iterations for _, _, sol in solves]
         assert (sum(iterations), max(iterations)) == self.FW_ITERATIONS[alpha]
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75])
+    def test_newton_steps_pinned_on_seed42(self, alpha):
+        solves, _ = _seed42_recorded(alpha)
+        assert sum(sol.newton_steps for _, _, sol in solves) == self.NEWTON_STEPS[alpha]
+
+    @pytest.mark.parametrize("stationary", [Stationary("monopoly"), competition(0.5)])
+    def test_newton_steps_count_every_direction(self, stationary):
+        # one start, or 16 random starts and the fair matching
+        calls = []
+        direction = selfish._newton_direction
+
+        def counting(*args):
+            calls.append(args)
+            return direction(*args)
+
+        inst = make_instance(np.random.default_rng(5).beta(2, 2, (4, 4)))
+        with mock.patch.object(selfish, "_newton_direction", counting):
+            sol = solve_selfish(inst, [parametric(0.25)] * 4, stationary)
+        assert sol.newton_steps == len(calls) > 0
+
+    def test_full_newton_step_is_kept(self):
+        # near the optimum a Newton step lands on the line's maximizer, so
+        # the slope at its end is negative only by rounding. Replay each line
+        # search of seed-42 trial 3 at alpha 0.5 whose full step tmax = 1
+        # overshoots the maximizer by at most 1e-9 of its length: the step
+        # kept must be at least 0.999 tmax, and the slope there non-negative
+        calls = []
+        step = selfish._ascent_step
+
+        def recording(*args):
+            calls.append(args)
+            return step(*args)
+
+        inst = sample_instance(InstanceSampler("beta", 2.0, 2.0, seed=42), 5, 5, 3)
+        with mock.patch.object(selfish, "_ascent_step", recording):
+            solve_selfish(inst, [parametric(0.5)] * 5)
+        replayed = 0
+        for ar, UV, lam, state, d in calls:
+            line = _LineTrials(ar)
+            out = step(line, UV, lam, state, d)
+            if out is None:
+                continue
+            (tmax, s_max), s0 = line.trials[0], line.dots[0]
+            if not (tmax == 1.0 and -1e-9 * s0 <= s_max < 0.0):
+                continue
+            replayed += 1
+            assert max(t for t, s in line.trials if s >= 0.0) >= 0.999 * tmax
+            u, grow, _ = out[1]
+            assert ar.dot(grow, [a - b for a, b in zip(u, state[0])]) >= 0.0
+        assert replayed > 0
+
     # SHA-256 over the full bits of the 200 solves above, alpha by alpha and
     # trial by trial: x, beta, sigma, mu, then value and fw_gap as float64,
     # then iterations and weight_solves_short as int64. The counts above and
     # the CLI's 9-digit CSVs would not see a change in the last bits.
-    SOLVES_SHA256 = "3f18bc356ddae8b0efac4d07bd7516edfc8064edaab39edb65c35f287829f0d7"
+    SOLVES_SHA256 = "343e9db16465071365532371d73f9d529a4ac0be5a0da0e2817a14233eb0080b"
 
     def test_seed42_solves_pinned_bit_for_bit(self):
         digest = hashlib.sha256()
