@@ -5,33 +5,39 @@ with alpha in [0, 1), and grid models (21 uniform nodes on [0, 1], linear
 interpolation, endpoints pinned to 0) used for learned return behavior.
 
 ``Stationary`` names the Markov chain: the two-state (monopoly) chain with
-pi = q / (1 + q), or the three-state competition chain. This module is the
-only place a formula for q, q', q'', pi, pi' or pi'' is written, as
-arithmetic that works on numpy arrays and on Python floats alike, with the
-powers supplied by the caller. A parametric model's pi' and its (pi', pi'')
-are each one closed-form kernel call; ``_parametric_kernels`` binds the
-powers and picks the chain's kernel, ``_parametric_derivs`` (two-state) or
-``_competition_derivs`` (three-state). Grid models, whose q is piecewise
-linear, take central differences for q' and pi''. The kernels take trusted
-utilities; ``eval_q``, ``eval_q_prime``, ``pi_monopoly``,
-``pi_monopoly_second`` and ``pi_competition`` check the domain first.
+pi = q / (1 + q), or the three-state competition chain. Every formula for q,
+q', q'', pi, pi' or pi'' is written here as a vector kernel: arithmetic that
+works on numpy arrays and on Python floats alike, with the powers supplied
+by the caller. A parametric model's (pi', pi'') is one closed-form kernel
+call, ``_parametric_derivs`` (two-state) or ``_competition_derivs``
+(three-state), with the powers that ``_parametric_powers`` binds. Grid
+models, whose q is piecewise linear, take central differences for q' and
+pi''. The kernels take trusted utilities; ``eval_q``, ``eval_q_prime``,
+``pi_monopoly``, ``pi_monopoly_second`` and ``pi_competition`` check the
+domain first.
 
 ``Evaluator`` applies the kernels to one utility vector, one entry per user.
 A market of at most ``ELEMENT_MAX_USERS`` users, all parametric, is
-evaluated user by user on Python floats (the element path), which spares
-numpy's per-call cost on the paper's 5-user markets; there each model's
+evaluated on Python floats instead (the element path), which spares numpy's
+per-call cost on the paper's 5-user markets: each quantity is one loop over
+the users, and the loops write the parametric pi, pi' and pi'' out a second
+time, in the kernels' operation order, so that no function is called per
+user but the bound powers. The tests pin the two forms to each other: the
+loops against the kernels called on floats, bit for bit, a SHA-256 of the
+loops' outputs (``ELEMENT_OUTPUTS_SHA256``), and the loops against the array
+path with numpy's AVX-512 loops off. On the element path each model's
 powers x ** y for y = e, e - 1 and e - 2 (e = 1 - alpha) and y = 3 are bound
 once: numpy's fast path for y where there is one, else y's own
 ``__rpow__``, ``_pow``'s bits for every positive base. pi' and pi'' see only
 positive bases, as they are taken at utilities clamped to ``U_CLAMP``; the
 objective sees 1 - u = 0 at u = 1, and below 0 after rounding, so it keeps
-``_pow``, which gives numpy's values there. Every other market is evaluated
-on arrays with numpy's ``**``, in one call when its users share a model,
-else once per group of users with the same model. The two paths agree bit
-for bit wherever numpy's ``**`` calls the C library's ``pow``; numpy's
-AVX-512 (SVML) power loop rounds differently in the last bit for about 5% of
-its inputs, and ``NPY_DISABLE_CPU_FEATURES`` with the AVX-512 features turns
-it off.
+``_pow``, which gives numpy's values there. Every other market is evaluated on arrays with
+numpy's ``**``, in one call when its users share a model, else once per
+group of users with the same model. The two paths agree bit for bit
+wherever numpy's ``**`` calls the C library's ``pow``; numpy's AVX-512
+(SVML) power loop rounds differently in the last bit for about 5% of its
+inputs, and ``NPY_DISABLE_CPU_FEATURES`` with the AVX-512 features turns it
+off.
 
 ``cached_evaluator`` keeps one ``Evaluator`` per market for the life of the
 process, keyed by the users' models, the chain and the element-path choice;
@@ -62,9 +68,11 @@ GRID_DERIV_STEP = 1e-5  # central-difference step for grid-model derivatives
 PEAK_SAMPLES = 2001  # uniform samples of pi that bracket its global maximizer
 U_CLAMP = 1.0 - 1e-9  # pi' diverges at u = 1 for alpha > 0, so it is taken at min(u, U_CLAMP)
 # markets of at most this many users, all parametric, take the element path,
-# and the selfish engine solves them on Python floats too; there whole selfish
-# solves are faster than on arrays up to 8 users and slower from 9, where the
-# Python Newton solve falls behind LAPACK (the table is in CHANGES.md)
+# and the selfish engine solves them on Python floats too. Whole selfish solves
+# are faster there than on arrays up to 9 users, and from 10 users on slower at
+# alpha 0.5 and 0.75, where the Python Newton solve falls behind LAPACK; one
+# evaluator call stays faster on floats up to 20 users (the tables are in
+# CHANGES.md). A change of the bound moves digests (ROADMAP item 2)
 ELEMENT_MAX_USERS = 8
 
 
@@ -234,14 +242,6 @@ def _pi_prime(q, qp, u, eps):
     return (qp + q * q / eps) / (t * t)
 
 
-def _parametric_prime(e, p0, p1, eps, u):
-    """pi'(u) of the parametric model with e = 1 - alpha, in one call:
-    ``_pi_prime(*_q_terms(model, u, 1), u, eps)`` in its operation order,
-    with p0(x) = x ** e and p1(x) = x ** (e - 1) bound once per model."""
-    r = 1.0 - u
-    return _pi_prime(u * p0(r), p1(r) * (r - u * e), u, eps)
-
-
 def _parametric_derivs(e, p0, p1, p2, p3, u):
     """(pi'(u), pi''(u)) of the two-state chain for the parametric model
     with e = 1 - alpha, from one pass of q, q' = r^(e-1) (r - u e) and
@@ -299,23 +299,15 @@ def _parametric_powers(model: ReturnModel, power) -> tuple:
     return (e, *map(power, (e, e - 1.0, e - 2.0, 3.0)))
 
 
-def _parametric_kernels(model: ReturnModel, eps, power) -> tuple:
-    """(pi', (pi', pi'')) of a parametric model as functions of u, with
-    every power bound by ``power``, once: ``_parametric_prime`` and, by the
-    chain, ``_parametric_derivs`` (eps None) or ``_competition_derivs``."""
-    e, p0, p1, p2, p3 = _parametric_powers(model, power)
-    prime = partial(_parametric_prime, e, p0, p1, eps)
-    if eps is None:
-        return prime, partial(_parametric_derivs, e, p0, p1, p2, p3)
-    return prime, partial(_competition_derivs, e, p0, p1, p2, eps)
-
-
 def _pi_prime_second(model: ReturnModel, u, eps=None) -> tuple:
     """(pi'(u), pi''(u)) of the chain ``_pi`` names by eps, on arrays or
     numpy scalars: the parametric kernel with numpy's ``**``, or for a grid
     model the central difference of pi'."""
     if model.kind == "parametric-alpha":
-        return _parametric_kernels(model, eps, _array_power)[1](u)
+        e, p0, p1, p2, p3 = _parametric_powers(model, _array_power)
+        if eps is None:
+            return _parametric_derivs(e, p0, p1, p2, p3, u)
+        return _competition_derivs(e, p0, p1, p2, eps, u)
 
     def prime(v):
         return _pi_prime(*_q_terms(model, v, 1), v, eps)
@@ -373,18 +365,6 @@ def pi_competition(model: ReturnModel, u, eps: float):
     return _pi(_q_terms(model, u, 0)[0], u, eps)
 
 
-def _element_kernels(model: ReturnModel, eps):
-    """(pi, pi', (pi', pi'')) of one parametric user as functions of a
-    float: the array path's kernels with powers bound by ``_float_power``,
-    and pi with ``_pow``, as the module docstring explains."""
-    prime, derivs = _parametric_kernels(model, eps, _float_power)
-
-    def pi(u):
-        return _pi(_q_terms(model, u, 0, _pow)[0], u, eps)
-
-    return pi, prime, derivs
-
-
 def _element_path(models: list[ReturnModel]) -> bool:
     """Whether a market takes the element path: at most ``ELEMENT_MAX_USERS``
     users, at least one, all parametric."""
@@ -402,13 +382,16 @@ class Evaluator:
     utility vector u of shape (m,), one entry per user.
 
     A market of at most ``ELEMENT_MAX_USERS`` users whose models are all
-    parametric takes the element path: ``element_pi``, ``element_prime``
-    and ``element_derivs`` hold one function of a float per user, every
-    quantity is evaluated user by user on Python floats, and ``floats`` is
-    True. There ``clamped_prime_list``, ``clamped_derivs_list`` and
-    ``clamped_slope_list`` take lists, for callers that keep their vectors
-    on Python floats.
-    Other markets keep the functions None and take the array path: when
+    parametric takes the element path: ``element_params`` holds one tuple
+    (e, p0, p1, p2, p3, peak, cap) per user, with e = 1 - alpha, the powers
+    of ``_parametric_powers`` bound by ``_float_power`` and the user's entries
+    of ``peaks`` and ``cap``, and ``floats`` is True. There each quantity is
+    one loop over the users on Python floats, which writes out the vector
+    kernels' arithmetic for both chains in their operation order, so the
+    two forms give the same bits; ``clamped_prime_list``,
+    ``clamped_derivs_list`` and ``clamped_slope_list`` take lists, for
+    callers that keep their vectors on Python floats.
+    Other markets keep ``element_params`` None and take the array path: when
     every user shares one model, each quantity is one kernel call on the
     whole vector; otherwise users are grouped by model, and each group's
     kernel results are scattered into full-width arrays. ``pi_prime`` takes
@@ -432,16 +415,16 @@ class Evaluator:
         # model serves, as every kernel maps empty arrays to empty arrays
         self.model = (None if len(self.groups) > 1 else
                       self.groups[0][0] if self.groups else parametric(0.0))
-        self.element_pi = self.element_prime = self.element_derivs = None
-        if _element_path(models):
-            kernels = {key: _element_kernels(mod, self.eps)
-                       for key, (mod, _) in grouped.items()}
-            self.element_pi, self.element_prime, self.element_derivs = zip(
-                *(kernels[mod.cache_key()] for mod in models))
-        self.floats = self.element_prime is not None
         self.peaks = _read_only(np.array([peak_utility(mod, stat) for mod in models]))
         self.cap = _read_only(np.minimum(self.peaks, U_CLAMP))
-        self._peak_cap = tuple(zip(self.peaks.tolist(), self.cap.tolist()))
+        self.element_params = None
+        if _element_path(models):
+            powers = {key: _parametric_powers(mod, _float_power)
+                      for key, (mod, _) in grouped.items()}
+            self.element_params = tuple(
+                (*powers[mod.cache_key()], p, c)
+                for mod, p, c in zip(models, self.peaks.tolist(), self.cap.tolist()))
+        self.floats = self.element_params is not None
 
     def _by_group(self, kernel, u: np.ndarray, *args):
         """kernel(model, u[users], *args) for every group of users; the
@@ -458,13 +441,19 @@ class Evaluator:
         return outs
 
     def objective(self, u) -> float:
-        """sum_i pi_i(u_i)."""
+        """sum_i pi_i(u_i). On the element path q's power is ``_pow``: the
+        objective sees 1 - u = 0 at u = 1, and below 0 after rounding."""
         u = np.asarray(u, dtype=float)
-        if self.floats:
-            pis = np.array([f(v) for f, v in zip(self.element_pi, u.tolist())])
-        else:
+        if not self.floats:
             pis = _pi(self._by_group(_q_terms, u, 0)[0], u, self.eps)
-        return float(np.add.reduce(pis))
+            return float(np.add.reduce(pis))
+        eps = self.eps
+        pis = []
+        for v, (e, *_) in zip(u.tolist(), self.element_params):
+            r = 1.0 - v
+            q = v * _pow(r, e)
+            pis.append(q / (1.0 + q) if eps is None else q / (1.0 + q + (q / eps) * r))
+        return float(np.add.reduce(np.array(pis)))
 
     def pi_prime(self, u) -> np.ndarray:
         """pi_i'(u_i), evaluated at min(u_i, ``U_CLAMP``)."""
@@ -472,10 +461,22 @@ class Evaluator:
 
     def _prime(self, u: np.ndarray) -> np.ndarray:
         """``pi_prime`` at utilities already clamped to at most ``U_CLAMP``."""
-        if self.floats:
-            return np.array([f(v) for f, v in zip(self.element_prime, u.tolist())])
-        q, qp = self._by_group(_q_terms, u, 1)
-        return _pi_prime(q, qp, u, self.eps)
+        if not self.floats:
+            q, qp = self._by_group(_q_terms, u, 1)
+            return _pi_prime(q, qp, u, self.eps)
+        eps = self.eps
+        grad = []
+        for v, (e, p0, p1, _, _, _, _) in zip(u.tolist(), self.element_params):
+            r = 1.0 - v
+            q = v * p0(r)
+            qp = p1(r) * (r - v * e)
+            if eps is None:
+                t = 1.0 + q
+                grad.append(qp / (t * t))
+            else:
+                t = 1.0 + q + (q / eps) * r
+                grad.append((qp + q * q / eps) / (t * t))
+        return np.array(grad)
 
     def _derivs(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(pi_i'(u_i), pi_i''(u_i)) on the array path, at utilities already
@@ -494,10 +495,8 @@ class Evaluator:
 
     def clamped_prime_list(self, u: list[float]) -> list[float]:
         """``clamped_prime`` of a list of utilities, as a list, on the element
-        path only (``floats``). The clamp and the zeroing run in one loop,
-        with the bits of np.minimum and of the masked store."""
-        return [0.0 if v >= p else f(v if v < c else c)
-                for f, v, (p, c) in zip(self.element_prime, u, self._peak_cap)]
+        path only (``floats``): the grad of ``clamped_derivs_list``."""
+        return self.clamped_derivs_list(u)[0]
 
     def clamped_derivs(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-user slope and curvature of the clamped objective from one
@@ -515,22 +514,60 @@ class Evaluator:
 
     def clamped_derivs_list(self, u: list[float]) -> tuple[list[float], list[float]]:
         """``clamped_derivs`` of a list of utilities, as two lists, on the
-        element path only (``floats``), in one loop."""
+        element path only (``floats``), in one loop: ``_parametric_derivs``
+        or ``_competition_derivs`` written out, with the clamp and the
+        zeroing in the bits of np.minimum and of the masked store."""
+        eps = self.eps
         grad, curv = [], []
         add_grad, add_curv = grad.append, curv.append
-        for f, v, (p, c) in zip(self.element_derivs, u, self._peak_cap):
-            g, h = (0.0, 0.0) if v >= p else f(v if v < c else c)
+        for v, (e, p0, p1, p2, p3, p, c) in zip(u, self.element_params):
+            if v >= p:
+                add_grad(0.0)
+                add_curv(0.0)
+                continue
+            v = v if v < c else c
+            r = 1.0 - v
+            q = v * p0(r)
+            qp = p1(r) * (r - v * e)
+            qpp = e * p2(r) * (v * (1.0 + e) - 2.0)
+            if eps is None:
+                t = 1.0 + q
+                g = qp / (t * t)
+                h = qpp / (t * t) - 2.0 * qp * qp / p3(t)
+            else:
+                qe = q / eps
+                t = 1.0 + q + qe * r
+                g = (qp + q * q / eps) / (t * t)
+                tp = qp * (1.0 + r / eps) - qe
+                h = (qpp / t + 2.0 * qp * (qe / t)) / t - 2.0 * g * (tp / t)
             add_grad(g)
             add_curv(h if h < 0.0 else 0.0)
         return grad, curv
 
     def clamped_slope_list(self, u0: list[float], t: float, du: list[float]) -> float:
         """The clamped objective's slope along du at u0 + t du, on the element
-        path only (``floats``): the products of ``clamped_prime_list`` at
-        u0 + t du with du, summed by one exactly rounded ``math.fsum``."""
-        return fsum([(0.0 if v >= p else f(v if v < c else c)) * b
-                     for f, b, (p, c), v in zip(self.element_prime, du, self._peak_cap,
-                                                [a + t * b for a, b in zip(u0, du)])])
+        path only (``floats``), in one loop: the products of
+        ``clamped_prime_list`` at u0 + t du with du, summed by one exactly
+        rounded ``math.fsum``."""
+        eps = self.eps
+        terms = []
+        add = terms.append
+        for a, b, (e, p0, p1, _, _, p, c) in zip(u0, du, self.element_params):
+            v = a + t * b
+            if v >= p:
+                add(0.0 * b)
+                continue
+            v = v if v < c else c
+            r = 1.0 - v
+            q = v * p0(r)
+            qp = p1(r) * (r - v * e)
+            if eps is None:
+                s = 1.0 + q
+                add(qp / (s * s) * b)
+            else:
+                s = 1.0 + q + (q / eps) * r
+                add((qp + q * q / eps) / (s * s) * b)
+        return fsum(terms)
 
 
 def strictly_concave(model: ReturnModel) -> bool:

@@ -1,15 +1,15 @@
 """Selfish matching: maximize expected returning users over the matching polytope.
 
 One engine solves every market: fully-corrective Frank-Wolfe. Each iteration
-adds the vertex of an assignment problem on the per-edge gradient weights to
-an active set of matchings, then reoptimizes the convex weights of that set
-by Newton ascent on the simplex, stopping on the weight problem's own
-Frank-Wolfe gap. Where a non-concave pi_i is locally convex, its curvature
-enters the Newton model as 0, so the model stays concave. Each accepted
-Newton step takes the gradient and curvature at its new weights from one
-derivative pass (``Evaluator.clamped_derivs``); each line-search trial
-point takes its slope along the search direction du from one pass over pi'
-only, the arithmetic's ``slope(u0, t, du)``. The line search accepts only
+adds the vertex of an assignment problem on the per-edge gradient weights of
+the users below their peak to an active set of matchings, then reoptimizes
+the convex weights of that set by Newton ascent on the simplex, stopping on
+the weight problem's own Frank-Wolfe gap. Where a non-concave pi_i is
+locally convex, its curvature enters the Newton model as 0, so the model
+stays concave. Each accepted Newton step takes the gradient and curvature
+at its new weights from one derivative pass (``Evaluator.clamped_derivs``);
+each line-search trial point takes its slope along the search direction du
+from one pass over pi' only, the arithmetic's ``slope(u0, t, du)``. The line search accepts only
 steps whose slope is non-negative, so no step lowers the objective; its
 first secant trial below a full step whose end slope is negative may come
 within ``LINE_FIRST_MARGIN`` of that step, so near the optimum a Newton
@@ -193,8 +193,10 @@ class _Floats:
         return [fsum(map(mul, row, v)) for row in UV]
 
     def scaled(self, grow):
-        """The per-edge gradient grow_i w_ij."""
-        return [[a * b for b in row] for a, row in zip(grow, self.w)]
+        """The rows i whose clamped gradient grow_i is positive, and their
+        per-edge gradient grow_i w_ij."""
+        live = [i for i, a in enumerate(grow) if a > 0.0]
+        return live, [[grow[i] * b for b in self.w[i]] for i in live]
 
     @staticmethod
     def solve(UV, idx, last, curv, rhs) -> list[float]:
@@ -272,8 +274,9 @@ class _Arrays:
         """The clamped objective's slope along du at u0 + t du."""
         return float(self.prime(u0 + t * du) @ du)
 
-    def scaled(self, grow) -> np.ndarray:
-        return grow[:, None] * self.w
+    def scaled(self, grow) -> tuple[list[int], np.ndarray]:
+        live = np.flatnonzero(grow > 0.0)
+        return live.tolist(), grow[live, None] * self.w[live]
 
     @staticmethod
     def solve(UV, idx, last, curv, rhs) -> list[float]:
@@ -393,6 +396,28 @@ def _correct_weights(ar, UV, lam: list[float], state, tol: float):
     return lam, max(g) - fsum(map(mul, lam, g)) <= tol, state
 
 
+def _oracle(ar, grow) -> tuple[list[int], float]:
+    """The Frank-Wolfe vertex: (column per row, -1 if unmatched, and value)
+    of the matching that maximizes the per-edge gradient grow_i w_ij.
+
+    Only the rows whose clamped gradient grow_i is positive go to
+    ``best_matching``; the others, users at or past their peak, have all-zero
+    rows, which it would leave unmatched, and stay unmatched. So the value
+    is the optimum of a search of every row, and so is the matching wherever
+    the live rows' optimum is unique. Of tied optima the two may return
+    different ones: in ``_jv_assign`` a zero row can take a column and push
+    a later row onto another column of equal value.
+    """
+    live, g = ar.scaled(grow)
+    row_match = [-1] * len(grow)
+    if not live:
+        return row_match, 0.0
+    live_match, value, _, _ = best_matching(g)
+    for i, j in zip(live, live_match):
+        row_match[i] = j
+    return row_match, value
+
+
 def _afw(inst: MarketInstance, ev: Evaluator, gap_tol: float, start):
     """Fully-corrective Frank-Wolfe on the clamped objective from ``start``.
 
@@ -407,7 +432,10 @@ def _afw(inst: MarketInstance, ev: Evaluator, gap_tol: float, start):
     from stored rows. The utilities u = lam @ UV and the clamped gradient
     and curvature there come out of each weight solve and into the next
     iteration: the oracle's weights are the gradient's, and the FW gap is
-    the oracle value less grow.u. On an element-path market every vector
+    the oracle value less grow.u. The oracle (``_oracle``) searches only the
+    rows of users below their peak, on both arithmetics; where several
+    vertices tie for its optimum it may add another than a search of every
+    row would, of the same value. On an element-path market every vector
     is a list of Python floats (``_Floats``), else a numpy array
     (``_Arrays``); the control flow is the same. The empty matching stays
     in the active set so total mass may stay below 1. Stops when the FW gap
@@ -435,7 +463,7 @@ def _afw(inst: MarketInstance, ev: Evaluator, gap_tol: float, start):
     it = 0
     for it in range(1, MAX_ITERS + 1):
         u, grow, _ = state
-        row_match, s_value, _, _ = best_matching(ar.scaled(grow))
+        row_match, s_value = _oracle(ar, grow)
         gap = s_value - ar.dot(grow, u)
         if gap <= gap_tol:
             break

@@ -113,9 +113,9 @@ def jv_assign_numpy(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 # closed-form pi'' differs from the central difference by its truncation
 # error, and is checked against scipy's derivative instead; the reference
 # weight solve below still takes the central difference. On the element path
-# the two-state pi'' is taken from the element kernels themselves, whose
-# one-pass bits ``test_shared_terms_round_as_separate_formulas`` checks
-# against the separate formulas on floats.
+# the two-state pi'' is taken from ``element_derivs``, whose one-pass bits
+# ``test_shared_terms_round_as_separate_formulas`` checks against the separate
+# formulas on floats.
 
 def _pi_second_two_state(model: ReturnModel, u):
     if model.kind == "parametric-alpha":
@@ -137,14 +137,30 @@ def _pi_second_competition(model: ReturnModel, u, eps):
     return _central(prime, u)
 
 
+def element_derivs(ev: Evaluator, u: list[float]) -> list[tuple[float, float]]:
+    """(pi_i'(u_i), pi_i''(u_i)) on the element path, user by user: the
+    vector kernel of the chain, ``returns._parametric_derivs`` or
+    ``returns._competition_derivs``, called on a float with the powers that
+    ``Evaluator.element_params`` binds. The element loops write the same
+    arithmetic out, and they show pi'' only as min(pi'', 0) below the peak;
+    this gives it whole."""
+    out = []
+    for v, (e, p0, p1, p2, p3, _, _) in zip(u, ev.element_params):
+        if ev.eps is None:
+            out.append(returns._parametric_derivs(e, p0, p1, p2, p3, v))
+        else:
+            out.append(returns._competition_derivs(e, p0, p1, p2, ev.eps, v))
+    return out
+
+
 def pi_derivs(ev: Evaluator, u) -> tuple[np.ndarray, np.ndarray]:
     """(pi_i'(u_i), pi_i''(u_i)) at min(u_i, ``U_CLAMP``) for one utility
-    vector: ``Evaluator._derivs`` on the array path, the ``element_derivs``
-    kernels on the element path."""
+    vector: ``Evaluator._derivs`` on the array path, ``element_derivs`` on
+    the element path."""
     u = np.minimum(u, returns.U_CLAMP)
-    if ev.element_derivs is None:
+    if not ev.floats:
         return ev._derivs(u)
-    pairs = np.array([f(v) for f, v in zip(ev.element_derivs, u.tolist())])
+    pairs = np.array(element_derivs(ev, u.tolist()))
     return pairs[:, 0].copy(), pairs[:, 1].copy()
 
 
@@ -153,7 +169,7 @@ def pi_second_reference(ev: Evaluator, u) -> np.ndarray:
     u = np.minimum(u, 1.0 - 1e-9)
     if ev.eps is not None:
         return ev._by_group(lambda mod, v: [_pi_second_competition(mod, v, ev.eps)], u)[0]
-    if ev.element_derivs is not None:
+    if ev.floats:
         return pi_derivs(ev, u)[1]
     return ev._by_group(lambda mod, v: [_pi_second_two_state(mod, v)], u)[0]
 
@@ -212,7 +228,7 @@ def element_path_mismatches() -> list[str]:
         element = Evaluator(models, stat)
         with mock.patch.object(returns, "ELEMENT_MAX_USERS", 0):
             array = Evaluator(models, stat)
-        assert element.element_prime is not None and array.element_prime is None
+        assert element.floats and not array.floats
         got, want = _outputs(element, U), _outputs(array, U)
         bad += [f"{label}: {name}" for name in want if got[name] != want[name]]
     return bad

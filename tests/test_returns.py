@@ -312,7 +312,7 @@ class TestEvaluator:
                     u, initial_step=np.minimum(u, 1.0 - u) / 8).df
                 wide = Evaluator([model] * u.size, stat)
                 one = Evaluator([model], stat)
-                assert wide.element_prime is None and one.element_prime is not None
+                assert not wide.floats and one.floats
                 on_floats = np.array([pi_derivs(one, [v])[1][0] for v in u.tolist()])
                 for second in (pi_derivs(wide, u)[1], on_floats):
                     err = np.abs(second - ref) / np.maximum(1.0, np.abs(second))
@@ -331,7 +331,7 @@ class TestEvaluator:
             ix = [i for i, mod in enumerate(models) if mod.cache_key() == model.cache_key()]
             reps = ELEMENT_MAX_USERS // len(ix) + 1
             one = Evaluator([model] * (len(ix) * reps), stat)
-            assert one.element_prime is None
+            assert not one.floats
             for u in U:
                 for f in (Evaluator.pi_prime, pi_derivs):
                     np.testing.assert_array_equal(
@@ -361,7 +361,7 @@ class TestEvaluator:
 
         wide = Evaluator([parametric(alpha)] * (ELEMENT_MAX_USERS + 1))
         one = Evaluator([parametric(alpha)])
-        assert wide.element_prime is None and one.element_prime is not None
+        assert not wide.floats and one.floats
         U = np.repeat(u[:, None], wide.m, axis=1)
         on_floats = np.array([formulas(v, _pow) for v in u.tolist()]).T
         for ev, V, (prime, second) in ((wide, U, formulas(U, operator.pow)),
@@ -421,6 +421,20 @@ class TestElementPath:
                 assert np.isfinite(prime).all(), label
                 assert np.isfinite(second).all(), label
                 assert (prime == 0.0).any(), label
+        # the element loops give the kernels' bits there, clamps included
+        u = np.linspace(0.0, 1.0, 201)
+        for eps in (1e-300, sys.float_info.min):
+            for alpha in ELEMENT_ALPHAS:
+                ev = Evaluator([parametric(alpha)], competition(eps))
+                V = u[:, None]
+                grad, curv = _rows(lambda v: pi_derivs(ev, np.minimum(v, ev.cap)), V)[:, :, 0].T
+                past = u >= ev.peaks
+                grad[past] = 0.0
+                curv = np.where(past, 0.0, np.minimum(curv, 0.0))
+                got = _rows(ev.clamped_derivs, V)[:, :, 0].T
+                assert got.tobytes() == np.array([grad, curv]).tobytes(), (alpha, eps)
+                prime = _rows(lambda v: pi_derivs(ev, v)[0], V)
+                assert _rows(ev.pi_prime, V).tobytes() == prime.tobytes(), (alpha, eps)
 
     def test_parametric_derivs_take_no_central_difference(self, monkeypatch):
         # every parametric derivative is a closed form, on both paths and
@@ -444,9 +458,11 @@ class TestElementPath:
         # np.minimum and the masked store on the same kernels
         for label, models, stat, U, peaks in element_path_cases():
             ev = Evaluator(models, stat)
-            assert ev.element_prime is not None, label
+            assert ev.floats, label
             assert ev.peaks.tobytes() == peaks.tobytes(), label
             cap = np.minimum(peaks, U_CLAMP)
+            assert [par[5:] for par in ev.element_params] == list(
+                zip(peaks.tolist(), cap.tolist())), label
             for u in U:
                 grad = ev._prime(np.minimum(u, cap))
                 grad[u >= peaks] = 0.0
@@ -474,10 +490,10 @@ class TestElementPath:
     def test_market_size_selects_the_path(self):
         nodes = np.linspace(0, 1, GRID_NODES)
         small = [parametric(0.25)] * ELEMENT_MAX_USERS
-        assert Evaluator(small).element_prime is not None
-        assert Evaluator(small + [parametric(0.25)]).element_prime is None
-        assert Evaluator(small[1:] + [grid(nodes * (1 - nodes))]).element_prime is None
-        assert Evaluator([]).element_prime is None
+        assert Evaluator(small).element_params is not None
+        assert Evaluator(small + [parametric(0.25)]).element_params is None
+        assert Evaluator(small[1:] + [grid(nodes * (1 - nodes))]).element_params is None
+        assert Evaluator([]).element_params is None
 
     def test_pow_fast_paths(self):
         # numpy's ** on arrays with these exponents calls square, positive,
@@ -494,7 +510,7 @@ class TestElementPath:
 
     @pytest.mark.parametrize("alpha", ELEMENT_ALPHAS + (1e-17,))
     def test_bound_powers_match_pow(self, alpha):
-        # the element kernels' powers, bound once per model for e, e - 1 and
+        # the element path's powers, bound once per model for e, e - 1 and
         # e - 2 (e = 1 - alpha) and for 3, give _pow's bits on positive
         # bases; at alpha 1e-17, e rounds to 1.0 and all three take numpy's
         # fast paths
@@ -559,7 +575,8 @@ class TestCachedEvaluator:
         U = np.vstack([np.linspace(0.0, 1.0, 7)[k:k + 3] for k in range(5)])
         for stat in (MONOPOLY, competition(0.1)):
             scalar, ref = Evaluator([model] * 3, stat), Evaluator([parametric(0.3)] * 3, stat)
-            assert scalar.floats and type(scalar.element_prime[0](0.4)) is float
+            assert scalar.floats and type(scalar.element_params[0][0]) is float
+            assert type(scalar.clamped_prime_list([0.4] * 3)[0]) is float
             assert _outputs(scalar, U) == _outputs(ref, U), stat
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import warnings
 from functools import cache
 from unittest import mock
@@ -13,6 +14,7 @@ from helpers_oracles import (
 )
 
 from matchmarket import selfish
+from matchmarket.fair import best_matching
 from matchmarket.market import InstanceSampler, make_instance, sample_instance
 from matchmarket.returns import (
     GRID_NODES,
@@ -89,6 +91,65 @@ class TestOracle:
             sol = solve_selfish(make_instance(w), [model], stat)
             assert sol.value == pytest.approx(
                 oracle_single_row(w[0], model, stat), abs=2e-3)
+
+
+class TestLiveRowOracle:
+    """The Frank-Wolfe oracle searches only the rows with a positive clamped
+    gradient. On tied, degenerate and rectangular inputs it reaches the value
+    of a search of every row, and its matching wherever the live rows'
+    optimum is unique, on both arithmetics."""
+
+    @staticmethod
+    def _live_optima(g, live):
+        """The optimum over matchings of the live rows and the distinct sets
+        of positive edges that reach it, by enumeration; g's entries are
+        dyadic, so every sum is exact."""
+        best, optima = 0.0, {frozenset()}
+        for cols in itertools.product(range(-1, g.shape[1]), repeat=len(live)):
+            taken = [j for j in cols if j >= 0]
+            if len(taken) != len(set(taken)):
+                continue
+            edges = frozenset((i, j) for i, j in zip(live, cols) if j >= 0 and g[i, j] > 0.0)
+            value = sum(g[i, j] for i, j in edges)
+            if value > best:
+                best, optima = value, {edges}
+            elif value == best:
+                optima.add(edges)
+        return best, optima
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            m, n = rng.integers(2, 6, 2)
+            grow = rng.choice([0.0, 0.0, 0.5, 1.0, 2.0], m)
+            w = rng.choice([0.0, 0.25, 0.5, 1.0], (m, n))
+            yield grow, w
+        for m, n in ((2, 5), (5, 2), (4, 4)):
+            yield np.zeros(m), np.ones((m, n))  # every row at its peak
+            yield np.ones(m), np.zeros((m, n))  # live rows of zero weight
+            yield np.array([0.0] * (m - 1) + [1.0]), np.ones((m, n))
+
+    def test_matches_a_search_of_every_row(self):
+        cases = list(self._cases())
+        unique = 0
+        for grow, w in cases:
+            m = len(grow)
+            g = grow[:, None] * w
+            full_match, full_value, _, _ = best_matching(g)
+            live = [i for i in range(m) if grow[i] > 0.0]
+            best, optima = self._live_optima(g, live)
+            assert full_value == best
+            ev = Evaluator([parametric(0.5)] * m)
+            for ar, gr in ((selfish._Floats(ev, w.tolist()), grow.tolist()),
+                           (selfish._Arrays(ev, w), grow)):
+                row_match, value = selfish._oracle(ar, gr)
+                assert value == full_value
+                assert frozenset((i, j) for i, j in enumerate(row_match) if j >= 0) in optima
+                if len(optima) == 1:
+                    assert row_match == full_match
+            unique += len(optima) == 1
+        assert 0 < unique < len(cases)
 
 
 class TestCertificates:
