@@ -4,12 +4,18 @@ One engine solves every market: fully-corrective Frank-Wolfe. Each iteration
 adds the vertex of an assignment problem on the per-edge gradient weights of
 the users below their peak to an active set of matchings, then reoptimizes
 the convex weights of that set by Newton ascent on the simplex, stopping on
-the weight problem's own Frank-Wolfe gap. Where a non-concave pi_i is
-locally convex, its curvature enters the Newton model as 0, so the model
-stays concave. Each accepted Newton step takes the gradient and curvature
-at its new weights from one derivative pass (``Evaluator.clamped_derivs``);
-each line-search trial point takes its slope along the search direction du
-from one pass over pi' only, the arithmetic's ``slope(u0, t, du)``. The line search accepts only
+the weight problem's own Frank-Wolfe gap. That solve is inexact while the
+active set grows: it stops at ``WEIGHT_GAP_SHARE`` times the current FW
+gap, and at the floor, ``WEIGHT_GAP_FRACTION`` times the FW gap tolerance,
+only once the FW gap is within that tolerance or the oracle's vertex
+already has positive weight. Frank-Wolfe stops only after such a tight
+solve, or at a FW gap within the floor, so every returned point meets both
+tolerances. Where a non-concave pi_i is locally convex, its curvature
+enters the Newton model as 0, so the model stays concave. Each accepted
+Newton step takes the gradient and curvature at its new weights from one
+derivative pass (``Evaluator.clamped_derivs``); each line-search trial
+point takes its slope along the search direction du from one pass over pi'
+only, the arithmetic's ``slope(u0, t, du)``. The line search accepts only
 steps whose slope is non-negative, so no step lowers the objective; its
 first secant trial below a full step whose end slope is negative may come
 within ``LINE_FIRST_MARGIN`` of that step, so near the optimum a Newton
@@ -63,7 +69,13 @@ from .returns import MONOPOLY, Evaluator, ReturnModel, Stationary, competition  
 MAX_ITERS = 10_000
 GAP_TOL_PER_USER = 1e-7
 MULTISTART_RESTARTS = 16
-WEIGHT_GAP_FRACTION = 0.01  # weight solves stop at this share of the FW gap tolerance
+# the floor of every weight solve's tolerance, as a share of the FW gap
+# tolerance: the tight solves stop there, and so Frank-Wolfe's last one
+WEIGHT_GAP_FRACTION = 0.01
+# a weight solve on a growing active set stops at this share of the FW gap.
+# It must stay below 1: the new vertex's gain gap starts equal to the FW
+# gap, so at 1 the solve would return at once and the weights never move
+WEIGHT_GAP_SHARE = 0.5
 WEIGHT_MAX_ITERS = 100
 WEIGHT_RIDGE = 1e-12  # relative ridge on the rank-deficient weight Hessian
 LINE_MAX_ITERS = 60
@@ -370,10 +382,11 @@ def _correct_weights(ar, UV, lam: list[float], state, tol: float):
     ``ar.newton_steps``.
 
     Stops when the weight problem's own Frank-Wolfe gap max(g) - lam.g is at
-    most ``tol`` and returns (lam, True, state); returns (lam, False, state)
-    when the Newton direction does not ascend, or when ``WEIGHT_MAX_ITERS``
-    steps leave the gap above ``tol``. ``_afw`` counts such solves, and
-    ``solve_selfish`` reports them as ``weight_solves_short``.
+    most ``tol``, which ``_afw`` sets from its own FW gap, and returns (lam,
+    True, state); returns (lam, False, state) when the Newton direction does
+    not ascend, or when ``WEIGHT_MAX_ITERS`` steps leave the gap above
+    ``tol``. ``_afw`` counts such solves, and ``solve_selfish`` reports them
+    as ``weight_solves_short``.
     """
     for _ in range(WEIGHT_MAX_ITERS):
         g = ar.gains(UV, state[1])
@@ -427,20 +440,31 @@ def _afw(inst: MarketInstance, ev: Evaluator, gap_tol: float, start):
     whole active set with ``_correct_weights``, which avoids the zig-zagging
     of plain Frank-Wolfe steps on the clamped (flat-beyond-peak) objective
     (the fully-corrective variant of Lacoste-Julien and Jaggi, NeurIPS 2015).
-    Each active vertex, keyed by its column per row, keeps its weight and
-    its per-user utility row, so the weight problem's matrix is stacked
-    from stored rows. The utilities u = lam @ UV and the clamped gradient
-    and curvature there come out of each weight solve and into the next
-    iteration: the oracle's weights are the gradient's, and the FW gap is
-    the oracle value less grow.u. The oracle (``_oracle``) searches only the
-    rows of users below their peak, on both arithmetics; where several
-    vertices tie for its optimum it may add another than a search of every
-    row would, of the same value. On an element-path market every vector
-    is a list of Python floats (``_Floats``), else a numpy array
-    (``_Arrays``); the control flow is the same. The empty matching stays
-    in the active set so total mass may stay below 1. Stops when the FW gap
-    is at most ``gap_tol`` or after ``MAX_ITERS`` iterations; returns (x,
-    gap, iterations, number of weight solves that stopped short of their
+    As their section 4 allows, the correction is approximate while the
+    active set grows: it stops at a weight gap of ``WEIGHT_GAP_SHARE`` times
+    the FW gap. It is tight, stopping at the floor ``WEIGHT_GAP_FRACTION``
+    gap_tol, when the FW gap is already at most ``gap_tol`` or the oracle's
+    vertex already has positive weight, so that the active set does not
+    grow. A loose tolerance is thus above ``WEIGHT_GAP_SHARE`` gap_tol, and
+    so above the floor. Each active vertex, keyed by its column per row,
+    keeps its weight and its per-user utility row, so the weight problem's
+    matrix is stacked from stored rows. The utilities u = lam @ UV and the
+    clamped gradient and curvature there come out of each weight solve and
+    into the next iteration: the oracle's weights are the gradient's, and
+    the FW gap is the oracle value less grow.u. The oracle (``_oracle``)
+    searches only the rows of users below their peak, on both arithmetics;
+    where several vertices tie for its optimum it may add another than a
+    search of every row would, of the same value. On an element-path market
+    every vector is a list of Python floats (``_Floats``), else a numpy
+    array (``_Arrays``); the control flow is the same. The empty matching
+    stays in the active set so total mass may stay below 1.
+
+    Stops when the FW gap is at most ``gap_tol`` and the active set's own
+    gap is known to be at most the floor: the last correction was tight, or
+    the run is still at its start (one vertex of weight 1, so a gap of 0),
+    or the FW gap, which bounds the active set's, is itself at most the
+    floor. Otherwise stops after ``MAX_ITERS`` iterations. Returns (x, gap,
+    iterations, number of weight solves that stopped short of their
     tolerance, number of Newton directions they computed), x adding each
     weight into its vertex's cells in key order.
     """
@@ -458,23 +482,26 @@ def _afw(inst: MarketInstance, ev: Evaluator, gap_tol: float, start):
     util = {k: utility_row(k) for k in active}
     u = ar.vector(util[first])
     state = (u, *ar.derivs(u))
+    floor = WEIGHT_GAP_FRACTION * gap_tol
     gap = np.inf
     short = 0
     it = 0
+    tight = True  # at the start one vertex has all the weight: a weight gap of 0
     for it in range(1, MAX_ITERS + 1):
         u, grow, _ = state
         row_match, s_value = _oracle(ar, grow)
         gap = s_value - ar.dot(grow, u)
-        if gap <= gap_tol:
+        if gap <= gap_tol and (tight or gap <= floor):
             break
         s_key = tuple(row_match)
         if s_key not in util:
             util[s_key] = utility_row(s_key)
+        tight = gap <= gap_tol or active.get(s_key, 0.0) > 0.0
         active.setdefault(s_key, 0.0)
         keys = sorted(active)
         lam, converged, state = _correct_weights(
             ar, ar.matrix([util[k] for k in keys]), [active[k] for k in keys], state,
-            WEIGHT_GAP_FRACTION * gap_tol)
+            floor if tight else WEIGHT_GAP_SHARE * gap)
         short += not converged
         active = {k: a for k, a in zip(keys, lam) if a > 0.0}
         active.setdefault(empty, 0.0)

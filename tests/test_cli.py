@@ -18,7 +18,7 @@ from matchmarket.market import make_instance, write_instance
 
 
 POA_PINNED_ARGS = ["poa", "--alpha", "0.5", "--trials", "20", "--seed", "42"]
-POA_PINNED_DIGEST = "ac8eca67521555d5c842ccb3abd11c7b8f2ebae83de25b07436dbb1f7f29ef8d"
+POA_PINNED_DIGEST = "da96bf1bdbf1629708d00b35dc832783c224184ec94d645a7dcd9c22a82c1895"
 POA_COMPETITION_ARGS = ["poa", "--alpha", "0", "--eps", "0.5", "--trials", "20", "--seed", "42"]
 POA_COMPETITION_DIGEST = "623576fa2fc8a40aab1736432e25b8b6456702116f9ee343983a5c32dd5f8805"
 # the online ratio run pins the instance streams (seed, trial) and the arrival

@@ -335,10 +335,10 @@ class TestWeightSolve:
     # On 5 users the engine runs on Python floats with exactly rounded
     # products, so the counts do not depend on the host's BLAS or SIMD
     # dispatch.
-    FW_ITERATIONS = {0.0: (206, 10), 0.25: (294, 14), 0.5: (418, 18), 0.75: (267, 10)}
+    FW_ITERATIONS = {0.0: (267, 11), 0.25: (313, 16), 0.5: (444, 18), 0.75: (337, 13)}
     # the Newton directions that the weight solves of those trials computed
     # (``newton_steps``), summed per alpha
-    NEWTON_STEPS = {0.0: 573, 0.25: 881, 0.5: 1272, 0.75: 683}
+    NEWTON_STEPS = {0.0: 355, 0.25: 408, 0.5: 589, 0.75: 389}
 
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75])
     def test_converges_without_cap_on_seed42(self, alpha):
@@ -371,6 +371,67 @@ class TestWeightSolve:
         with mock.patch.object(selfish, "_newton_direction", counting):
             sol = solve_selfish(inst, [parametric(0.25)] * 4, stationary)
         assert sol.newton_steps == len(calls) > 0
+
+    def test_weight_tolerance_follows_the_gap(self):
+        # over the seed-42 solves and the 17 starts of the 4x4 competition
+        # market above: each weight solve's tol lies in [floor, gap) for the
+        # FW gap it was set from, and is the floor where the oracle's vertex
+        # already has positive weight or the gap is already below gap_tol. A
+        # run that ends below gap_tol ends after a tight correction, or at
+        # its start (one vertex of weight 1, so a weight gap of 0), or at a
+        # gap at most the floor
+        events = []
+        afw, oracle, correct = selfish._afw, selfish._oracle, selfish._correct_weights
+
+        def recording_afw(inst, ev, gap_tol, start):
+            events.append(("start", gap_tol))
+            out = afw(inst, ev, gap_tol, start)
+            events.append(("end", out[1]))
+            return out
+
+        def recording_oracle(ar, grow):
+            out = oracle(ar, grow)
+            events.append(("oracle", ar, grow, out))
+            return out
+
+        def recording_correct(ar, UV, lam, state, tol):
+            events.append(("correct", UV, lam, state, tol))
+            return correct(ar, UV, lam, state, tol)
+
+        with mock.patch.multiple(selfish, _afw=recording_afw, _oracle=recording_oracle,
+                                 _correct_weights=recording_correct):
+            for alpha in (0.0, 0.25, 0.5, 0.75):
+                assert len(list(_seed42(alpha, 50))) == 50
+            inst = make_instance(np.random.default_rng(5).beta(2, 2, (4, 4)))
+            solve_selfish(inst, [parametric(0.25)] * 4, competition(0.5))
+        counts = {"loose": 0, "positive": 0, "below": 0, "runs": 0}
+        for event in events:
+            kind, *args = event
+            if kind == "start":
+                gap_tol = args[0]
+                floor = selfish.WEIGHT_GAP_FRACTION * gap_tol
+                last_tol = None
+            elif kind == "oracle":
+                ar, grow, (row_match, value) = args
+            elif kind == "correct":
+                UV, lam, state, tol = args
+                assert state[1] is grow
+                gap = value - ar.dot(grow, state[0])
+                vertex = [ar.w[i][j] if j >= 0 else 0.0 for i, j in enumerate(row_match)]
+                (k,) = [k for k, row in enumerate(UV) if list(map(float, row)) == vertex]
+                assert floor <= tol < gap
+                if lam[k] > 0.0 or gap <= gap_tol:
+                    assert tol == floor
+                    counts["positive" if lam[k] > 0.0 else "below"] += 1
+                else:
+                    counts["loose"] += tol > floor
+                last_tol = tol
+            else:
+                counts["runs"] += 1
+                if args[0] <= gap_tol:
+                    assert last_tol in (None, floor) or args[0] <= floor
+        assert counts["runs"] == 200 + 17
+        assert min(counts.values()) > 0, counts
 
     def test_full_newton_step_is_kept(self):
         # near the optimum a Newton step lands on the line's maximizer, so
@@ -407,7 +468,7 @@ class TestWeightSolve:
     # trial by trial: x, beta, sigma, mu, then value and fw_gap as float64,
     # then iterations and weight_solves_short as int64. The counts above and
     # the CLI's 9-digit CSVs would not see a change in the last bits.
-    SOLVES_SHA256 = "343e9db16465071365532371d73f9d529a4ac0be5a0da0e2817a14233eb0080b"
+    SOLVES_SHA256 = "72cdfffbac5c6ebdfc6fc90f246b58270adfc00be68b476bf0b85c2462c27644"
 
     def test_seed42_solves_pinned_bit_for_bit(self):
         digest = hashlib.sha256()
