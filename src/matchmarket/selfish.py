@@ -39,11 +39,16 @@ q rises again after falling are rejected: the clamp flattens pi only past
 the highest peak and leaves their lower peaks in place.
 
 The objective sum_i pi_i(u_i) is concave for monopoly stationaries with
-strictly concave q: one run from the empty matching solves it (mode
-``concave-exact``). Otherwise (competition stationaries, grid models) the
-engine runs from random polytope vertices plus the fair matching and keeps
-the best stationary point (mode ``multistart-local``); starts that stop at
-the iteration cap are counted in the solution.
+strictly concave q: one run from the fair (max-weight) matching solves it
+(mode ``concave-exact``). Frank-Wolfe converges on a concave objective from
+any feasible start. Started from the empty matching, where users of one
+return model share the slope pi'(0), its first vertex would be the fair
+matching anyway, and the first weight solve would only rescale it.
+Otherwise (competition stationaries, grid models) the engine runs from
+random polytope vertices plus the fair matching and keeps the best
+stationary point (mode ``multistart-local``), values within 1e-12 of the
+larger one's magnitude counting as a tie; starts that stop at the iteration
+cap are counted in the solution.
 
 Every value of pi, pi' and pi'', every peak and every clamp of the objective
 comes from ``returns.Evaluator``, one per market from
@@ -62,7 +67,7 @@ from operator import mul, neg, sub, truediv
 import numpy as np
 
 from . import returns
-from .fair import best_matching, max_weight_assignment, solve_fair
+from .fair import best_matching, max_weight_assignment
 from .market import FractionalMatching, MarketInstance, keyed_rng
 from .returns import MONOPOLY, Evaluator, ReturnModel, Stationary, competition  # noqa: F401
 
@@ -435,11 +440,13 @@ def _afw(inst: MarketInstance, ev: Evaluator, gap_tol: float, start):
     """Fully-corrective Frank-Wolfe on the clamped objective from ``start``.
 
     ``start`` is a matching given as the column per row, -1 if unmatched; the
-    active set begins with it at weight 1. Each iteration adds the LP-oracle
-    vertex to the active set and then reoptimizes the convex weights over the
-    whole active set with ``_correct_weights``, which avoids the zig-zagging
-    of plain Frank-Wolfe steps on the clamped (flat-beyond-peak) objective
-    (the fully-corrective variant of Lacoste-Julien and Jaggi, NeurIPS 2015).
+    active set begins with it at weight 1, and with the empty matching at
+    weight 0, which stays in the active set as the slack of total mass. Each
+    iteration adds the LP-oracle vertex to the active set and then
+    reoptimizes the convex weights over the whole active set with
+    ``_correct_weights``, which avoids the zig-zagging of plain Frank-Wolfe
+    steps on the clamped (flat-beyond-peak) objective (the fully-corrective
+    variant of Lacoste-Julien and Jaggi, NeurIPS 2015).
     As their section 4 allows, the correction is approximate while the
     active set grows: it stops at a weight gap of ``WEIGHT_GAP_SHARE`` times
     the FW gap. It is tight, stopping at the floor ``WEIGHT_GAP_FRACTION``
@@ -456,8 +463,7 @@ def _afw(inst: MarketInstance, ev: Evaluator, gap_tol: float, start):
     where several vertices tie for its optimum it may add another than a
     search of every row would, of the same value. On an element-path market
     every vector is a list of Python floats (``_Floats``), else a numpy
-    array (``_Arrays``); the control flow is the same. The empty matching
-    stays in the active set so total mass may stay below 1.
+    array (``_Arrays``); the control flow is the same.
 
     Stops when the FW gap is at most ``gap_tol`` and the active set's own
     gap is known to be at most the floor: the last correction was tight, or
@@ -544,12 +550,13 @@ def solve_selfish(
         returns.strictly_concave(mod) for mod in models)
     gap_tol = GAP_TOL_PER_USER * inst.m
 
+    fair = best_matching(inst.w)[0]
     if concave:
-        starts = [np.full(inst.m, -1)]
+        starts = [fair]
     else:
         rng = keyed_rng(seed, 1)
         starts = [_random_start(inst.m, inst.n, rng) for _ in range(MULTISTART_RESTARTS)]
-        starts.append(solve_fair(inst).assignment.row_match)
+        starts.append(fair)
     best = None
     weight_short = capped = newton_steps = 0
     for start in starts:
@@ -560,8 +567,10 @@ def solve_selfish(
         x = _shrink_to_peaks(inst, x, ev.peaks)
         # a single start has nothing to be compared with
         val = ev.objective((inst.w * x).sum(axis=1)) if len(starts) > 1 else 0.0
-        if best is None or val > best[0] + 1e-12 or (
-            abs(val - best[0]) <= 1e-12 and tuple(x.ravel()) < tuple(best[1].ravel())
+        # values within 1e-12 of the larger magnitude tie, whatever its scale
+        tie = 1e-12 * max(abs(val), abs(best[0])) if best is not None else 0.0
+        if best is None or val > best[0] + tie or (
+            abs(val - best[0]) <= tie and tuple(x.ravel()) < tuple(best[1].ravel())
         ):
             best = (val, x, gap, iters)
     _, x, gap, iters = best

@@ -102,27 +102,39 @@ class TestSelfishOracleEquivalence:
 
 
 class TestSizeIndependence:
-    """Theorem 1's bound holds at every market size, as it depends only on
-    the return models. Every alpha runs at every size: on a 2-CPU host the
-    alpha 0.75 trials take about 0.7 s at 50x50 and under 0.1 s at 20x20."""
+    """Theorem 1's bound holds at every market size and shape, as it depends
+    only on the return models. Every alpha runs at every size: on a 2-CPU
+    host the alpha 0.75 trials take about 0.7 s at 50x50 and under 0.1 s at
+    20x20, and the 50x25 trials about 1 s per sampler."""
 
-    @pytest.mark.parametrize("dist", ["beta", "uniform"])
-    @pytest.mark.parametrize("size, trials", [(10, 6), (20, 3), (50, 2)])
-    def test_ratios_dominate_bound(self, dist, size, trials):
+    @staticmethod
+    def _check(dist, m, n, trials):
         sampler = InstanceSampler(dist, seed=42)
         for alpha in ALPHAS:
-            models = [parametric(alpha)] * size
+            models = [parametric(alpha)] * m
             bound = theorem1_bound(models).bound
             for trial in range(trials):
-                inst = sample_instance(sampler, size, size, trial)
+                inst = sample_instance(sampler, m, n, trial)
                 sol = solve_selfish(inst, models, seed=42)
                 assert sol.mode == "concave-exact"
-                assert sol.fw_gap <= GAP_TOL_PER_USER * size
+                assert sol.fw_gap <= GAP_TOL_PER_USER * m
                 assert kkt_residual_of(inst, models, sol).max_residual <= 1e-6
                 assert sol.starts_capped == 0
                 assert sol.weight_solves_short == 0
                 ratio = sol.matching.u.sum() / solve_fair(inst).value
                 assert ratio >= bound, (alpha, trial, ratio, bound)
+
+    @pytest.mark.parametrize("dist", ["beta", "uniform"])
+    @pytest.mark.parametrize("size, trials", [(10, 6), (20, 3), (50, 2)])
+    def test_ratios_dominate_bound(self, dist, size, trials):
+        self._check(dist, size, size, trials)
+
+    @pytest.mark.parametrize("dist", ["beta", "uniform"])
+    @pytest.mark.parametrize("m, n, trials", [(10, 20, 6), (20, 10, 6), (50, 25, 2)])
+    def test_rectangular_ratios_dominate_bound(self, dist, m, n, trials):
+        # more items than users, and more users than items, where the fair
+        # oracle searches the transpose
+        self._check(dist, m, n, trials)
 
 
 class TestFairOracleEquivalence:

@@ -18,7 +18,7 @@ from matchmarket.market import make_instance, write_instance
 
 
 POA_PINNED_ARGS = ["poa", "--alpha", "0.5", "--trials", "20", "--seed", "42"]
-POA_PINNED_DIGEST = "da96bf1bdbf1629708d00b35dc832783c224184ec94d645a7dcd9c22a82c1895"
+POA_PINNED_DIGEST = "8941561b9a6d57dc49db4b8319ee044b4c08bba730c7b7e77c9db963316ae8dd"
 POA_COMPETITION_ARGS = ["poa", "--alpha", "0", "--eps", "0.5", "--trials", "20", "--seed", "42"]
 POA_COMPETITION_DIGEST = "623576fa2fc8a40aab1736432e25b8b6456702116f9ee343983a5c32dd5f8805"
 # the online ratio run pins the instance streams (seed, trial) and the arrival

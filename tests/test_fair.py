@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from helpers_oracles import brute_force_fair, jv_assign_numpy
@@ -112,7 +114,8 @@ class TestDuals:
         feasible, complementary, with dual objective equal to the value; the
         assignment loop returns the reference numpy loop's (row_match, u, v)
         bit for bit, so ties go to the lowest column as there;
-        ``best_matching`` returns those potentials as they are, and
+        ``best_matching`` returns those potentials as they are, or with more
+        rows than columns the reference loop's on the transpose, swapped, and
         ``max_weight_assignment``'s duals are them clipped as numpy would."""
         res = max_weight_assignment(g)
         clipped = np.maximum(g, 0.0)
@@ -133,14 +136,23 @@ class TestDuals:
         ref = jv_assign_numpy(cost)
         assert [np.asarray(a).tobytes() for a in _jv_assign(cost.tolist(), cost.shape[1])] == \
             [a.tobytes() for a in ref]
-        # best_matching builds the same cost on lists, and max_weight_assignment
-        # clips its potentials into the duals
+        # best_matching builds the same cost on lists, of the transpose when
+        # there are more rows than columns, and max_weight_assignment clips
+        # its potentials into the duals
         row_match, _, u, v = best_matching(g)
         assert np.array(row_match).tobytes() == res.row_match.tobytes()
+        if g.shape[0] > g.shape[1]:
+            col_match, ref_v, ref_u = jv_assign_numpy(-clipped.T)
+            ref_match = np.full(g.shape[0], -1)
+            ref_match[col_match] = np.arange(g.shape[1])
+            ref_match[(ref_match >= 0) & (clipped[np.arange(g.shape[0]), ref_match] <= 0.0)] = -1
+            assert res.row_match.tobytes() == ref_match.tobytes()
+        else:
+            ref_u, ref_v = ref[1], ref[2]
         assert [np.array(u).tobytes(), np.array(v).tobytes()] == \
-            [ref[1].tobytes(), ref[2].tobytes()]
-        assert res.beta.tobytes() == np.maximum(-ref[1], 0.0).tobytes()
-        assert res.sigma.tobytes() == np.maximum(-ref[2][:g.shape[1]], 0.0).tobytes()
+            [ref_u.tobytes(), ref_v.tobytes()]
+        assert res.beta.tobytes() == np.maximum(-ref_u, 0.0).tobytes()
+        assert res.sigma.tobytes() == np.maximum(-ref_v, 0.0).tobytes()
 
     @pytest.mark.parametrize("row", [
         [0.7],
@@ -173,6 +185,69 @@ class TestDuals:
         res = max_weight_assignment(np.array([[-0.5, -0.2]]))
         assert res.row_match[0] == -1
         assert res.value == 0.0
+
+
+class TestShortSide:
+    """With more rows than columns ``best_matching`` searches the transpose.
+    Against the search of every row over the columns padded with zero-weight
+    slack columns, it reaches the same value always, and the same matching
+    wherever the optimum is unique."""
+
+    @staticmethod
+    def _padded_search(g):
+        m, n = g.shape
+        cost = (-np.pad(np.maximum(g, 0.0), ((0, 0), (0, m - n)))).tolist()
+        row_match, _, _ = _jv_assign(cost, m)
+        row_match = [j if j < n and g[i, j] > 0.0 else -1 for i, j in enumerate(row_match)]
+        value = 0.0
+        for i, j in enumerate(row_match):
+            if j >= 0:
+                value += g[i, j]
+        return row_match, value
+
+    @staticmethod
+    def _optima(g):
+        """The distinct sets of positive edges of the optimal matchings, by
+        enumerating a row (or none) per column; g's entries are dyadic, so
+        every sum is exact."""
+        m, n = g.shape
+        best, optima = 0.0, {frozenset()}
+        for rows in itertools.product(range(-1, m), repeat=n):
+            taken = [i for i in rows if i >= 0]
+            if len(taken) != len(set(taken)):
+                continue
+            edges = frozenset((i, j) for j, i in enumerate(rows) if i >= 0 and g[i, j] > 0.0)
+            value = sum(g[i, j] for i, j in edges)
+            if value > best:
+                best, optima = value, {edges}
+            elif value == best:
+                optima.add(edges)
+        return best, optima
+
+    def test_tied_tall_matrices(self):
+        rng = np.random.default_rng(31)
+        unique = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 4))
+            m = int(rng.integers(n + 1, 7))
+            g = rng.choice(VALUES, (m, n))
+            row_match, value, _, _ = best_matching(g)
+            ref_match, ref_value = self._padded_search(g)
+            best, optima = self._optima(g)
+            assert value == ref_value == best
+            assert frozenset((i, j) for i, j in enumerate(row_match) if j >= 0) in optima
+            if len(optima) == 1:
+                assert row_match == ref_match
+                unique += 1
+        assert 0 < unique < 300
+
+    @pytest.mark.parametrize("m, n", [(20, 10), (50, 25), (30, 29)])
+    def test_random_tall_matrices(self, m, n):
+        rng = np.random.default_rng(m * n)
+        for _ in range(5):
+            g = rng.random((m, n))
+            row_match, value, _, _ = best_matching(g)
+            assert (row_match, value) == self._padded_search(g)
 
 
 class TestBruteForce:

@@ -258,6 +258,21 @@ class TestCompetition:
             assert sol.fw_gap <= 1e-7 * inst.m
             assert kkt_residual_of(inst, models, sol, stat).max_residual <= 1e-6
 
+    def test_tighter_tolerance_never_lowers_a_tiny_value(self, monkeypatch):
+        # at eps 1e-14 every start's value is about 1e-13, so an absolute
+        # tie between starts let the lexicographically smallest x win
+        # whatever its value, and a tighter tolerance returned less (trial 1
+        # of ``sweep --alpha 0.25 --m 3 --n 3 --trials 6 --seed 1``). Ties
+        # are relative: each tighter tolerance gives at least the value of
+        # the looser one, to that tie
+        inst = sample_instance(InstanceSampler("beta", 2.0, 2.0, seed=1), 3, 3, 1)
+        models = [parametric(0.25)] * 3
+        values = []
+        for tol in (selfish.GAP_TOL_PER_USER, 1e-13, 1e-16, 1e-19):
+            monkeypatch.setattr(selfish, "GAP_TOL_PER_USER", tol)
+            values.append(solve_selfish(inst, models, competition(1e-14), seed=1).value)
+        assert all(b >= a * (1.0 - 1e-12) for a, b in zip(values, values[1:])), values
+
     def test_capped_starts_are_reported(self, monkeypatch):
         monkeypatch.setattr(selfish, "MAX_ITERS", 1)
         inst = self._sweep_instances()[0]
@@ -271,6 +286,11 @@ def _seed42(alpha, trials):
     for trial in range(trials):
         inst = sample_instance(sampler, 5, 5, trial)
         yield inst, models, solve_selfish(inst, models, seed=42)
+
+
+# seed-42 trial 3; at alpha 0.5 its fair matching is not the selfish optimum,
+# which takes 15 Frank-Wolfe iterations from it
+_SEED42_TRIAL3 = sample_instance(InstanceSampler("beta", 2.0, 2.0, seed=42), 5, 5, 3)
 
 
 @cache
@@ -331,14 +351,15 @@ class TestWeightSolve:
     """The Newton weight step reaches its own gap tolerance, and a weight
     solve that stops short of it is counted in the solution."""
 
-    # sum and max of the Frank-Wolfe iterations over trials 0-49 per alpha.
+    # sum and max of the Frank-Wolfe iterations over trials 0-49 per alpha,
+    # each run from the fair matching.
     # On 5 users the engine runs on Python floats with exactly rounded
     # products, so the counts do not depend on the host's BLAS or SIMD
     # dispatch.
-    FW_ITERATIONS = {0.0: (267, 11), 0.25: (313, 16), 0.5: (444, 18), 0.75: (337, 13)}
+    FW_ITERATIONS = {0.0: (176, 9), 0.25: (257, 14), 0.5: (388, 17), 0.75: (264, 12)}
     # the Newton directions that the weight solves of those trials computed
     # (``newton_steps``), summed per alpha
-    NEWTON_STEPS = {0.0: 355, 0.25: 408, 0.5: 589, 0.75: 389}
+    NEWTON_STEPS = {0.0: 168, 0.25: 293, 0.5: 497, 0.75: 311}
 
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75])
     def test_converges_without_cap_on_seed42(self, alpha):
@@ -357,9 +378,31 @@ class TestWeightSolve:
         solves, _ = _seed42_recorded(alpha)
         assert sum(sol.newton_steps for _, _, sol in solves) == self.NEWTON_STEPS[alpha]
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75])
+    def test_empty_and_fair_starts_reach_one_optimum(self, alpha):
+        # the concave objective has one optimal value, which Frank-Wolfe
+        # reaches from any feasible start: each run's FW gap bounds its
+        # distance to it, so the two values differ by at most the sum of
+        # the gaps. Both runs are certified, the fair start's by
+        # test_converges_without_cap_on_seed42 on the same solves
+        afw = selfish._afw
+
+        def from_empty(inst, ev, gap_tol, start):
+            return afw(inst, ev, gap_tol, [-1] * inst.m)
+
+        with mock.patch.object(selfish, "_afw", from_empty):
+            empty = list(_seed42(alpha, 50))
+        for (inst, models, fair), (_, _, sol) in zip(_seed42_recorded(alpha)[0], empty):
+            assert abs(sol.value - fair.value) <= sol.fw_gap + fair.fw_gap
+            assert sol.fw_gap <= 1e-7 * inst.m
+            assert sol.starts_capped == sol.weight_solves_short == 0
+            assert kkt_residual_of(inst, models, sol).max_residual <= 1e-6
+
     @pytest.mark.parametrize("stationary", [Stationary("monopoly"), competition(0.5)])
     def test_newton_steps_count_every_direction(self, stationary):
-        # one start, or 16 random starts and the fair matching
+        # one start, or 16 random starts and the fair matching, on a market
+        # whose fair matching is not optimal, so the one start moves: 25 and
+        # 185 directions
         calls = []
         direction = selfish._newton_direction
 
@@ -367,9 +410,8 @@ class TestWeightSolve:
             calls.append(args)
             return direction(*args)
 
-        inst = make_instance(np.random.default_rng(5).beta(2, 2, (4, 4)))
         with mock.patch.object(selfish, "_newton_direction", counting):
-            sol = solve_selfish(inst, [parametric(0.25)] * 4, stationary)
+            sol = solve_selfish(_SEED42_TRIAL3, [parametric(0.5)] * 5, stationary)
         assert sol.newton_steps == len(calls) > 0
 
     def test_weight_tolerance_follows_the_gap(self):
@@ -446,9 +488,8 @@ class TestWeightSolve:
             calls.append(args)
             return step(*args)
 
-        inst = sample_instance(InstanceSampler("beta", 2.0, 2.0, seed=42), 5, 5, 3)
         with mock.patch.object(selfish, "_ascent_step", recording):
-            solve_selfish(inst, [parametric(0.5)] * 5)
+            solve_selfish(_SEED42_TRIAL3, [parametric(0.5)] * 5)
         replayed = 0
         for ar, UV, lam, state, d in calls:
             line = _LineTrials(ar)
@@ -468,7 +509,7 @@ class TestWeightSolve:
     # trial by trial: x, beta, sigma, mu, then value and fw_gap as float64,
     # then iterations and weight_solves_short as int64. The counts above and
     # the CLI's 9-digit CSVs would not see a change in the last bits.
-    SOLVES_SHA256 = "72cdfffbac5c6ebdfc6fc90f246b58270adfc00be68b476bf0b85c2462c27644"
+    SOLVES_SHA256 = "2764b217ebf19474e59dc9eeb417ca42bee9bc1341f71350973d67100d62ca6b"
 
     def test_seed42_solves_pinned_bit_for_bit(self):
         digest = hashlib.sha256()
@@ -520,8 +561,9 @@ class TestWeightSolve:
         args = next(a for a, (out, _, _) in calls if out != a[2])
         lam, converged, _ = selfish._correct_weights(*args)
         assert lam == args[2] and not converged
-        inst = make_instance(np.random.default_rng(5).beta(2, 2, (4, 4)))
-        sol = solve_selfish(inst, [parametric(0.25)] * 4)
+        # the one start is the fair matching, which is not optimal here: each
+        # of the 3 iterations ends in a short weight solve, and the run caps
+        sol = solve_selfish(_SEED42_TRIAL3, [parametric(0.5)] * 5)
         assert (sol.weight_solves_short, sol.starts_capped) == (3, 1)
 
     def test_singular_system_raises(self, monkeypatch):
